@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import energetics, numtheory, spectral
-from .energetics import shift_sizes, ssc_ratio_sum, sumset_ratio_sum
+from .energetics import exact_moment, shift_sizes, ssc_ratio_sum, sumset_ratio_sum
 from .numtheory import divisors, subgroup
 from .spectral import convolve_counts, dft_magnitudes, naive_dft_magnitudes, phi_subgroup
 from .verifier import (
@@ -83,6 +83,12 @@ class SweepConfig:
             raise ValueError(
                 f"need 3 <= p_min <= p_max <= 2^26, got [{self.p_min}, {self.p_max}]"
             )
+        if not self.alpha_lo <= self.alpha_hi:
+            raise ValueError(f"need alpha_lo <= alpha_hi, got [{self.alpha_lo}, {self.alpha_hi}]")
+        if self.min_size < 0:
+            raise ValueError(f"min_size must be >= 0, got {self.min_size}")
+        if self.max_size is not None and self.max_size < self.min_size:
+            raise ValueError(f"max_size {self.max_size} is below min_size {self.min_size}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.kmax < 1:
@@ -213,10 +219,8 @@ def _record_for(args) -> SweepRecord:
     else:
         aset = A.indicator
         prof = shift_sizes(aset)
-        nz = prof[prof > 0].astype(np.int64)
-        e2 = int(np.dot(nz, nz))
-        e3 = int(np.dot(nz * nz, nz))
-        e32 = float(np.sum(nz.astype(np.float64) ** 1.5))
+        e2, e3 = exact_moment(prof, 2), exact_moment(prof, 3)
+        e32 = float(np.sum(prof[prof > 0].astype(np.float64) ** 1.5))
         two_size = fold_sumset(aset, 2).card
         phi = phi_subgroup(A)[0]
         ssc = ssc_ratio_sum(A)
@@ -528,7 +532,7 @@ def _rand_set(p: int, rng: random.Random, max_card: int = 512) -> ZpSet:
 
 
 def _enumeration_convolution(X: ZpSet, Y: ZpSet) -> np.ndarray:
-    """Pair-enumeration representation counts, independent of the NTT path."""
+    """Pair-enumeration representation counts, independent of the FFT path."""
     xs = X.members()
     ys = Y.members()
     if xs.size == 0 or ys.size == 0:

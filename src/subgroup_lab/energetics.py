@@ -45,6 +45,19 @@ def shift_sizes(X: ZpSet) -> np.ndarray:
     return cyclic_convolution_exact(ind, refl, p)
 
 
+def exact_moment(sizes: np.ndarray, r: int) -> int:
+    """Sum over s of |X ∩ (X + s)|^r from the shift profile of X, exact.
+
+    r = 2 gives E(X) and r = 3 gives E3(X).  The terms sum to |X|^2 and none
+    exceeds |X| = sizes[0], so the total is at most |X|^(r+1); int64 is used
+    whenever that bound is below 2^63.
+    """
+    nz = sizes[sizes > 0].astype(np.int64)
+    if int(sizes[0]) ** (r + 1) < 1 << 63:
+        return int(np.dot(nz ** (r - 1), nz))
+    return sum(int(x) ** r for x in nz.tolist())
+
+
 def additive_energy(A: ZpSet, B: ZpSet) -> int:
     """E(A, B) = number of quadruples a + b = a' + b', as sum of squared counts."""
     counts = convolve_counts(A, B).counts
@@ -180,22 +193,19 @@ def threshold_invariant_set(
         raise ValueError(f"modulus mismatch: {profile.p} vs {A.p}")
     counts = profile.counts
     reps = A.cosets.reps
-    chosen = []
-    for rep in reps:
-        coset = (int(rep) * A.elements) % A.p
-        vals = counts[coset]
-        if not (vals == vals[0]).all():
-            raise InvarianceViolation(
-                f"profile is not constant on the coset of {int(rep)}"
-            )
-        if float(vals[0]) >= k:
-            chosen.append(int(rep))
+    cosets = (reps[:, None] * A.elements[None, :]) % A.p  # one row per coset
+    vals = counts[cosets]
+    broken = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
+    if broken.size:
+        raise InvarianceViolation(
+            f"profile is not constant on the coset of {int(reps[broken[0]])}"
+        )
+    keep = vals[:, 0].astype(np.float64) >= k
+    chosen = [int(r) for r in reps[keep]]
     with_zero = include_zero and float(counts[0]) >= k
     bits = np.zeros(A.p, dtype=bool)
-    for r in chosen:
-        bits[(r * A.elements) % A.p] = True
-    if with_zero:
-        bits[0] = True
+    bits[cosets[keep]] = True
+    bits[0] = with_zero
     return InvariantSet(
         base=ZpSet(A.p, bits),
         subgroup=A,
@@ -221,10 +231,8 @@ class EnergyReport:
 def energy_report(A: Subgroup, *, with_sumset_ratio: bool = True) -> EnergyReport:
     aset = A.indicator
     sizes = shift_sizes(aset)
-    nz = sizes[sizes > 0].astype(np.int64)
-    e2 = int(np.dot(nz, nz)) if A.p <= 1 << 20 else int(sum(int(c) ** 2 for c in nz))
-    e3 = int(np.dot(nz * nz, nz)) if A.p <= 1 << 13 else int(sum(int(c) ** 3 for c in nz))
-    e32 = float(np.sum(nz.astype(np.float64) ** 1.5))
+    e2, e3 = exact_moment(sizes, 2), exact_moment(sizes, 3)
+    e32 = float(np.sum(sizes[sizes > 0].astype(np.float64) ** 1.5))
     two_a = fold_sumset(aset, 2)
     ratio = None
     if with_sumset_ratio:

@@ -1,10 +1,15 @@
 """Exact cyclic convolution over Z_p and complex exponential-sum spectra.
 
-Convolution is done with a number-theoretic transform over word-size-friendly
-primes.  A single modulus covers indicator counts (values < 2^26); deeper
-convolution chains whose values outgrow one modulus escalate automatically to
-a two-prime CRT reconstruction and then to a big-integer Kronecker product, so
-results are exact at every size and nothing ever wraps silently.
+Convolution of nonnegative integers is exact at every size, in three tiers:
+1. numpy's real FFT at the power-of-two length n >= 2p - 1, rounded to
+   integers.  Used only when Percival's a-priori bound (Math. Comp. 72, 2003)
+   ||u|| ||v|| ((1+e)^{3L} (1+e sqrt5)^{3L+1} (1+b)^{3L} - 1), e = 2^-53,
+   L = log2(n) + 1 (one stage for real-input packing), certifies every error
+   below 1/4.  It assumes pocketfft's twiddles are accurate to b = 2^-52; a
+   rounded value further than 1/4 from an integer raises ArithmeticError.
+2. Otherwise, if outputs fit in int64, the operand with the larger entries is
+   split into limbs narrow enough to certify, recombined exactly in int64.
+3. Otherwise big-integer Kronecker packing (object dtype from 2^63 up).
 
 The complex spectrum of prime length p is computed by the chirp-z (Bluestein)
 reduction to power-of-two FFTs, since p prime admits no radix splitting.
@@ -12,6 +17,8 @@ reduction to power-of-two FFTs, since p prime admits no radix splitting.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,74 +27,74 @@ import numpy as np
 from .numtheory import validate_modulus
 from .zpsets import ZpSet
 
-# NTT primes q = c * 2^k + 1 with generator g.  All are below 2^31 so products
-# of two residues stay inside int64.
-_NTT_PRIMES = ((2013265921, 31), (1811939329, 13), (469762049, 3))
-
 # Relative and absolute floors for floating-point spectral comparisons.
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
+
+_INT64_LIMIT = 1 << 63
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-@lru_cache(maxsize=None)
-def _bitrev_perm(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.flags.writeable = False
-    return rev
+def _certified(norm2_product: int, n: int) -> bool:
+    """Whether Percival's bound at length n is below 1/4, given ||u||^2 ||v||^2.
+
+    The factor is bounded above by (1+a)^k <= e^{ka} and e^x - 1 <= x/(1-x);
+    the 1e-9 widening covers the rounding of this float arithmetic.
+    """
+    L, eps, beta = n.bit_length(), 2.0**-53, 2.0**-52
+    x = 3 * L * eps + (3 * L + 1) * eps * math.sqrt(5.0) + 3 * L * beta
+    return (math.isqrt(norm2_product) + 1) * x / (1.0 - x) * (1.0 + 1e-9) < 0.25
 
 
-@lru_cache(maxsize=None)
-def _twiddles(q: int, g: int, n: int, inverse: bool) -> np.ndarray:
-    """Powers w^0 .. w^(n/2-1) of a primitive n-th root of unity mod q."""
-    w = pow(g, (q - 1) // n, q)
-    if inverse:
-        w = pow(w, q - 2, q)
-    t = np.ones(1, dtype=np.int64)
-    while t.size < n // 2:
-        wm = pow(w, t.size, q)
-        t = np.concatenate([t, (t * wm) % q])
-    t = t[: n // 2]
-    t.flags.writeable = False
-    return t
+def _max_sum(a: np.ndarray) -> tuple[int, int]:
+    """Exact max and sum of a nonnegative int64 or object vector."""
+    m = int(a.max())
+    if a.dtype != object and m * a.size < _INT64_LIMIT:
+        return m, int(a.sum())
+    return m, sum(int(x) for x in a.tolist())
 
 
-def _ntt(a: np.ndarray, q: int, g: int, inverse: bool) -> np.ndarray:
-    """In-order iterative radix-2 transform mod q.  Length must be a power of 2."""
-    n = a.size
-    x = a[_bitrev_perm(n)].copy()
-    tw = _twiddles(q, g, n, inverse)
-    m = 1
-    while m < n:
-        x = x.reshape(-1, 2 * m)
-        t = tw[:: n // (2 * m)][:m]
-        hi = (x[:, m:] * t) % q
-        lo = x[:, :m].copy()
-        x[:, :m] = (lo + hi) % q
-        x[:, m:] = (lo - hi) % q
-        x = x.reshape(-1)
-        m *= 2
-    if inverse:
-        x = (x * pow(n, q - 2, q)) % q
-    return x
+def _norm2(a: np.ndarray) -> int:
+    """Exact squared Euclidean norm of an int64 vector."""
+    if int(a.max()) ** 2 * a.size < _INT64_LIMIT:
+        return int(np.dot(a, a))
+    return sum(x * x for x in a.tolist())
 
 
-def _ntt_linear_convolve_mod(u: np.ndarray, v: np.ndarray, q: int, g: int, n: int) -> np.ndarray:
-    ua = np.zeros(n, dtype=np.int64)
-    va = np.zeros(n, dtype=np.int64)
-    ua[: u.size] = u % q
-    va[: v.size] = v % q
-    fu = _ntt(ua, q, g, inverse=False)
-    fv = _ntt(va, q, g, inverse=False)
-    return _ntt((fu * fv) % q, q, g, inverse=True)
+def _rounded(fu: np.ndarray, fv: np.ndarray, n: int, m: int) -> np.ndarray:
+    """First m terms of irfft(fu * fv) as int64; the caller certified them."""
+    x = np.fft.irfft(fu * fv, n)[:m]
+    r = np.rint(x)
+    x -= r
+    err = max(float(x.max()), -float(x.min()))
+    if err > 0.25:
+        raise ArithmeticError(f"certified FFT product is {err:.3g} off an integer (n={n})")
+    return r.astype(np.int64)
+
+
+def _fft_linear(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray | None:
+    """Terms 0..m-1 of u * v by tiers 1 and 2, or None; max(u) >= max(v), outputs < 2^63."""
+    n = _next_pow2(m)
+    same = np.array_equal(u, v)
+    u2 = _norm2(u)
+    v2 = u2 if same else _norm2(v)
+    fv = np.fft.rfft(v, n)
+    if _certified(u2 * v2, n):
+        return _rounded(fv if same else np.fft.rfft(u, n), fv, n, m)
+    # limb entries are below 2^b, so ||limb||^2 <= (2^b - 1)^2 nnz(u)
+    nnz, b = int(np.count_nonzero(u)), 0
+    while b < 62 and _certified(((2 << b) - 1) ** 2 * nnz * v2, n):
+        b += 1
+    if b == 0:
+        return None
+    out = np.zeros(m, dtype=np.int64)
+    for shift in range(0, int(u.max()).bit_length(), b):
+        limb = (u >> shift) & ((1 << b) - 1)
+        out += _rounded(np.fft.rfft(limb, n), fv, n, m) << shift
+    return out
 
 
 def _fold_cyclic(lin, p: int):
@@ -96,15 +103,6 @@ def _fold_cyclic(lin, p: int):
     out = lin[:p].copy()
     out[: p - 1] += lin[p:]
     return out
-
-
-def _exact_sum(arr: np.ndarray) -> int:
-    if arr.dtype == object:
-        return int(sum(arr.tolist()))
-    mx = int(arr.max()) if arr.size else 0
-    if mx < 1 << 31:
-        return int(arr.sum())
-    return int(sum(int(x) for x in arr))
 
 
 def _kronecker_linear(u: np.ndarray, v: np.ndarray, bound: int) -> list[int]:
@@ -126,53 +124,51 @@ def _kronecker_linear(u: np.ndarray, v: np.ndarray, bound: int) -> list[int]:
     return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") for i in range(m)]
 
 
+def _integer_operand(a, p: int) -> np.ndarray:
+    """Length-p nonnegative integers as int64 (object from 2^63 up).
+
+    Bool, integer and integral float dtypes are accepted, and object arrays
+    of Python or numpy integers; anything else raises instead of truncating.
+    """
+    a = np.asarray(a)
+    if a.shape != (p,):
+        raise ValueError("operands must be vectors of length p")
+    kind = a.dtype.kind
+    if kind == "O":
+        integral = all(isinstance(x, numbers.Integral) for x in a.tolist())
+    else:
+        integral = kind in "biu" or (
+            kind == "f" and np.isfinite(a).all() and (a == np.floor(a)).all()
+        )
+    if not integral:
+        raise ValueError("convolution operands must be finite integers")
+    if (a < 0).any():
+        raise ValueError("convolution operands must be nonnegative")
+    if int(a.max()) < _INT64_LIMIT:
+        return a.astype(np.int64, copy=False)
+    return np.array([int(x) for x in a.tolist()], dtype=object)
+
+
 def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
     """Exact (u * v)(z) = sum_{x+y=z mod p} u[x] v[y] for nonnegative integers.
 
-    The strategy is picked from the a-priori value bound: one NTT modulus,
-    two-prime CRT, or Kronecker big-integer multiplication.  The returned
+    The tier is picked from a-priori bounds (module docstring).  The returned
     dtype is int64 when every value provably fits, object otherwise.
     """
     p = validate_modulus(p)
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != (p,) or v.shape != (p,):
-        raise ValueError("operands must be vectors of length p")
-    if u.dtype != object:
-        u = u.astype(np.int64)
-    if v.dtype != object:
-        v = v.astype(np.int64)
-    if (u.dtype != object and (u < 0).any()) or (v.dtype != object and (v < 0).any()):
-        raise ValueError("convolution operands must be nonnegative")
-    if u.dtype == object and any(int(x) < 0 for x in u.tolist()):
-        raise ValueError("convolution operands must be nonnegative")
-    if v.dtype == object and any(int(x) < 0 for x in v.tolist()):
-        raise ValueError("convolution operands must be nonnegative")
-
-    su, sv = _exact_sum(u), _exact_sum(v)
+    u = _integer_operand(u, p)
+    v = _integer_operand(v, p)
+    (mu, su), (mv, sv) = _max_sum(u), _max_sum(v)
     if su == 0 or sv == 0:
         return np.zeros(p, dtype=np.int64)
-    mu = max(int(x) for x in u.tolist()) if u.dtype == object else int(u.max())
-    mv = max(int(x) for x in v.tolist()) if v.dtype == object else int(v.max())
     # every output value is at most min(max(u)*sum(v), max(v)*sum(u))
     bound = min(mu * sv, mv * su)
-    n = _next_pow2(2 * p - 1)
-
-    q1, g1 = _NTT_PRIMES[0]
-    q2, g2 = _NTT_PRIMES[1]
-    if bound < q1 and n <= 1 << 27:
-        lin = _ntt_linear_convolve_mod(u, v, q1, g1, n)
-        return _fold_cyclic(lin, p)
-    if bound < q1 * q2 and n <= 1 << 26:
-        l1 = _ntt_linear_convolve_mod(u, v, q1, g1, n)
-        l2 = _ntt_linear_convolve_mod(u, v, q2, g2, n)
-        inv = pow(q1, -1, q2)
-        t = ((l2 - l1) % q2) * inv % q2
-        lin = l1 + q1 * t  # < q1*q2 < 2^63
-        return _fold_cyclic(lin, p)
-    lin_list = _kronecker_linear(u, v, bound)
-    lin = np.asarray(lin_list, dtype=(np.int64 if bound < 1 << 63 else object))
-    return _fold_cyclic(lin, p)
+    if bound < _INT64_LIMIT:  # then u and v are int64 too
+        lin = _fft_linear(u, v, 2 * p - 1) if mu >= mv else _fft_linear(v, u, 2 * p - 1)
+        if lin is not None:
+            return _fold_cyclic(lin, p)
+    lin = _kronecker_linear(u, v, bound)
+    return _fold_cyclic(np.asarray(lin, dtype=np.int64 if bound < _INT64_LIMIT else object), p)
 
 
 def naive_cyclic_convolution(u, v, p: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .energetics import (
     coset_profile,
+    exact_moment,
     restricted_moment,
     shift_sizes,
     ssc_ratio_sum,
@@ -107,17 +108,11 @@ class CheckContext:
 
     @cached_property
     def energy(self) -> int:
-        nz = self.profile[self.profile > 0].astype(np.int64)
-        if self.p <= 1 << 20:
-            return int(np.dot(nz, nz))
-        return int(sum(int(x) * int(x) for x in nz))
+        return exact_moment(self.profile, 2)
 
     @cached_property
     def energy3(self) -> int:
-        nz = self.profile[self.profile > 0].astype(np.int64)
-        if self.p <= 1 << 13:
-            return int(np.dot(nz * nz, nz))
-        return int(sum(int(x) ** 3 for x in nz))
+        return exact_moment(self.profile, 3)
 
     @cached_property
     def energy32(self) -> float:

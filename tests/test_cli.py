@@ -118,6 +118,17 @@ class TestConfigPrecedence:
         with pytest.raises(ValueError):
             SweepConfig(hypothesis_constant=-1).validate()
 
+    def test_validate_rejects_empty_by_construction(self):
+        for bad in (
+            dict(alpha_lo=0.6, alpha_hi=0.4),
+            dict(alpha_lo=float("nan")),
+            dict(min_size=-1),
+            dict(min_size=5, max_size=4),
+        ):
+            with pytest.raises(ValueError):
+                SweepConfig(**bad).validate()
+        SweepConfig(alpha_lo=0.5, alpha_hi=0.5, min_size=0, max_size=0).validate()
+
 
 class TestPrimesAndOrders:
     def test_primes_between_golden(self):
@@ -373,6 +384,23 @@ class TestMain:
         rc = main(["sweep", "--checks", "bogus"])
         assert rc == 2
         assert "unknown checks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, cfg_text",
+        [
+            (["--alpha-lo", "0.8", "--alpha-hi", "0.2"], ""),
+            ([], "min_size = -1\n"),
+            ([], "min_size = 6\nmax_size = 3\n"),
+        ],
+    )
+    def test_sweep_empty_by_construction_exits_2(self, tmp_path, capsys, flags, cfg_text):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "records.csv"
+        rc = main(["sweep", "--config", str(cfg), "--pmax", "13", "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_sweep_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -14,6 +14,7 @@ from subgroup_lab.energetics import (
     energy_moment,
     energy_moment_from_profile,
     energy_report,
+    exact_moment,
     invariant_convolution_sum,
     restricted_moment,
     shift_sizes,
@@ -140,6 +141,16 @@ class TestEnergyMoments:
     def test_golden_e32_7_3(self):
         A = subgroup(7, 3).indicator
         assert abs(energy_moment(A, 1.5) - 11.196152422706632) <= 1e-12
+
+    def test_exact_moment_matches_python_sums(self):
+        rng = random.Random(38)
+        for p in (7, 31, 101):
+            els = rand_set(p, rng, rng.randint(1, p - 1))
+            sizes = shift_sizes(ZpSet.from_elements(p, els))
+            for r in (2, 3):
+                assert exact_moment(sizes, r) == sum(int(x) ** r for x in sizes)
+        # |X|^4 >= 2^63 takes Python integers; int64 would wrap on this sum
+        assert exact_moment(np.full(3, 1 << 21, dtype=np.int64), 3) == 3 << 63
 
 
 class TestCosetProfile:

@@ -2,8 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from subgroup_lab.numtheory import subgroup
+import subgroup_lab.energetics as energetics
+import subgroup_lab.spectral as spectral
+from subgroup_lab.energetics import shift_sizes
+from subgroup_lab.numtheory import is_prime, subgroup
 from subgroup_lab.spectral import (
     CountProfile,
     Spectrum,
@@ -97,6 +101,115 @@ class TestExactConvolution:
     def test_all_ones(self):
         ones = np.ones(5, dtype=np.int64)
         assert np.array_equal(cyclic_convolution_exact(ones, ones, 5), 5 * ones)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.5, 1.5, 0.0],
+            [1.0, np.nan, 0.0],
+            [1.0, np.inf, 0.0],
+            np.array([1, 0.5, 0], dtype=object),
+            np.array([1, 2, 3], dtype=np.complex128),
+        ],
+    )
+    def test_rejects_non_integral(self, bad):
+        delta = np.array([1, 0, 0], dtype=np.int64)
+        with pytest.raises(ValueError):
+            cyclic_convolution_exact(bad, delta, 3)
+        with pytest.raises(ValueError):
+            cyclic_convolution_exact(delta, bad, 3)
+
+    def test_accepts_integral_float_bool_and_unsigned(self):
+        u = np.array([2.0, 1.0, 0.0])
+        v = np.array([True, False, True])
+        want = naive_cyclic_convolution([2, 1, 0], [1, 0, 1], 3)
+        for a, b in ((u, v), (u.astype(np.uint16), v.astype(np.int8))):
+            got = cyclic_convolution_exact(a, b, 3)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(spectral, name)
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, name, spy)
+    return calls
+
+
+class TestCertifiedFft:
+    def test_either_side_of_certificate(self, monkeypatch):
+        # u = c * w against fixed v: find the largest c that tier 1 certifies,
+        # then check c (one rounded product) and c + 1 (limb split) exactly
+        rng = random.Random(31)
+        p = 101
+        n = spectral._next_pow2(2 * p - 1)
+        w = rand_vec(p, rng, 2)
+        v = rand_vec(p, rng, 50)
+        w2, v2 = int(np.dot(w, w)), int(np.dot(v, v))
+        lo, hi = 1, 1 << 40
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if spectral._certified(mid * mid * w2 * v2, n) else (lo, mid)
+        for c, products in ((lo, 1), (lo + 1, 2)):
+            calls = _count_calls(monkeypatch, "_rounded")
+            got = cyclic_convolution_exact(c * w, v, p)
+            assert len(calls) == products
+            assert got.dtype == np.int64
+            assert np.array_equal(got, naive_cyclic_convolution(c * w, v, p))
+
+    def test_limb_split(self, monkeypatch):
+        rng = random.Random(32)
+        p = 101
+        u = (1 << 40) - rand_vec(p, rng, 1000)
+        v = rand_vec(p, rng, 4)
+        calls = _count_calls(monkeypatch, "_rounded")
+        got = cyclic_convolution_exact(v, u, p)
+        assert len(calls) >= 2
+        assert got.dtype == np.int64
+        assert np.array_equal(got, naive_cyclic_convolution(u, v, p))
+
+    def test_equal_operands_transform_once(self, monkeypatch):
+        A = subgroup(101, 20).indicator.bits
+        ffts = []
+        real = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a: ffts.append(1) or real(*a))
+        got = cyclic_convolution_exact(A, A.astype(np.int64), 101)
+        assert len(ffts) == 1
+        assert np.array_equal(got, naive_cyclic_convolution(A, A, 101))
+
+    def test_tripwire_raises(self, monkeypatch):
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a: real(*a) + 0.3)
+        ones = np.ones(7, dtype=np.int64)
+        with pytest.raises(ArithmeticError):
+            cyclic_convolution_exact(ones, ones, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_property(self, data):
+        p = data.draw(st.sampled_from([q for q in range(3, 258) if is_prime(q)]))
+        vecs = []
+        for _ in range(2):
+            top = data.draw(st.integers(0, 1 << 30))
+            vecs.append(data.draw(st.lists(st.integers(0, top), min_size=p, max_size=p)))
+        u, v = (np.array(x, dtype=np.int64) for x in vecs)
+        got = cyclic_convolution_exact(u, v, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, naive_cyclic_convolution(u, v, p))
+
+    def test_large_modulus_shift_profile(self, monkeypatch):
+        # p = 1000003 runs at transform length 2^21
+        p = 1000003
+        el = np.random.default_rng(33).choice(p, size=2000, replace=False)
+        monkeypatch.setattr(energetics, "_BINCOUNT_PAIR_LIMIT", 0)
+        got = shift_sizes(ZpSet.from_elements(p, el))
+        want = np.bincount(((el[:, None] - el[None, :]) % p).ravel(), minlength=p)
+        assert np.array_equal(got, want)
 
 
 class TestConvolveCounts:
