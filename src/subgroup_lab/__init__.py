@@ -37,12 +37,10 @@ from .spectral import (
 )
 from .energetics import (
     CosetProfile,
-    EnergyReport,
     additive_energy,
     additive_energy_spectral,
     coset_profile,
     energy_moment,
-    energy_report,
     invariant_convolution_sum,
     restricted_moment,
     shift_sizes,

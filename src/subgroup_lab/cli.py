@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import energetics, numtheory, spectral
-from .energetics import exact_moment, shift_sizes, ssc_ratio_sum, sumset_ratio_sum
+from .energetics import SubgroupContext, shift_sizes
 from .numtheory import divisors, subgroup
 from .spectral import convolve_counts, dft_magnitudes, naive_dft_magnitudes, phi_subgroup
 from .verifier import (
@@ -206,37 +206,24 @@ def _record_for(args) -> SweepRecord:
         ctx = CheckContext(
             A, hypothesis_constant=cfg.hypothesis_constant, allow_heavy=heavy_ok
         )
-        aset = ctx.aset
-        e2, e3, e32 = ctx.energy, ctx.energy3, ctx.energy32
-        two_size = ctx.twoA_size
-        phi = ctx.phi
-        ssc = ctx.ssc
-        s_ratio = ctx.sumset_ratio if heavy_ok else None
         for name in cfg.checks:
             if name in HEAVY_CHECKS and not heavy_ok:
                 continue
             checks[name] = check_bound(name, A, ctx)
-    else:
-        aset = A.indicator
-        prof = shift_sizes(aset)
-        e2, e3 = exact_moment(prof, 2), exact_moment(prof, 3)
-        e32 = float(np.sum(prof[prof > 0].astype(np.float64) ** 1.5))
-        two_size = fold_sumset(aset, 2).card
-        phi = phi_subgroup(A)[0]
-        ssc = ssc_ratio_sum(A)
-        s_ratio = sumset_ratio_sum(A, allow_large=True) if heavy_ok else None
+    else:  # too small for the catalog; the record reads the same memo
+        ctx = SubgroupContext(A)
     return SweepRecord(
         p=p,
         d=d,
-        twoA_size=two_size,
+        twoA_size=ctx.twoA_size,
         sixA_covers=check_six_fold(A),
-        covering_k=covering_index(aset, cfg.kmax),
-        E=e2,
-        E3=e3,
-        E32=e32,
-        phi=phi,
-        ssc_ratio=ssc,
-        sumset_ratio=s_ratio,
+        covering_k=ctx.covering_index(cfg.kmax),
+        E=ctx.energy,
+        E3=ctx.energy3,
+        E32=ctx.energy32,
+        phi=ctx.phi,
+        ssc_ratio=ctx.ssc,
+        sumset_ratio=ctx.sumset_ratio if heavy_ok else None,
         clears_threshold=clears_cover_threshold(p, d),
         checks=checks,
     )
@@ -447,6 +434,23 @@ def write_svg_scatter(path: str, points, title: str, fit=None) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def write_check_svgs(rows: list[dict], check_names, svg_dir: str) -> list[str]:
+    """One lhs-vs-|A| scatter per check, with its envelope fit; returns the paths."""
+    os.makedirs(svg_dir, exist_ok=True)
+    paths = []
+    for name in check_names:
+        pts = [(row["A_size"], row[f"{name}:lhs"]) for row in rows if row.get(f"{name}:lhs")]
+        fit = None
+        try:
+            fit = exponent_fit(pts, envelope=True)
+        except ValueError:
+            pass
+        path = os.path.join(svg_dir, f"{name}.svg")
+        write_svg_scatter(path, pts, f"{name}: lhs vs |A| (log-log)", fit)
+        paths.append(path)
+    return paths
+
+
 def emit_report(records: list[SweepRecord], cfg: SweepConfig) -> dict:
     """Write the records file, its summary, and optional SVG scatters."""
     check_names = list(cfg.checks)
@@ -464,22 +468,7 @@ def emit_report(records: list[SweepRecord], cfg: SweepConfig) -> dict:
         fh.write(summary_text(rows, check_names))
     paths["summary"] = summary_path
     if cfg.svg_dir:
-        os.makedirs(cfg.svg_dir, exist_ok=True)
-        paths["svg"] = []
-        for name in check_names:
-            pts = [
-                (row["A_size"], row[f"{name}:lhs"])
-                for row in rows
-                if row.get(f"{name}:lhs")
-            ]
-            fit = None
-            try:
-                fit = exponent_fit(pts, envelope=True)
-            except ValueError:
-                pass
-            svg_path = os.path.join(cfg.svg_dir, f"{name}.svg")
-            write_svg_scatter(svg_path, pts, f"{name}: lhs vs |A| (log-log)", fit)
-            paths["svg"].append(svg_path)
+        paths["svg"] = write_check_svgs(rows, check_names, cfg.svg_dir)
     return paths
 
 
@@ -794,24 +783,7 @@ def main(argv=None) -> int:
         else:
             print(text, end="")
         if args.svg_dir:
-            os.makedirs(args.svg_dir, exist_ok=True)
-            for name in checks:
-                pts = [
-                    (row["A_size"], row.get(f"{name}:lhs"))
-                    for row in rows
-                    if row.get(f"{name}:lhs")
-                ]
-                fit = None
-                try:
-                    fit = exponent_fit(pts, envelope=True)
-                except ValueError:
-                    pass
-                write_svg_scatter(
-                    os.path.join(args.svg_dir, f"{name}.svg"),
-                    pts,
-                    f"{name}: lhs vs |A| (log-log)",
-                    fit,
-                )
+            write_check_svgs(rows, checks, args.svg_dir)
         return 0
     return 2
 

@@ -3,25 +3,36 @@
 Conventions used throughout: moment sums run over every shift s in Z_p
 including s = 0, terms with an empty shifted intersection are omitted, and
 logarithms downstream are natural.  For a subgroup A the shift profile
-|A ∩ (A + s)| is constant on cosets of A, which several routines exploit.
+|A ∩ (A + s)| is constant on cosets of A, and so is every sum, count or
+profile of sets whose nonzero parts are A-invariant.  coset_counts evaluates
+such a quantity at one point per coset, from the per-prime power table, and
+SubgroupContext holds every per-subgroup quantity built on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numtheory import Subgroup
-from .spectral import CountProfile, convolve_counts, cyclic_convolution_exact, dft_magnitudes
-from .zpsets import InvariantSet, ZpSet, fold_sumset, shift_intersect, sumset
+from .numtheory import Subgroup, power_table
+from .spectral import (
+    CountProfile,
+    convolve_counts,
+    cyclic_convolution_exact,
+    dft_magnitudes,
+    phi_subgroup,
+)
+from .zpsets import InvariantSet, ZpSet, shift_intersect
 
 # Crossover between pairwise-difference bincount and convolution when
 # computing the full shift-size profile.
 _BINCOUNT_PAIR_LIMIT = 1 << 22
 
-# sumset_ratio_sum walks one sumset per coset; keep it off large moduli
-# unless explicitly forced.
+# sumset_ratio_sum forms about d^2 pair sums or one convolution per coset;
+# keep it off large moduli unless explicitly forced.
 SUMSET_RATIO_DEFAULT_LIMIT = 4096
 
 
@@ -58,15 +69,67 @@ def exact_moment(sizes: np.ndarray, r: int) -> int:
     return sum(int(x) ** r for x in nz.tolist())
 
 
+# Cost model of the coset kernels, in gathered elements (2.5-3.8 ns each on
+# a 2-vCPU Xeon VM, numpy 2.4).  An exact convolution at FFT length
+# n = 2^ceil(log2(2p - 1)) costs about CONV_COST_PER_N * n of them: fitting
+# the forced gather as a + b * (elements) against the convolution of two
+# half-dense indicators gave crossovers of 26 n (p = 307), 16 n (1009),
+# 13 n (2003), 21 n (4099), 25 n (10007), 22 n (30011), 27 n (100003),
+# 26 n (300007) and 28 n (1000003).  One pair of the batched scatter in
+# _shifted_sumset_sizes (9-12 ns) costs about SCATTER_COST gathered elements.
+CONV_COST_PER_N = 24
+SCATTER_COST = 4
+
+# Row blocks of the coset gather hold at most this many elements.
+_GATHER_BLOCK = 1 << 18
+
+
+def _conv_cost(p: int) -> int:
+    return CONV_COST_PER_N * (1 << (2 * p - 2).bit_length())
+
+
+def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
+
+    X is given by its indicator and Y by its members, residues in [0, p).
+    Both must have A-invariant nonzero parts; then so does X * Y.  It is
+    evaluated at 0 and at g^j, one point per coset, by an (m+1) x |Y| gather
+    (m = (p-1)/d, in bounded row blocks) and spread over coset j, column j of
+    power_table(p).reshape(d, m).  Past the crossover it is one exact
+    convolution instead.
+    """
+    p, m = A.p, (A.p - 1) // A.d
+    if m * len(y) > _conv_cost(p):
+        y_bits = np.zeros(p, dtype=bool)
+        y_bits[y] = True
+        return cyclic_convolution_exact(x_bits, y_bits, p)
+    P = power_table(p)
+    z = np.concatenate(([0], P[:m]))
+    vals = np.empty(m + 1, dtype=np.int64)
+    step = _GATHER_BLOCK // max(1, len(y)) + 1
+    for i in range(0, m + 1, step):
+        # z - y lies in (-p, p); a negative index wraps to z - y + p
+        np.add.reduce(x_bits[z[i : i + step, None] - y], axis=1, out=vals[i : i + step])
+    out = np.empty(p, dtype=np.int64)
+    out[0] = vals[0]
+    out[P.reshape(A.d, m)] = vals[1:]
+    return out
+
+
+def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
+    """X + Y for X, Y with A-invariant nonzero parts, gathering over the smaller."""
+    small, big = (X, Y) if X.card <= Y.card else (Y, X)
+    return ZpSet(A.p, coset_counts(A, big.bits, small.members()) > 0)
+
+
 def additive_energy(A: ZpSet, B: ZpSet) -> int:
     """E(A, B) = number of quadruples a + b = a' + b', as sum of squared counts."""
     counts = convolve_counts(A, B).counts
-    nz = counts[counts > 0]
-    if nz.size == 0:
-        return 0
-    if int(nz.max()) < 1 << 31 and A.p <= 1 << 20:
-        return int(np.dot(nz, nz))
-    return int(sum(int(c) * int(c) for c in nz))
+    # the counts sum to |A||B| and none exceeds min(|A|, |B|), which bounds
+    # the sum of their squares; int64 is used whenever that bound is below 2^63
+    if min(A.card, B.card) * A.card * B.card < 1 << 63:
+        return int(np.dot(counts, counts))
+    return sum(int(c) * int(c) for c in counts[counts > 0].tolist())
 
 
 def additive_energy_spectral(A: ZpSet, B: ZpSet) -> float:
@@ -87,45 +150,179 @@ def energy_moment(A: ZpSet, r: float) -> float:
     return float(np.sum(nz**r))
 
 
+class SubgroupContext:
+    """Per-subgroup quantities, each computed once, on first use.
+
+    A * A, 2A, the k-fold chain, the shift profiles of A and 2A, phi, the
+    energies and both ratio sums all come from the coset kernel.  The catalog's
+    CheckContext extends this class with its |A| >= 3 guard and knobs.
+    """
+
+    def __init__(self, A: Subgroup):
+        self.A = A
+        self.p = A.p
+        self.d = A.d
+
+    @cached_property
+    def aset(self) -> ZpSet:
+        return self.A.indicator
+
+    @cached_property
+    def conv_aa(self) -> CountProfile:
+        counts = coset_counts(self.A, self.aset.bits, self.A.elements)
+        return CountProfile(p=self.p, counts=counts, total=self.d * self.d)
+
+    @cached_property
+    def two_a(self) -> ZpSet:
+        return ZpSet(self.p, self.conv_aa.counts > 0)
+
+    @cached_property
+    def twoA_size(self) -> int:
+        return self.two_a.card
+
+    @cached_property
+    def _chain(self) -> list:
+        return [self.aset, self.two_a]
+
+    def fold(self, k: int) -> ZpSet:
+        """The k-fold sumset kA, k >= 1, extending the chain by kA + A steps."""
+        if k < 1:
+            raise ValueError(f"fold count must be >= 1, got {k}")
+        chain = self._chain
+        while len(chain) < k:
+            chain.append(coset_sumset(self.A, chain[-1], self.aset))
+        return chain[k - 1]
+
+    def covering_index(self, kmax: int):
+        """Smallest k <= kmax with kA containing all of Z_p*, or None.
+
+        Folds too small to cover by counting are not built.
+        """
+        if kmax < 1:
+            raise ValueError(f"kmax must be >= 1, got {kmax}")
+        k = 1
+        # |kA| is at most C(k + d - 1, k), the number of k-multisets from A
+        while k <= kmax and math.comb(k + self.d - 1, k) < self.p - 1:
+            k += 1
+        for k in range(k, kmax + 1):
+            if self.fold(k).covers_nonzero():
+                return k
+        return None
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """|A ∩ (A + s)| for every s: the counts of A * (-A)."""
+        return coset_counts(self.A, self.aset.bits, (-self.A.elements) % self.p)
+
+    @cached_property
+    def two_a_profile(self) -> np.ndarray:
+        return coset_counts(self.A, self.two_a.bits, (-self.two_a.members()) % self.p)
+
+    @cached_property
+    def energy(self) -> int:
+        return exact_moment(self.profile, 2)
+
+    @cached_property
+    def energy3(self) -> int:
+        return exact_moment(self.profile, 3)
+
+    @cached_property
+    def energy32(self) -> float:
+        nz = self.profile[self.profile > 0].astype(np.float64)
+        return float(np.sum(nz**1.5))
+
+    @cached_property
+    def phi(self) -> float:
+        return phi_subgroup(self.A)[0]
+
+    @cached_property
+    def ssc(self) -> float:
+        prof, denom = self.profile, self.two_a_profile
+        mask = prof > 0
+        if (denom[mask] == 0).any():
+            raise InvarianceViolation("shifted 2A intersection vanished under a live shift")
+        num = prof[mask].astype(np.float64)
+        return float(np.sum(num * num / denom[mask]))
+
+    @cached_property
+    def sumset_ratio(self) -> float:
+        # s = 0 term, then one term per coset, added in ascending rep order
+        A, d = self.A, self.d
+        reps = A.cosets.reps
+        l = self.profile[reps]
+        reps, l = reps[l > 0], l[l > 0]
+        total = d * d / float(self.twoA_size)
+        sizes = _shifted_sumset_sizes(A, reps, l)
+        for li, size in zip(l.tolist(), sizes.tolist()):
+            total += d * (li * li / float(size))
+        return total
+
+    @cached_property
+    def li_pairs(self) -> tuple:
+        """(rep, |A ∩ (A + rep)|) by decreasing size, ties by ascending rep."""
+        reps = self.A.cosets.reps
+        l = self.profile[reps]
+        order = np.lexsort((reps, -l))
+        return tuple(zip(reps[order].tolist(), l[order].tolist()))
+
+
+def _shifted_sumset_sizes(A: Subgroup, reps: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """|A + A_r| for each r in reps, where A_r = A ∩ (A + r) has l > 0 elements.
+
+    The d * l sums a + x, a in A, x in A_r, are scattered into one bit row
+    per rep, for blocks of reps with about _GATHER_BLOCK sums and bits.  A rep
+    whose scatter would cost more than one exact convolution takes that instead.
+    """
+    p, el, aset = A.p, A.elements, A.indicator
+    sizes = np.empty(len(reps), dtype=np.int64)
+
+    def scatter(rows: list) -> None:
+        member = aset.bits[el - reps[rows, None]]  # which x in A lie in A_r
+        r, x = np.nonzero(member)
+        sums = el[x, None] + el
+        sums %= p
+        sums += r[:, None] * p
+        seen = np.zeros(len(rows) * p, dtype=bool)
+        seen[sums] = True
+        sizes[rows] = np.add.reduce(seen.reshape(len(rows), p), axis=1)
+
+    block, cost, conv_cost = [], 0, _conv_cost(p)
+    for i, pairs in enumerate((A.d * l).tolist()):
+        if SCATTER_COST * pairs > conv_cost:
+            a_r = shift_intersect(aset, int(reps[i]))
+            sizes[i] = np.count_nonzero(cyclic_convolution_exact(aset.bits, a_r.bits, p))
+            continue
+        block.append(i)
+        cost += pairs + p
+        if cost >= _GATHER_BLOCK:
+            scatter(block)
+            block, cost = [], 0
+    if block:
+        scatter(block)
+    return sizes
+
+
 def ssc_ratio_sum(A: Subgroup) -> float:
     """Sum over shifts of |A_s|^2 / |(2A)_s| with A_s = A ∩ (A + s).
 
     Each denominator is positive whenever |A_s| > 0 because A + A_s sits
     inside (2A) ∩ (2A + s).
     """
-    aset = A.indicator
-    prof = shift_sizes(aset)
-    two_a = fold_sumset(aset, 2)
-    denom = shift_sizes(two_a)
-    mask = prof > 0
-    if (denom[mask] == 0).any():
-        raise InvarianceViolation("shifted 2A intersection vanished under a live shift")
-    num = prof[mask].astype(np.float64)
-    return float(np.sum(num * num / denom[mask]))
+    return SubgroupContext(A).ssc
 
 
 def sumset_ratio_sum(A: Subgroup, *, allow_large: bool = False) -> float:
     """Sum over shifts of |A_s|^2 / |A + A_s|.
 
     |A + A_s| is constant as s runs over a coset of A (dilating by u in A maps
-    A + A_s onto A + A_{us}), so one sumset per coset covers all of Z_p*.
+    A + A_s onto A + A_{us}), so one size per coset covers all of Z_p*.
     """
     if A.p > SUMSET_RATIO_DEFAULT_LIMIT and not allow_large:
         raise ValueError(
             f"sumset_ratio_sum is heavy; p={A.p} exceeds {SUMSET_RATIO_DEFAULT_LIMIT}"
             " (pass allow_large=True to force)"
         )
-    aset = A.indicator
-    prof = shift_sizes(aset)
-    total = A.d * A.d / float(fold_sumset(aset, 2).card)  # s = 0 term
-    for rep in A.cosets.reps:
-        l = int(prof[rep])
-        if l == 0:
-            continue
-        a_s = shift_intersect(aset, int(rep))
-        size = sumset(aset, a_s).card
-        total += A.d * (l * l / float(size))
-    return total
+    return SubgroupContext(A).sumset_ratio
 
 
 @dataclass(frozen=True)
@@ -145,12 +342,7 @@ class CosetProfile:
 
 def coset_profile(A: Subgroup) -> CosetProfile:
     """Profile of |A ∩ (A + s)| across the cosets of A in Z_p*."""
-    prof = shift_sizes(A.indicator)
-    reps = A.cosets.reps
-    pairs = sorted(
-        ((int(r), int(prof[r])) for r in reps), key=lambda rl: (-rl[1], rl[0])
-    )
-    return CosetProfile(subgroup=A, pairs=tuple(pairs))
+    return CosetProfile(subgroup=A, pairs=SubgroupContext(A).li_pairs)
 
 
 def energy_moment_from_profile(profile: CosetProfile) -> float:
@@ -211,39 +403,4 @@ def threshold_invariant_set(
         subgroup=A,
         reps=tuple(chosen),
         includes_zero=with_zero,
-    )
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Bundle of the energy statistics a sweep wants per subgroup."""
-
-    p: int
-    d: int
-    twoA_size: int
-    energy: int
-    energy3: int
-    energy32: float
-    ssc_ratio: float
-    sumset_ratio: float | None
-
-
-def energy_report(A: Subgroup, *, with_sumset_ratio: bool = True) -> EnergyReport:
-    aset = A.indicator
-    sizes = shift_sizes(aset)
-    e2, e3 = exact_moment(sizes, 2), exact_moment(sizes, 3)
-    e32 = float(np.sum(sizes[sizes > 0].astype(np.float64) ** 1.5))
-    two_a = fold_sumset(aset, 2)
-    ratio = None
-    if with_sumset_ratio:
-        ratio = sumset_ratio_sum(A, allow_large=True)
-    return EnergyReport(
-        p=A.p,
-        d=A.d,
-        twoA_size=two_a.card,
-        energy=e2,
-        energy3=e3,
-        energy32=e32,
-        ssc_ratio=ssc_ratio_sum(A),
-        sumset_ratio=ratio,
     )

@@ -193,20 +193,37 @@ class Subgroup:
         return coset_reps(self)
 
 
+@lru_cache(maxsize=4)
+def power_table(p: int) -> np.ndarray:
+    """P[t] = g^t mod p for 0 <= t < p - 1, g the smallest primitive root.
+
+    Built by doubling: each pass multiplies the filled prefix by g^len, so
+    there are log2(p) vectorised passes.  Products stay below p^2 < 2^53.
+    The order-d subgroup is P[::m] with m = (p - 1)/d, and column j of
+    P.reshape(d, m) is its coset g^j * A, so one table serves every divisor.
+    """
+    p = validate_modulus(p)
+    g = primitive_root(p)
+    P = np.empty(p - 1, dtype=np.int64)
+    P[0] = 1
+    n = 1
+    while n < p - 1:
+        k = min(n, p - 1 - n)
+        np.multiply(P[:k], pow(g, n, p), out=P[n : n + k])
+        P[n : n + k] %= p
+        n += k
+    P.flags.writeable = False
+    return P
+
+
 def subgroup(p: int, d: int) -> Subgroup:
     """Construct the order-d subgroup of Z_p*.  Requires d | p - 1."""
     p = validate_modulus(p)
     if d < 1 or (p - 1) % d != 0:
         raise ValueError(f"order {d} does not divide p - 1 = {p - 1}")
-    g = primitive_root(p)
-    h = pow(g, (p - 1) // d, p)
-    elements = np.empty(d, dtype=np.int64)
-    x = 1
-    for i in range(d):
-        elements[i] = x
-        x = x * h % p
-    elements.sort()
-    return Subgroup(p=p, d=d, gen=h, elements=elements)
+    m = (p - 1) // d
+    elements = np.sort(power_table(p)[::m])
+    return Subgroup(p=p, d=d, gen=pow(primitive_root(p), m, p), elements=elements)
 
 
 @dataclass(eq=False)
@@ -239,13 +256,9 @@ class CosetDecomposition:
 def coset_reps(A: Subgroup) -> CosetDecomposition:
     """Decompose Z_p* into cosets of A, choosing the minimal residue of each.
 
-    The scan is O(p), which is fine at desk scale; avoid at the 2^26 limit.
+    The cosets are the columns of power_table(p).reshape(d, m), so the
+    representatives are the column minima, sorted: O(p) vectorised work.
     """
-    covered = np.zeros(A.p, dtype=bool)
-    covered[0] = True
-    reps = []
-    for z in range(1, A.p):
-        if not covered[z]:
-            reps.append(z)
-            covered[(z * A.elements) % A.p] = True
-    return CosetDecomposition(subgroup=A, reps=np.asarray(reps, dtype=np.int64))
+    m = (A.p - 1) // A.d
+    reps = np.sort(power_table(A.p).reshape(A.d, m).min(axis=0))
+    return CosetDecomposition(subgroup=A, reps=reps)

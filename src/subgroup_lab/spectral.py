@@ -281,15 +281,26 @@ def naive_dft_magnitudes(S: ZpSet) -> np.ndarray:
     return np.abs(sums)
 
 
+@lru_cache(maxsize=4)
+def _unit_roots(p: int) -> np.ndarray:
+    """e_p(t) = exp(2 pi i t / p) for t in Z_p, by the same expression as a
+    direct evaluation at phase t, so a gather from it is bit-identical."""
+    t = np.arange(p, dtype=np.int64)
+    roots = np.exp(2j * np.pi * t / p)
+    roots.flags.writeable = False
+    return roots
+
+
 def phi_subgroup(A) -> tuple[float, int]:
     """Exponential-sum maximum of a subgroup via one evaluation per coset.
 
     The subgroup sum at lambda depends only on the coset of lambda, so p-1
-    frequencies collapse to (p-1)/d representative evaluations, O(p) work.
+    frequencies collapse to (p-1)/d representative evaluations: one gather
+    of O(p) phases from a per-prime table of unit roots.
     """
     reps = A.cosets.reps
     phases = (reps[:, None] * A.elements[None, :]) % A.p
-    sums = np.exp(2j * np.pi * phases / A.p).sum(axis=1)
+    sums = _unit_roots(A.p)[phases].sum(axis=1)
     mags = np.abs(sums)
     i = int(np.argmax(mags))
     return float(mags[i]), int(reps[i])

@@ -18,17 +18,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .energetics import (
-    coset_profile,
-    exact_moment,
+    SubgroupContext,
+    coset_sumset,
     restricted_moment,
-    shift_sizes,
-    ssc_ratio_sum,
-    sumset_ratio_sum,
     threshold_invariant_set,
     SUMSET_RATIO_DEFAULT_LIMIT,
 )
 from .numtheory import Subgroup, subgroup
-from .spectral import convolve_counts, cyclic_convolution_exact, phi_subgroup
+from .spectral import cyclic_convolution_exact, phi_subgroup
 from .zpsets import ZpSet, fold_sumset, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
@@ -62,8 +59,8 @@ class FitResult:
     residual: float
 
 
-class CheckContext:
-    """Lazily computed per-subgroup quantities shared across catalog checks."""
+class CheckContext(SubgroupContext):
+    """The per-subgroup memo with the catalog's guard, knobs and heavy gate."""
 
     def __init__(
         self,
@@ -78,9 +75,7 @@ class CheckContext:
             raise ValueError(f"catalog checks need |A| >= 3, got {A.d}")
         if hypothesis_constant <= 0:
             raise ValueError("hypothesis constant must be positive")
-        self.A = A
-        self.p = A.p
-        self.d = A.d
+        super().__init__(A)
         self.c = float(hypothesis_constant)
         self.l3_moment_order = float(l3_moment_order)
         self.l3_threshold = float(l3_threshold)
@@ -91,57 +86,12 @@ class CheckContext:
         return math.log(self.d)
 
     @cached_property
-    def aset(self) -> ZpSet:
-        return self.A.indicator
-
-    @cached_property
-    def two_a(self) -> ZpSet:
-        return fold_sumset(self.aset, 2)
-
-    @cached_property
-    def twoA_size(self) -> int:
-        return self.two_a.card
-
-    @cached_property
-    def profile(self) -> np.ndarray:
-        return shift_sizes(self.aset)
-
-    @cached_property
-    def energy(self) -> int:
-        return exact_moment(self.profile, 2)
-
-    @cached_property
-    def energy3(self) -> int:
-        return exact_moment(self.profile, 3)
-
-    @cached_property
-    def energy32(self) -> float:
-        nz = self.profile[self.profile > 0].astype(np.float64)
-        return float(np.sum(nz**1.5))
-
-    @cached_property
-    def phi(self) -> float:
-        return phi_subgroup(self.A)[0]
-
-    @cached_property
-    def ssc(self) -> float:
-        return ssc_ratio_sum(self.A)
-
-    @cached_property
     def sumset_ratio(self) -> float:
         if self.p > HEAVY_LIMIT and not self.allow_heavy:
             raise ValueError(
                 f"ssc_lemma3 needs the heavy shifted-sumset sum; p={self.p} is gated"
             )
-        return sumset_ratio_sum(self.A, allow_large=True)
-
-    @cached_property
-    def li_pairs(self):
-        return coset_profile(self.A).pairs
-
-    @cached_property
-    def conv_aa(self):
-        return convolve_counts(self.aset, self.aset)
+        return super().sumset_ratio
 
     # hypothesis-range comparators with the tunable constant
     def _ll(self, a: float, b: float) -> bool:
@@ -360,13 +310,13 @@ def covering_index(S: ZpSet, kmax: int):
 def check_six_fold(A: Subgroup) -> bool:
     """True iff the six-fold sumset 6A covers every nonzero residue.
 
-    Computed through the chain 2A, 3A, 3A + 3A, a different route from
-    covering_index's one-step folds.
+    Computed through the chain 2A, 3A, 3A + 3A on the coset kernel, a
+    different route from covering_index's one-step folds.
     """
     aset = A.indicator
-    two = sumset(aset, aset)
-    three = sumset(two, aset)
-    six = sumset(three, three)
+    two = coset_sumset(A, aset, aset)
+    three = coset_sumset(A, two, aset)
+    six = coset_sumset(A, three, three)
     return six.covers_nonzero()
 
 

@@ -35,8 +35,9 @@ class ZpSet:
     def from_elements(cls, p: int, elements) -> "ZpSet":
         p = validate_modulus(p)
         bits = np.zeros(p, dtype=bool)
-        idx = np.asarray(list(elements), dtype=np.int64) % p
-        bits[idx] = True
+        if not isinstance(elements, np.ndarray):
+            elements = list(elements)
+        bits[np.asarray(elements, dtype=np.int64) % p] = True
         return cls(p, bits)
 
     @classmethod

@@ -159,3 +159,17 @@ def is_prime_slow(n):
 
 def ln(x):
     return math.log(x)
+
+
+def brute_cosets(p, d):
+    """The order-d subgroup as {x : x^d = 1} and the least residue of each of
+    its cosets, by scanning Z_p* in order."""
+    els = [x for x in range(1, p) if pow(x, d, p) == 1]
+    covered = [False] * p
+    reps = []
+    for z in range(1, p):
+        if not covered[z]:
+            reps.append(z)
+            for a in els:
+                covered[z * a % p] = True
+    return els, reps

@@ -6,14 +6,12 @@ import pytest
 import subgroup_lab.energetics as energetics
 from subgroup_lab.energetics import (
     CosetProfile,
-    EnergyReport,
     InvarianceViolation,
     additive_energy,
     additive_energy_spectral,
     coset_profile,
     energy_moment,
     energy_moment_from_profile,
-    energy_report,
     exact_moment,
     invariant_convolution_sum,
     restricted_moment,
@@ -22,7 +20,7 @@ from subgroup_lab.energetics import (
     sumset_ratio_sum,
     threshold_invariant_set,
 )
-from subgroup_lab.numtheory import divisors, subgroup
+from subgroup_lab.numtheory import divisors, is_prime, subgroup
 from subgroup_lab.spectral import convolve_counts
 from subgroup_lab.zpsets import ZpSet, invariant_set
 
@@ -92,6 +90,29 @@ class TestAdditiveEnergy:
     def test_empty(self):
         p = 11
         assert additive_energy(ZpSet.empty(p), ZpSet.from_elements(p, [1])) == 0
+
+    def test_int64_path_past_2_20(self, monkeypatch):
+        # min(|A|, |B|) |A| |B| < 2^63 puts this p > 2^20 case on np.dot
+        p = next(q for q in range((1 << 20) + 1, 1 << 21, 2) if is_prime(q))
+        rng = random.Random(36)
+        A = ZpSet.from_elements(p, rand_set(p, rng, 300))
+        B = ZpSet.from_elements(p, rand_set(p, rng, 200))
+
+        class DotSpy:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dot(self, a, b):
+                DotSpy.calls += 1
+                return np.dot(a, b)
+
+        monkeypatch.setattr(energetics, "np", DotSpy())
+        got = additive_energy(A, B)
+        assert DotSpy.calls == 1
+        counts = convolve_counts(A, B).counts
+        assert got == sum(int(c) ** 2 for c in counts.tolist())
 
     def test_spectral_form_agrees(self):
         rng = random.Random(35)
@@ -304,21 +325,3 @@ class TestInvariantMachinery:
             members = set(int(v) for v in S.members())
             want = {z for z in range(1, 31) if prof.counts[z] >= k}
             assert members == want
-
-
-class TestEnergyReport:
-    def test_fields_golden_7_3(self):
-        rep = energy_report(subgroup(7, 3))
-        assert isinstance(rep, EnergyReport)
-        assert (rep.p, rep.d) == (7, 3)
-        assert rep.twoA_size == 6
-        assert rep.energy == 15
-        assert rep.energy3 == 33
-        assert abs(rep.energy32 - 11.196152422706632) <= 1e-12
-        assert abs(rep.ssc_ratio - 2.7) <= 1e-12
-        assert abs(rep.sumset_ratio - 3.5) <= 1e-12
-
-    def test_sumset_ratio_optional(self):
-        rep = energy_report(subgroup(101, 20), with_sumset_ratio=False)
-        assert rep.sumset_ratio is None
-        assert rep.energy == additive_energy(subgroup(101, 20).indicator, subgroup(101, 20).indicator)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from subgroup_lab.numtheory import divisors, subgroup
+from subgroup_lab.energetics import additive_energy
 from subgroup_lab.spectral import convolve_counts
 from subgroup_lab.verifier import (
     ALL_CHECKS,
@@ -91,6 +92,24 @@ class TestCatalogShape:
                 b.ratio,
                 b.hypothesis_ok,
             )
+
+
+class TestContextStatistics:
+    """The per-subgroup statistics a sweep record reads off the context."""
+
+    def test_fields_golden_7_3(self):
+        ctx = CheckContext(subgroup(7, 3))
+        assert (ctx.p, ctx.d) == (7, 3)
+        assert ctx.twoA_size == 6
+        assert ctx.energy == 15
+        assert ctx.energy3 == 33
+        assert abs(ctx.energy32 - 11.196152422706632) <= 1e-12
+        assert abs(ctx.ssc - 2.7) <= 1e-12
+        assert abs(ctx.sumset_ratio - 3.5) <= 1e-12
+
+    def test_energy_matches_additive_energy(self):
+        A = subgroup(101, 20)
+        assert CheckContext(A).energy == additive_energy(A.indicator, A.indicator)
 
 
 class TestGoldenValues73:
