@@ -15,21 +15,22 @@ import argparse
 import concurrent.futures
 import json
 import math
+import operator
 import os
 import random
 import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from . import energetics, numtheory, spectral
-from .energetics import SubgroupContext, shift_sizes
+from .energetics import HEAVY_LIMIT, SubgroupContext, shift_sizes
 from .numtheory import divisors, subgroup
 from .spectral import convolve_counts, dft_magnitudes, naive_dft_magnitudes, phi_subgroup
 from .verifier import (
     ALL_CHECKS,
     HEAVY_CHECKS,
-    HEAVY_LIMIT,
     CheckContext,
     check_bound,
     check_six_fold,
@@ -56,9 +57,8 @@ CSV_BASE_COLUMNS = (
     "sumset_ratio",
 )
 
-_INT_FIELDS = {"p_min", "p_max", "min_size", "kmax", "threads"}
-_FLOAT_FIELDS = {"alpha_lo", "alpha_hi", "hypothesis_constant"}
-_BOOL_FIELDS = {"heavy_ops"}
+# Every check contributes these four columns, as "<check>:<suffix>".
+CHECK_SUFFIXES = ("lhs", "rhs", "ratio", "hyp")
 
 
 @dataclass
@@ -98,6 +98,9 @@ class SweepConfig:
         unknown = [c for c in self.checks if c not in ALL_CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        if repeated:
+            raise ValueError(f"repeated checks: {', '.join(repeated)}")
         if self.hypothesis_constant <= 0:
             raise ValueError("hypothesis constant must be positive")
         return self
@@ -120,9 +123,41 @@ class SweepRecord:
     checks: dict
 
 
+def _parse_bool(val: str) -> bool:
+    low = val.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"bad boolean {val!r}")
+
+
+def _parse_checks(text: str) -> tuple[str, ...]:
+    text = text.strip()
+    if text == "all":
+        return ALL_CHECKS
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _optional(parse):
+    return lambda val: None if val.lower() in ("", "none") else parse(val)
+
+
+# Config-file value parser for each annotation used in SweepConfig.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str": str,
+    "int | None": _optional(int),
+    "str | None": _optional(str),
+    "tuple[str, ...]": _parse_checks,
+}
+
+
 def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; keys match SweepConfig."""
-    known = {f.name for f in fields(SweepConfig)}
+    """Flat key = value lines; '#' starts a comment; keys are SweepConfig fields."""
+    types = {f.name: f.type for f in fields(SweepConfig)}
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -133,40 +168,13 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip()
-            val = val.strip()
-            if key not in known:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce_config_value(key, val)
+            try:
+                out[key] = _PARSERS[types[key]](val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
-
-
-def _coerce_config_value(key: str, val: str):
-    if key in _INT_FIELDS:
-        return int(val)
-    if key in _FLOAT_FIELDS:
-        return float(val)
-    if key in _BOOL_FIELDS:
-        low = val.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"bad boolean for {key}: {val!r}")
-    if key == "max_size":
-        return None if val.lower() in ("", "none") else int(val)
-    if key == "checks":
-        return _parse_checks(val)
-    if key == "svg_dir":
-        return val or None
-    return val
-
-
-def _parse_checks(text: str) -> tuple[str, ...]:
-    text = text.strip()
-    if text == "all":
-        return ALL_CHECKS
-    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    return names
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
@@ -230,7 +238,10 @@ def _record_for(args) -> SweepRecord:
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Compute one record per qualifying (p, d).  Output order is (p, d)."""
+    """Compute one record per qualifying (p, d).  Output order is (p, d).
+
+    The tasks are built in that order, and pool.map keeps it.
+    """
     cfg.validate()
     tasks = [
         (p, d, cfg)
@@ -238,12 +249,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         for d in _qualifying_orders(p, cfg)
     ]
     if cfg.threads <= 1 or len(tasks) <= 1:
-        records = [_record_for(t) for t in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(_record_for, tasks))
-    records.sort(key=lambda r: (r.p, r.d))
-    return records
+        return [_record_for(t) for t in tasks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(_record_for, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -255,62 +263,47 @@ def _fmt_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     return repr(float(v))
+
+
+# Record attribute behind each base column; A_size is the one alias, of d.
+_base_cells = operator.attrgetter(*("d" if c == "A_size" else c for c in CSV_BASE_COLUMNS))
+
+
+@lru_cache(maxsize=None)  # record_row asks for the same names once per record
+def _check_columns(name: str) -> tuple[str, ...]:
+    return tuple(f"{name}:{suffix}" for suffix in CHECK_SUFFIXES)
 
 
 def record_row(rec: SweepRecord, check_names) -> dict:
     """Flatten a record into the fixed column mapping used by csv and jsonl."""
-    row = {
-        "p": rec.p,
-        "d": rec.d,
-        "A_size": rec.d,
-        "twoA_size": rec.twoA_size,
-        "sixA_covers": rec.sixA_covers,
-        "covering_k": rec.covering_k,
-        "E": rec.E,
-        "E3": rec.E3,
-        "E32": rec.E32,
-        "phi": rec.phi,
-        "ssc_ratio": rec.ssc_ratio,
-        "sumset_ratio": rec.sumset_ratio,
-    }
+    row = dict(zip(CSV_BASE_COLUMNS, _base_cells(rec)))
     for name in check_names:
         chk = rec.checks.get(name)
-        if chk is None:
-            row[f"{name}:lhs"] = None
-            row[f"{name}:rhs"] = None
-            row[f"{name}:ratio"] = None
-            row[f"{name}:hyp"] = None
-        else:
-            row[f"{name}:lhs"] = chk.lhs
-            row[f"{name}:rhs"] = chk.rhs_expr
-            row[f"{name}:ratio"] = chk.ratio
-            row[f"{name}:hyp"] = chk.hypothesis_ok
+        cells = (chk.lhs, chk.rhs_expr, chk.ratio, chk.hypothesis_ok) if chk else (None,) * 4
+        row.update(zip(_check_columns(name), cells))
     return row
 
 
-def format_csv(records, check_names) -> str:
-    cols = list(CSV_BASE_COLUMNS)
-    for name in check_names:
-        cols += [f"{name}:lhs", f"{name}:rhs", f"{name}:ratio", f"{name}:hyp"]
+def _csv_text(rows: list[dict], check_names) -> str:
+    cols = [*CSV_BASE_COLUMNS, *(c for name in check_names for c in _check_columns(name))]
     lines = [",".join(cols)]
-    for rec in records:
-        row = record_row(rec, check_names)
-        lines.append(",".join(_fmt_cell(row[c]) for c in cols))
+    lines += [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _jsonl_text(rows: list[dict]) -> str:
+    return "\n".join(json.dumps(row, separators=(",", ":")) for row in rows) + "\n"
+
+
+def format_csv(records, check_names) -> str:
+    return _csv_text([record_row(r, check_names) for r in records], check_names)
 
 
 def format_jsonl(records, check_names) -> str:
-    lines = []
-    for rec in records:
-        row = record_row(rec, check_names)
-        clean = {
-            k: (int(v) if isinstance(v, np.integer) else v) for k, v in row.items()
-        }
-        lines.append(json.dumps(clean, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    return _jsonl_text([record_row(r, check_names) for r in records])
 
 
 def summary_text(rows: list[dict], check_names) -> str:
@@ -323,30 +316,24 @@ def summary_text(rows: list[dict], check_names) -> str:
         out.append(f"primes: {ps[0]}..{ps[-1]} ({len(ps)} of them)")
         covered = sum(1 for r in rows if r["sixA_covers"])
         out.append(f"six-fold coverage: {covered}/{n} records cover Z_p*")
-        above = [r for r in rows if _above_threshold(r)]
-        bad = [r for r in rows if _above_threshold(r) and not r["sixA_covers"]]
+        above = [r for r in rows if clears_cover_threshold(int(r["p"]), int(r["d"]))]
+        bad = [r for r in above if not r["sixA_covers"]]
         out.append(
             f"six-fold coverage at |A| >= p^(11/23): {len(above) - len(bad)}/{len(above)}"
             f" (failures: {len(bad)})"
         )
     for name in check_names:
-        pts, ratios, hyp_n, hyp_ok = [], [], 0, 0
-        for r in rows:
-            lhs = r.get(f"{name}:lhs")
-            ratio = r.get(f"{name}:ratio")
-            if lhs is None or ratio is None:
-                continue
-            pts.append((r["A_size"], lhs))
-            ratios.append(ratio)
-            hyp_n += 1
-            hyp_ok += bool(r.get(f"{name}:hyp"))
-        if not ratios:
+        lhs_col, _, ratio_col, hyp_col = _check_columns(name)
+        hits = [r for r in rows if r.get(lhs_col) is not None and r.get(ratio_col) is not None]
+        if not hits:
             out.append(f"check {name}: no records")
             continue
+        hyp_ok = sum(bool(r.get(hyp_col)) for r in hits)
         line = (
-            f"check {name}: n={len(ratios)} max_ratio={max(ratios):.6g}"
-            f" hyp_ok={hyp_ok}/{hyp_n}"
+            f"check {name}: n={len(hits)} max_ratio={max(r[ratio_col] for r in hits):.6g}"
+            f" hyp_ok={hyp_ok}/{len(hits)}"
         )
+        pts = [(r["A_size"], r[lhs_col]) for r in hits]
         try:
             fit = exponent_fit(pts, envelope=True)
             line += (
@@ -357,10 +344,6 @@ def summary_text(rows: list[dict], check_names) -> str:
             line += " envelope_fit=insufficient-data"
         out.append(line)
     return "\n".join(out) + "\n"
-
-
-def _above_threshold(row: dict) -> bool:
-    return clears_cover_threshold(int(row["p"]), int(row["d"]))
 
 
 def write_svg_scatter(path: str, points, title: str, fit=None) -> None:
@@ -439,7 +422,8 @@ def write_check_svgs(rows: list[dict], check_names, svg_dir: str) -> list[str]:
     os.makedirs(svg_dir, exist_ok=True)
     paths = []
     for name in check_names:
-        pts = [(row["A_size"], row[f"{name}:lhs"]) for row in rows if row.get(f"{name}:lhs")]
+        lhs_col = _check_columns(name)[0]
+        pts = [(row["A_size"], row[lhs_col]) for row in rows if row.get(lhs_col)]
         fit = None
         try:
             fit = exponent_fit(pts, envelope=True)
@@ -454,15 +438,11 @@ def write_check_svgs(rows: list[dict], check_names, svg_dir: str) -> list[str]:
 def emit_report(records: list[SweepRecord], cfg: SweepConfig) -> dict:
     """Write the records file, its summary, and optional SVG scatters."""
     check_names = list(cfg.checks)
-    text = (
-        format_csv(records, check_names)
-        if cfg.format == "csv"
-        else format_jsonl(records, check_names)
-    )
+    rows = [record_row(r, check_names) for r in records]
+    text = _csv_text(rows, check_names) if cfg.format == "csv" else _jsonl_text(rows)
     paths = {"records": cfg.out_path}
     with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    rows = [record_row(r, check_names) for r in records]
     summary_path = cfg.out_path + ".summary.txt"
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(summary_text(rows, check_names))
@@ -488,12 +468,7 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
         if not lines:
             return [], []
         cols = lines[0].split(",")
-        for ln in lines[1:]:
-            vals = ln.split(",")
-            row = {}
-            for c, v in zip(cols, vals):
-                row[c] = _parse_cell(v)
-            rows.append(row)
+        rows = [{c: _parse_cell(v) for c, v in zip(cols, ln.split(","))} for ln in lines[1:]]
     checks = [c[: -len(":ratio")] for c in cols if c.endswith(":ratio")]
     return rows, checks
 
@@ -685,14 +660,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="compute records over a prime range")
     ps.add_argument("--config", help="flat key = value config file")
-    ps.add_argument("--pmin", type=int, help="smallest prime (default 3)")
-    ps.add_argument("--pmax", type=int, help="largest prime (default 101)")
+    # Each option below --config sets the SweepConfig field named by its dest.
+    ps.add_argument("--pmin", dest="p_min", type=int, help="smallest prime (default 3)")
+    ps.add_argument("--pmax", dest="p_max", type=int, help="largest prime (default 101)")
     ps.add_argument("--alpha-lo", type=float, help="lower bound on log_p |A|")
     ps.add_argument("--alpha-hi", type=float, help="upper bound on log_p |A|")
-    ps.add_argument("--checks", help="comma-separated catalog names, or 'all'")
+    ps.add_argument(
+        "--checks", type=_parse_checks, help="comma-separated catalog names, or 'all'"
+    )
     ps.add_argument("--kmax", type=int, help="covering search cap (default 8)")
     ps.add_argument("--threads", type=int, help="worker threads (default $SUBGROUP_LAB_THREADS or 1)")
-    ps.add_argument("--out", help="records path (default records.csv)")
+    ps.add_argument("--out", dest="out_path", help="records path (default records.csv)")
     ps.add_argument("--format", choices=("csv", "jsonl"), help="records format")
     ps.add_argument("--svg-dir", help="directory for per-check scatter plots")
     ps.add_argument(
@@ -702,6 +680,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--heavy",
+        dest="heavy_ops",
         action="store_true",
         default=None,
         help="enable heavy operations above p = 4096",
@@ -718,28 +697,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SweepConfig:
-    cfg_kwargs: dict = {}
-    if args.config:
-        cfg_kwargs.update(parse_config_file(args.config))
-    flag_map = {
-        "pmin": "p_min",
-        "pmax": "p_max",
-        "alpha_lo": "alpha_lo",
-        "alpha_hi": "alpha_hi",
-        "kmax": "kmax",
-        "threads": "threads",
-        "out": "out_path",
-        "format": "format",
-        "svg_dir": "svg_dir",
-        "hypothesis_constant": "hypothesis_constant",
-        "heavy": "heavy_ops",
-    }
-    for attr, field in flag_map.items():
-        val = getattr(args, attr, None)
+    """Merge a sweep's settings: flag > config file > $SUBGROUP_LAB_THREADS > default."""
+    cfg_kwargs = parse_config_file(args.config) if args.config else {}
+    for f in fields(SweepConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            cfg_kwargs[field] = val
-    if getattr(args, "checks", None) is not None:
-        cfg_kwargs["checks"] = _parse_checks(args.checks)
+            cfg_kwargs[f.name] = val
     if "threads" not in cfg_kwargs:
         env = os.environ.get("SUBGROUP_LAB_THREADS")
         if env:

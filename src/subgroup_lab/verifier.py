@@ -18,11 +18,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .energetics import (
+    HEAVY_LIMIT,
     SubgroupContext,
     coset_sumset,
     restricted_moment,
     threshold_invariant_set,
-    SUMSET_RATIO_DEFAULT_LIMIT,
 )
 from .numtheory import Subgroup, subgroup
 from .spectral import cyclic_convolution_exact, phi_subgroup
@@ -32,8 +32,6 @@ from .zpsets import ZpSet, fold_sumset, sumset
 # |A|^23 >= p^11 are the ones the covering statement targets.
 COVER_THRESHOLD_NUM = 11
 COVER_THRESHOLD_DEN = 23
-
-HEAVY_LIMIT = SUMSET_RATIO_DEFAULT_LIMIT
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -128,6 +129,64 @@ class TestConfigPrecedence:
             with pytest.raises(ValueError):
                 SweepConfig(**bad).validate()
         SweepConfig(alpha_lo=0.5, alpha_hi=0.5, min_size=0, max_size=0).validate()
+
+
+# A config-file spelling and its parsed value for each SweepConfig annotation.
+_SAMPLES = {
+    "int": ("7", 7),
+    "float": ("0.25", 0.25),
+    "bool": ("on", True),
+    "str": ("out.jsonl", "out.jsonl"),
+    "int | None": ("12", 12),
+    "str | None": ("plots", "plots"),
+    "tuple[str, ...]": ("e3, hk_energy", ("e3", "hk_energy")),
+}
+
+
+class TestOneSchema:
+    @pytest.mark.parametrize("field", fields(SweepConfig), ids=lambda f: f.name)
+    def test_every_field_round_trips_through_config_file(self, tmp_path, field):
+        text, want = _SAMPLES[field.type]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{field.name} = {text}\n")
+        got = parse_config_file(str(cfg))[field.name]
+        assert got == want and type(got) is type(want)
+        assert getattr(SweepConfig(**{field.name: got}), field.name) == want
+
+    def test_none_clears_optional_keys(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("svg_dir = none\nmax_size = None\n")
+        assert parse_config_file(str(cfg)) == {"svg_dir": None, "max_size": None}
+
+    def test_flags_land_on_field_names(self):
+        argv = ["sweep", "--pmin", "5", "--pmax", "13", "--out", "r.csv", "--heavy"]
+        args = _build_parser().parse_args([*argv, "--checks", "e3,hk_energy"])
+        assert (args.p_min, args.p_max, args.out_path, args.heavy_ops) == (5, 13, "r.csv", True)
+        assert args.checks == ("e3", "hk_energy")
+        cfg = _config_from_args(args)
+        assert (cfg.p_min, cfg.p_max, cfg.out_path, cfg.heavy_ops) == (5, 13, "r.csv", True)
+        assert cfg.checks == ("e3", "hk_energy")
+
+    def test_record_row_values_are_plain(self):
+        # p = 4099 is above the heavy limit, so sumset_ratio is None there
+        recs = run_sweep(SweepConfig(p_max=101)) + run_sweep(
+            SweepConfig(p_min=4099, p_max=4099, max_size=6)
+        )
+        plain = (int, float, bool, str, type(None))
+        for rec in recs:
+            for key, v in record_row(rec, ALL_CHECKS).items():
+                assert type(v) in plain, (rec.p, rec.d, key, type(v))
+
+    def test_emit_report_builds_each_row_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.record_row
+        monkeypatch.setattr(cli, "record_row", lambda *a: calls.append(1) or real(*a))
+        for fmt in ("csv", "jsonl"):
+            cfg = SweepConfig(p_max=31, format=fmt, out_path=str(tmp_path / f"r.{fmt}"))
+            recs = run_sweep(cfg)
+            calls.clear()
+            emit_report(recs, cfg)
+            assert len(calls) == len(recs)
 
 
 class TestPrimesAndOrders:
@@ -400,6 +459,19 @@ class TestMain:
         rc = main(["sweep", "--config", str(cfg), "--pmax", "13", "--out", str(out), *flags])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, cfg_text",
+        [(["--checks", "hk_energy,hk_energy"], ""), ([], "checks = e3, hk_energy, e3\n")],
+    )
+    def test_sweep_repeated_check_exits_2(self, tmp_path, capsys, flags, cfg_text):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "r.csv"
+        rc = main(["sweep", "--config", str(cfg), "--pmax", "13", "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: repeated checks: ")
         assert not out.exists()
 
     def test_sweep_bad_config_file(self, tmp_path, capsys):

@@ -173,6 +173,13 @@ class TestEnergyMoments:
         # |X|^4 >= 2^63 takes Python integers; int64 would wrap on this sum
         assert exact_moment(np.full(3, 1 << 21, dtype=np.int64), 3) == 3 << 63
 
+    def test_exact_moment_past_int64_on_a_subgroup(self):
+        # A = Z_p^* at p = 65537: E3 = 2^48 + 65536 * 65535^3 exceeds 2^63
+        sizes = shift_sizes(subgroup(65537, 65536).indicator)
+        want = sum(int(x) ** 3 for x in sizes)
+        assert want >= 1 << 63
+        assert exact_moment(sizes, 3) == want
+
 
 class TestCosetProfile:
     def test_golden_7_3(self):
