@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -155,13 +156,20 @@ _PARSERS = {
 }
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; keys are SweepConfig fields."""
+    """Flat key = value lines; keys are SweepConfig fields.
+
+    '#' starts a comment at the start of a line or after whitespace, so a
+    value may hold '#' (out_path = run#2.csv).
+    """
     types = {f.name: f.type for f in fields(SweepConfig)}
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", raw).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -505,145 +513,130 @@ def _enumeration_convolution(X: ZpSet, Y: ZpSet) -> np.ndarray:
     return np.bincount(sums.ravel(), minlength=X.p).astype(np.int64)
 
 
+def _verify_convolution(A, rng):
+    """A * Y for a random set Y, against pair enumeration."""
+    X, Y = A.indicator, _rand_set(A.p, rng)
+    got = convolve_counts(X, Y).counts
+    want = _enumeration_convolution(X, Y)
+    if not np.array_equal(got, want):
+        z = int(np.flatnonzero(got != want)[0])
+        return 1, f"convolution p={A.p} d={A.d} z={z}: {got[z]} != {want[z]}"
+    return 1, None
+
+
+def _verify_energy(A, rng):
+    """E(A) from pair counts, the shift profile, all rotations and the spectrum."""
+    aset, p = A.indicator, A.p
+    counts = convolve_counts(aset, aset).counts
+    e_conv = int(np.dot(counts, counts))
+    prof = shift_sizes(aset)
+    e_prof = int(np.dot(prof, prof))
+    rotations = np.lib.stride_tricks.sliding_window_view(np.tile(aset.bits, 2)[:-1], p)
+    rolled = (aset.bits & rotations).sum(axis=1)  # row k: np.roll by -k, each shift once
+    e_roll = int(np.dot(rolled, rolled))
+    e_spec = energetics.additive_energy_spectral(aset, aset)
+    if not (e_conv == e_prof == e_roll):
+        return 1, f"energy-definitions p={p} d={A.d}: {e_conv}/{e_prof}/{e_roll}"
+    if abs(e_spec - e_conv) > max(spectral.ABS_TOL, spectral.REL_TOL * e_conv):
+        return 1, f"energy-spectral p={p} d={A.d}: {e_spec} vs {e_conv}"
+    return 1, None
+
+
+def _verify_containment(A, rng):
+    """A + A_s inside (2A)_s: every shift for p <= 200, else 0 and the coset reps."""
+    aset, cases = A.indicator, 0
+    two = fold_sumset(aset, 2)
+    for s in range(A.p) if A.p <= 200 else [0, *map(int, A.cosets.reps)]:
+        a_s = shift_intersect(aset, s)
+        if a_s.card == 0:
+            continue
+        if not sumset(aset, a_s).is_subset_of(shift_intersect(two, s)):
+            return cases, f"containment p={A.p} d={A.d} s={s}"
+        cases += 1
+    return cases, None
+
+
+def _verify_coset_profile(A, rng):
+    """The shift profile is constant on cosets; phi equals the dense spectrum's."""
+    p, reps = A.p, A.cosets.reps
+    prof = shift_sizes(A.indicator)
+    vals = prof[(reps[:, None] * A.elements) % p]  # one row per coset
+    broken = np.flatnonzero((vals != prof[reps][:, None]).any(axis=1))
+    if broken.size:
+        return 1, f"coset-constancy p={p} d={A.d} rep={int(reps[broken[0]])}"
+    phi_fast, _ = phi_subgroup(A)
+    if p <= 521:
+        spec = dft_magnitudes(A.indicator)
+        if abs(phi_fast - spec.phi) > 1e-9 * max(phi_fast, spec.phi, 1.0):
+            return 1, f"phi p={p} d={A.d}: {phi_fast} vs {spec.phi}"
+    return 1, None
+
+
+def _verify_spectral_identity(A, rng):
+    """|A| |Â(lam)|^2 equals sum_s |A_s| Re(sum_{y in A} e_p(lam y s))."""
+    p, d, els = A.p, A.d, A.elements
+    prof = shift_sizes(A.indicator).astype(np.float64)
+    lams = np.arange(1, p) if p <= 101 else np.arange(1, p, max(1, p // 32))
+    t = np.arange(p)
+    re_sum = np.cos(2 * np.pi * ((t[:, None] * els) % p) / p).sum(axis=1)  # read at t = lam s
+    rhs = re_sum[(lams[:, None] * t) % p] @ prof
+    if p <= 101:
+        lhs = d * naive_dft_magnitudes(A.indicator)[lams] ** 2
+    else:
+        lhs = d * np.abs(np.exp(2j * np.pi * ((lams[:, None] * els) % p) / p).sum(axis=1)) ** 2
+    bad = np.abs(lhs - rhs) > np.maximum(spectral.ABS_TOL, spectral.REL_TOL * np.abs(lhs))
+    if bad.any():
+        i = int(np.argmax(bad))  # the first failing lam
+        return i, f"spectral-identity p={p} d={d} lam={lams[i]}: {lhs[i]} vs {rhs[i]}"
+    return lams.size, None
+
+
+def _verify_coverage(A, rng):
+    """Six-fold check vs covering index; positivity forces solutions and coverage."""
+    p, d = A.p, A.d
+    six, k = check_six_fold(A), covering_index(A.indicator, 6)
+    if six != (k is not None):
+        return 1, f"coverage-agreement p={p} d={d}: six={six} k={k}"
+    if p <= 2000 and positivity_condition(A):
+        for a in random.Random(p * 7919 + d).sample(range(1, p), min(3, p - 1)):
+            if count_solutions_N(A, a) <= 0:
+                return 1, f"positivity p={p} d={d} a={a}"
+            if not six:
+                return 1, f"positivity-coverage p={p} d={d}"
+    return 1, None
+
+
+# Each family checks one subgroup against an independent route and returns
+# (cases, failure message or None).  Entries: (name, largest prime, family).
+_FAMILIES = (
+    ("convolution", 1024, _verify_convolution),
+    ("energy-definitions", 1024, _verify_energy),
+    ("containment", math.inf, _verify_containment),
+    ("coset-profile", math.inf, _verify_coset_profile),
+    ("spectral-identity", 1024, _verify_spectral_identity),
+    ("coverage", math.inf, _verify_coverage),
+)
+
+
 def verify_all(p_max: int, *, echo=print) -> int:
-    """Run the full property suite over p <= p_max; 0 iff no violation.
+    """Run the property suite over p <= p_max; 0 iff no violation.
 
-    Families with quadratic-cost oracles are capped internally (convolution,
-    energy, and the frequency identity at 1024, dense spectra at 521, solution
-    counts at 2000); raising p_max past a cap extends only the cheaper
-    families.
+    Runs each family over every subgroup of Z_p* with p up to the family's cap,
+    echoing "ok <family> (N cases)", and stops at the first "FAIL ...".  Inside
+    the families, dense spectra stop at p = 521 and solution counts at 2000.
+    rng = random.Random(911 * p) draws the convolution family's random sets.
     """
-    primes = primes_between(3, p_max)
-
-    def subgroups(limit):
-        for p in primes:
-            if p > limit:
-                break
+    for name, cap, family in _FAMILIES:
+        cases = 0
+        for p in primes_between(3, min(p_max, cap)):
+            rng = random.Random(911 * p)
             for d in divisors(p - 1):
-                yield p, d
-
-    # convolution against pair enumeration, subgroup x random set
-    cases = 0
-    for p in primes:
-        if p > 1024:
-            break
-        rng = random.Random(911 * p)
-        for d in divisors(p - 1):
-            X = subgroup(p, d).indicator
-            Y = _rand_set(p, rng)
-            got = convolve_counts(X, Y).counts
-            want = _enumeration_convolution(X, Y)
-            if not np.array_equal(got, want):
-                z = int(np.flatnonzero(got != want)[0])
-                echo(f"FAIL convolution p={p} d={d} z={z}: {got[z]} != {want[z]}")
-                return 1
-            cases += 1
-    echo(f"ok convolution ({cases} cases)")
-
-    # energy definitions: pair counts, shift profile, difference profile, spectrum
-    cases = 0
-    for p, d in subgroups(1024):
-        A = subgroup(p, d).indicator
-        counts = convolve_counts(A, A).counts
-        e_conv = int(np.dot(counts, counts))
-        prof = shift_sizes(A)
-        e_prof = int(np.dot(prof, prof))
-        rolled = np.array([int((A.bits & np.roll(A.bits, s)).sum()) for s in range(p)])
-        e_roll = int(np.dot(rolled, rolled))
-        e_spec = energetics.additive_energy_spectral(A, A)
-        if not (e_conv == e_prof == e_roll):
-            echo(f"FAIL energy-definitions p={p} d={d}: {e_conv}/{e_prof}/{e_roll}")
-            return 1
-        if abs(e_spec - e_conv) > max(spectral.ABS_TOL, spectral.REL_TOL * e_conv):
-            echo(f"FAIL energy-spectral p={p} d={d}: {e_spec} vs {e_conv}")
-            return 1
-        cases += 1
-    echo(f"ok energy-definitions ({cases} cases)")
-
-    # containment: A + A_s inside (2A)_s, every shift for small p, reps above
-    cases = 0
-    for p, d in subgroups(p_max):
-        A = subgroup(p, d)
-        aset = A.indicator
-        two = fold_sumset(aset, 2)
-        shifts = range(p) if p <= 200 else [0, *map(int, A.cosets.reps)]
-        for s in shifts:
-            a_s = shift_intersect(aset, s)
-            if a_s.card == 0:
-                continue
-            lhs = sumset(aset, a_s)
-            rhs = shift_intersect(two, s)
-            if not lhs.is_subset_of(rhs):
-                echo(f"FAIL containment p={p} d={d} s={s}")
-                return 1
-            cases += 1
-    echo(f"ok containment ({cases} cases)")
-
-    # shift profile constant on cosets; subgroup phi equals the dense spectrum
-    cases = 0
-    for p, d in subgroups(p_max):
-        A = subgroup(p, d)
-        prof = shift_sizes(A.indicator)
-        for rep in A.cosets.reps:
-            coset = (int(rep) * A.elements) % p
-            if not (prof[coset] == prof[int(rep)]).all():
-                echo(f"FAIL coset-constancy p={p} d={d} rep={int(rep)}")
-                return 1
-        phi_fast, _ = phi_subgroup(A)
-        if p <= 521:
-            spec = dft_magnitudes(A.indicator)
-            if abs(phi_fast - spec.phi) > 1e-9 * max(phi_fast, spec.phi, 1.0):
-                echo(f"FAIL phi p={p} d={d}: {phi_fast} vs {spec.phi}")
-                return 1
-        cases += 1
-    echo(f"ok coset-profile ({cases} cases)")
-
-    # |A| |Â(lam)|^2 equals sum_s |A_s| Re(sum_{y in A} e_p(lam y s))
-    cases = 0
-    for p, d in subgroups(min(p_max, 1024)):
-        A = subgroup(p, d)
-        prof = shift_sizes(A.indicator).astype(np.float64)
-        mags = naive_dft_magnitudes(A.indicator) if p <= 101 else None
-        lams = range(1, p) if p <= 101 else range(1, p, max(1, p // 32))
-        svec = np.arange(p, dtype=np.int64)
-        for lam in lams:
-            re_part = np.zeros(p)
-            for y in A.elements:
-                re_part += np.cos(2 * np.pi * ((int(y) * lam * svec) % p) / p)
-            rhs = float(np.dot(prof, re_part))
-            if mags is not None:
-                lhs = d * float(mags[lam]) ** 2
-            else:
-                z = np.exp(2j * np.pi * ((lam * A.elements) % p) / p).sum()
-                lhs = d * abs(z) ** 2
-            if abs(lhs - rhs) > max(spectral.ABS_TOL, spectral.REL_TOL * abs(lhs)):
-                echo(f"FAIL spectral-identity p={p} d={d} lam={lam}: {lhs} vs {rhs}")
-                return 1
-            cases += 1
-    echo(f"ok spectral-identity ({cases} cases)")
-
-    # coverage: the six-fold check agrees with the covering index; positivity
-    # forces positive counts for every dilation parameter
-    cases = 0
-    for p, d in subgroups(p_max):
-        A = subgroup(p, d)
-        six = check_six_fold(A)
-        k = covering_index(A.indicator, 6)
-        if six != (k is not None):
-            echo(f"FAIL coverage-agreement p={p} d={d}: six={six} k={k}")
-            return 1
-        if p <= 2000 and positivity_condition(A):
-            rng = random.Random(p * 7919 + d)
-            for a in rng.sample(range(1, p), min(3, p - 1)):
-                if count_solutions_N(A, a) <= 0:
-                    echo(f"FAIL positivity p={p} d={d} a={a}")
+                n, failure = family(subgroup(p, d), rng)
+                if failure:
+                    echo(f"FAIL {failure}")
                     return 1
-                if not six:
-                    echo(f"FAIL positivity-coverage p={p} d={d}")
-                    return 1
-        cases += 1
-    echo(f"ok coverage ({cases} cases)")
-
+                cases += n
+        echo(f"ok {name} ({cases} cases)")
     return 0
 
 
@@ -706,7 +699,10 @@ def _config_from_args(args) -> SweepConfig:
     if "threads" not in cfg_kwargs:
         env = os.environ.get("SUBGROUP_LAB_THREADS")
         if env:
-            cfg_kwargs["threads"] = int(env)
+            try:
+                cfg_kwargs["threads"] = int(env)
+            except ValueError:
+                raise ValueError(f"SUBGROUP_LAB_THREADS={env!r} is not an integer") from None
     return SweepConfig(**cfg_kwargs).validate()
 
 

@@ -25,8 +25,8 @@ from .energetics import (
     threshold_invariant_set,
 )
 from .numtheory import Subgroup, subgroup
-from .spectral import cyclic_convolution_exact, phi_subgroup
-from .zpsets import ZpSet, fold_sumset, sumset
+from .spectral import cyclic_convolution_exact
+from .zpsets import ZpSet, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
 # |A|^23 >= p^11 are the ones the covering statement targets.
@@ -325,15 +325,11 @@ def clears_cover_threshold(p: int, d: int) -> bool:
 
 @lru_cache(maxsize=8)
 def _solution_table(p: int, d: int) -> np.ndarray:
-    """(2A * 2A * A * A)(z) for all z, exact."""
-    A = subgroup(p, d)
-    aset = A.indicator
-    ind_a = aset.bits.astype(np.int64)
-    ind_2a = fold_sumset(aset, 2).bits.astype(np.int64)
+    """(2A * 2A) * (A * A) at every z, exact."""
+    ctx = SubgroupContext(subgroup(p, d))
+    ind_2a = ctx.two_a.bits.astype(np.int64)
     c = cyclic_convolution_exact(ind_2a, ind_2a, p)
-    c = cyclic_convolution_exact(c, ind_a, p)
-    c = cyclic_convolution_exact(c, ind_a, p)
-    return c
+    return cyclic_convolution_exact(c, ctx.conv_aa.counts, p)
 
 
 def count_solutions_N(A: Subgroup, a: int, *, allow_large: bool = False) -> int:
@@ -353,9 +349,8 @@ def count_solutions_N(A: Subgroup, a: int, *, allow_large: bool = False) -> int:
 
 def positivity_condition(A: Subgroup) -> bool:
     """True iff |2A| |A|^3 > p * phi^3, which forces N > 0 for every a != 0."""
-    two_size = fold_sumset(A.indicator, 2).card
-    phi, _ = phi_subgroup(A)
-    return two_size * A.d**3 > A.p * phi**3
+    ctx = SubgroupContext(A)
+    return ctx.twoA_size * A.d**3 > A.p * ctx.phi**3
 
 
 def exponent_fit(points, *, envelope: bool = False) -> FitResult:

@@ -31,7 +31,7 @@ from subgroup_lab.cli import (
 )
 from subgroup_lab.numtheory import divisors, subgroup
 from subgroup_lab.verifier import ALL_CHECKS
-from subgroup_lab.zpsets import ZpSet
+from subgroup_lab.zpsets import ZpSet, translate
 
 from oracles import is_prime_slow
 
@@ -84,6 +84,11 @@ class TestConfigFile:
         cfg.write_text("checks = all\n")
         assert parse_config_file(str(cfg))["checks"] == ALL_CHECKS
 
+    def test_hash_inside_value_kept(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("out_path = run#2.csv\n  # indented comment\nsvg_dir = plots\t# tab\n")
+        assert parse_config_file(str(cfg)) == {"out_path": "run#2.csv", "svg_dir": "plots"}
+
 
 class TestConfigPrecedence:
     def test_cli_beats_file_beats_default(self, tmp_path):
@@ -101,6 +106,11 @@ class TestConfigPrecedence:
         monkeypatch.setenv("SUBGROUP_LAB_THREADS", "5")
         args = _build_parser().parse_args(["sweep"])
         assert _config_from_args(args).threads == 5
+
+    def test_bad_env_threads_names_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("SUBGROUP_LAB_THREADS", "abc")
+        assert main(["sweep", "--pmax", "7"]) == 2
+        assert "SUBGROUP_LAB_THREADS" in capsys.readouterr().err
 
     def test_explicit_threads_beats_env(self, monkeypatch):
         monkeypatch.setenv("SUBGROUP_LAB_THREADS", "5")
@@ -545,6 +555,45 @@ class TestVerifyAll:
         assert verify_all(31, echo=lines.append) == 0
         assert len(lines) == 6
         assert all(ln.startswith("ok ") for ln in lines)
+
+    def test_golden_lines_p100(self):
+        lines = []
+        assert verify_all(100, echo=lines.append) == 0
+        assert lines == [
+            "ok convolution (159 cases)",
+            "ok energy-definitions (159 cases)",
+            "ok containment (4469 cases)",
+            "ok coset-profile (159 cases)",
+            "ok spectral-identity (8024 cases)",
+            "ok coverage (159 cases)",
+        ]
+
+    @staticmethod
+    def _last_line(p_max):
+        lines = []
+        assert verify_all(p_max, echo=lines.append) == 1
+        return lines[-1]
+
+    def test_detects_broken_energy(self, monkeypatch):
+        real = cli.shift_sizes
+        monkeypatch.setattr(cli, "shift_sizes", lambda S: 2 * real(S))
+        assert self._last_line(13).startswith("FAIL energy-definitions p=3")
+
+    def test_detects_broken_containment(self, monkeypatch):
+        real = cli.sumset
+        monkeypatch.setattr(cli, "sumset", lambda X, Y: translate(real(X, Y), 1))
+        assert self._last_line(13).startswith("FAIL containment p=3")
+
+    def test_detects_broken_coset_constancy(self, monkeypatch):
+        # a rotated profile keeps every energy but is not constant on cosets
+        real = cli.shift_sizes
+        monkeypatch.setattr(cli, "shift_sizes", lambda S: np.roll(real(S), 1))
+        assert self._last_line(13).startswith("FAIL coset-constancy p=3 d=2")
+
+    def test_detects_broken_spectral_identity(self, monkeypatch):
+        real = cli.naive_dft_magnitudes
+        monkeypatch.setattr(cli, "naive_dft_magnitudes", lambda S: 1.01 * real(S))
+        assert self._last_line(13).startswith("FAIL spectral-identity p=3")
 
     def test_detects_corrupted_convolution(self, monkeypatch):
         real = spectral.cyclic_convolution_exact
