@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import spectral
 from .numtheory import Subgroup, power_table
 from .spectral import (
     CountProfile,
@@ -26,10 +27,6 @@ from .spectral import (
     phi_subgroup,
 )
 from .zpsets import InvariantSet, ZpSet, shift_intersect
-
-# Crossover between pairwise-difference bincount and convolution when
-# computing the full shift-size profile.
-_BINCOUNT_PAIR_LIMIT = 1 << 22
 
 # Heavy operations (sumset_ratio_sum forms about d^2 pair sums or one
 # convolution per coset) stay off moduli above this unless explicitly forced.
@@ -43,11 +40,11 @@ class InvarianceViolation(ValueError):
 def shift_sizes(X: ZpSet) -> np.ndarray:
     """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers.
 
-    Small sets go through a pairwise-difference bincount, large ones through
-    one exact convolution with the reflected indicator.
+    A pairwise-difference bincount or one exact convolution with the
+    reflected indicator, whichever the cost model prices lower.
     """
     p = X.p
-    if X.card * X.card <= _BINCOUNT_PAIR_LIMIT:
+    if spectral.SCATTER_COST * X.card * X.card <= spectral._conv_cost(p):
         el = X.members()
         diffs = (el[:, None] - el[None, :]) % p
         return np.bincount(diffs.ravel(), minlength=p).astype(np.int64)
@@ -72,47 +69,23 @@ def exact_moment(sizes: np.ndarray, r: int) -> int:
     return sum(v**r * c for v, c in zip(values.tolist(), counts.tolist()))
 
 
-# Cost model of the coset kernels, in gathered elements (2.5-3.8 ns each on
-# a 2-vCPU Xeon VM, numpy 2.4).  An exact convolution at FFT length
-# n = 2^ceil(log2(2p - 1)) costs about CONV_COST_PER_N * n of them: fitting
-# the forced gather as a + b * (elements) against the convolution of two
-# half-dense indicators gave crossovers of 26 n (p = 307), 16 n (1009),
-# 13 n (2003), 21 n (4099), 25 n (10007), 22 n (30011), 27 n (100003),
-# 26 n (300007) and 28 n (1000003).  One pair of the batched scatter in
-# _shifted_sumset_sizes (9-12 ns) costs about SCATTER_COST gathered elements.
-CONV_COST_PER_N = 24
-SCATTER_COST = 4
-
-# Row blocks of the coset gather hold at most this many elements.
-_GATHER_BLOCK = 1 << 18
-
-
-def _conv_cost(p: int) -> int:
-    return CONV_COST_PER_N * (1 << (2 * p - 2).bit_length())
-
-
 def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
     X is given by its indicator and Y by its members, residues in [0, p).
     Both must have A-invariant nonzero parts; then so does X * Y.  It is
-    evaluated at 0 and at g^j, one point per coset, by an (m+1) x |Y| gather
-    (m = (p-1)/d, in bounded row blocks) and spread over coset j, column j of
+    evaluated at 0 and at g^j, one point per coset, by an (m+1) x |Y|
+    gather_counts (m = (p-1)/d) and spread over coset j, column j of
     power_table(p).reshape(d, m).  Past the crossover it is one exact
     convolution instead.
     """
     p, m = A.p, (A.p - 1) // A.d
-    if m * len(y) > _conv_cost(p):
+    if m * len(y) > spectral._conv_cost(p):
         y_bits = np.zeros(p, dtype=bool)
         y_bits[y] = True
         return cyclic_convolution_exact(x_bits, y_bits, p)
     P = power_table(p)
-    z = np.concatenate(([0], P[:m]))
-    vals = np.empty(m + 1, dtype=np.int64)
-    step = _GATHER_BLOCK // max(1, len(y)) + 1
-    for i in range(0, m + 1, step):
-        # z - y lies in (-p, p); a negative index wraps to z - y + p
-        np.add.reduce(x_bits[z[i : i + step, None] - y], axis=1, out=vals[i : i + step])
+    vals = spectral.gather_counts(x_bits, np.concatenate(([0], P[:m])), y)
     out = np.empty(p, dtype=np.int64)
     out[0] = vals[0]
     out[P.reshape(A.d, m)] = vals[1:]
@@ -273,7 +246,7 @@ def _shifted_sumset_sizes(A: Subgroup, reps: np.ndarray, l: np.ndarray) -> np.nd
     """|A + A_r| for each r in reps, where A_r = A ∩ (A + r) has l > 0 elements.
 
     The d * l sums a + x, a in A, x in A_r, are scattered into one bit row
-    per rep, for blocks of reps with about _GATHER_BLOCK sums and bits.  A rep
+    per rep, in blocks of about spectral._GATHER_BLOCK sums and bits.  A rep
     whose scatter would cost more than one exact convolution takes that instead.
     """
     p, el, aset = A.p, A.elements, A.indicator
@@ -289,15 +262,15 @@ def _shifted_sumset_sizes(A: Subgroup, reps: np.ndarray, l: np.ndarray) -> np.nd
         seen[sums] = True
         sizes[rows] = np.add.reduce(seen.reshape(len(rows), p), axis=1)
 
-    block, cost, conv_cost = [], 0, _conv_cost(p)
+    block, cost, conv_cost = [], 0, spectral._conv_cost(p)
     for i, pairs in enumerate((A.d * l).tolist()):
-        if SCATTER_COST * pairs > conv_cost:
+        if spectral.SCATTER_COST * pairs > conv_cost:
             a_r = shift_intersect(aset, int(reps[i]))
             sizes[i] = np.count_nonzero(cyclic_convolution_exact(aset.bits, a_r.bits, p))
             continue
         block.append(i)
         cost += pairs + p
-        if cost >= _GATHER_BLOCK:
+        if cost >= spectral._GATHER_BLOCK:
             scatter(block)
             block, cost = [], 0
     if block:

@@ -171,6 +171,43 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
     return _fold_cyclic(np.asarray(lin, dtype=np.int64 if bound < _INT64_LIMIT else object), p)
 
 
+# Cost model of the exact-count kernels, in gathered elements (2.3-5.5 ns each,
+# 2-vCPU Xeon VM, numpy 2.4).  An exact convolution at FFT length
+# n = 2^ceil(log2(2p - 1)) costs CONV_COST_PER_CALL + CONV_COST_PER_N * n: it
+# crossed gather_counts (|z| = p or |Y| = p/2) at 24-39e3 elements for p = 193
+# to 1009 (never at 97), 13-24 n to 30011 and 31-38 n to 300007; mean squared
+# log error 0.115 (the best fit, 10240 + 21 n: 0.099).  A pair costs
+# SCATTER_COST: 2.2-4.0 elements in shift_sizes' bincount (|X| >= 64) and
+# 2.6-4.6 in _shifted_sumset_sizes' scatter (d >= 84), p = 97 to 10007; the
+# bincount still beat the FFT up to |X| = 97 at p = 97 (43-72 against 52-92 us).
+CONV_COST_PER_N = 24
+CONV_COST_PER_CALL = 8192
+SCATTER_COST = 3
+_GATHER_BLOCK = 1 << 18
+
+
+def _conv_cost(p: int) -> int:
+    return CONV_COST_PER_CALL + CONV_COST_PER_N * (1 << (2 * p - 2).bit_length())
+
+
+def gather_counts(x_bits: np.ndarray, z, y: np.ndarray, out=None) -> np.ndarray:
+    """#{y in Y : z - y in X} at each point of z: int64, or > 0 into a bool out.
+
+    X is given by its indicator and Y by its members, z and y residues in
+    [0, p); z = None is all of Z_p, built block by block.  The |z| x |Y|
+    gather runs in row blocks of at most _GATHER_BLOCK elements (or one |Y|).
+    """
+    n = len(x_bits) if z is None else len(z)
+    if out is None:
+        out = np.empty(n, dtype=np.int64)
+    step = max(1, _GATHER_BLOCK // max(1, len(y)))
+    for i in range(0, n, step):
+        zi = np.arange(i, min(i + step, n)) if z is None else z[i : i + step]
+        # z - y lies in (-p, p); a negative index wraps
+        np.add.reduce(x_bits[zi[:, None] - y], axis=1, dtype=out.dtype, out=out[i : i + step])
+    return out
+
+
 def naive_cyclic_convolution(u, v, p: int) -> np.ndarray:
     """O(p^2) reference convolution.  Test oracle only; never use in sweeps."""
     p = validate_modulus(p)

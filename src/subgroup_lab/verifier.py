@@ -323,10 +323,16 @@ def clears_cover_threshold(p: int, d: int) -> bool:
     return d**COVER_THRESHOLD_DEN >= p**COVER_THRESHOLD_NUM
 
 
+@lru_cache(maxsize=2)
+def _context(p: int, d: int) -> SubgroupContext:
+    """The one context per (p, d) that positivity and the solution table share."""
+    return SubgroupContext(subgroup(p, d))
+
+
 @lru_cache(maxsize=8)
 def _solution_table(p: int, d: int) -> np.ndarray:
     """(2A * 2A) * (A * A) at every z, exact."""
-    ctx = SubgroupContext(subgroup(p, d))
+    ctx = _context(p, d)
     ind_2a = ctx.two_a.bits.astype(np.int64)
     c = cyclic_convolution_exact(ind_2a, ind_2a, p)
     return cyclic_convolution_exact(c, ctx.conv_aa.counts, p)
@@ -349,7 +355,7 @@ def count_solutions_N(A: Subgroup, a: int, *, allow_large: bool = False) -> int:
 
 def positivity_condition(A: Subgroup) -> bool:
     """True iff |2A| |A|^3 > p * phi^3, which forces N > 0 for every a != 0."""
-    ctx = SubgroupContext(A)
+    ctx = _context(A.p, A.d)
     return ctx.twoA_size * A.d**3 > A.p * ctx.phi**3
 
 

@@ -1,8 +1,8 @@
 """Dense subsets of Z_p with additive and multiplicative set arithmetic.
 
-A ZpSet is an immutable boolean indicator vector of length p.  Sumsets switch
-between two exact strategies: shifted ORs driven by the smaller operand, and
-integer convolution thresholded at >= 1 once both operands are large.
+A ZpSet is an immutable boolean indicator vector of length p.  A sumset is a
+gather over the smaller operand or one exact convolution, thresholded at >= 1,
+whichever the cost model in spectral prices lower.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import Subgroup, validate_modulus
-
-# Crossover between the shifted-OR sumset and the convolution sumset.
-SHIFT_OR_THRESHOLD = 512
 
 
 class ZpSet:
@@ -29,7 +26,7 @@ class ZpSet:
             raise ValueError(f"indicator must have length p={self.p}")
         arr.flags.writeable = False
         self.bits = arr
-        self.card = int(arr.sum())
+        self.card = int(np.count_nonzero(arr))
 
     @classmethod
     def from_elements(cls, p: int, elements) -> "ZpSet":
@@ -96,34 +93,27 @@ def _require_same_modulus(X: ZpSet, Y: ZpSet) -> int:
     return X.p
 
 
+def _rolled(bits: np.ndarray, z: int) -> np.ndarray:
+    """np.roll(bits, z) as one concatenation of two slices, a fifth of its cost."""
+    k = bits.size - z % bits.size
+    return np.concatenate((bits[k:], bits[:k]))
+
+
 def translate(C: ZpSet, z: int) -> ZpSet:
     """The shifted set C + z."""
-    return ZpSet(C.p, np.roll(C.bits, z % C.p))
+    return ZpSet(C.p, _rolled(C.bits, z))
 
 
 def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
-    """X + Y = {x + y mod p}.  Exact by construction on either strategy."""
+    """X + Y = {x + y mod p}, exact on either route (module docstring)."""
     p = _require_same_modulus(X, Y)
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
     if small.card == 0:
         return ZpSet.empty(p)
-    if small.card <= SHIFT_OR_THRESHOLD:
-        out = np.zeros(p, dtype=bool)
-        bb = big.bits
-        for x in small.members():
-            x = int(x)
-            if x == 0:
-                out |= bb
-            else:
-                out[x:] |= bb[: p - x]
-                out[:x] |= bb[p - x :]
-        return ZpSet(p, out)
-    from .spectral import cyclic_convolution_exact
-
-    counts = cyclic_convolution_exact(
-        X.bits.astype(np.int64), Y.bits.astype(np.int64), p
-    )
-    return ZpSet(p, counts > 0)
+    from .spectral import _conv_cost, cyclic_convolution_exact, gather_counts
+    if small.card * p <= _conv_cost(p):
+        return ZpSet(p, gather_counts(big.bits, None, small.members(), np.empty(p, dtype=bool)))
+    return ZpSet(p, cyclic_convolution_exact(X.bits, Y.bits, p) > 0)
 
 
 def fold_sumset(A: ZpSet, k: int) -> ZpSet:
@@ -138,8 +128,7 @@ def fold_sumset(A: ZpSet, k: int) -> ZpSet:
 
 def shift_intersect(C: ZpSet, z: int) -> ZpSet:
     """C intersected with its translate, C ∩ (C + z)."""
-    rolled = np.roll(C.bits, z % C.p)
-    return ZpSet(C.p, C.bits & rolled)
+    return ZpSet(C.p, C.bits & _rolled(C.bits, z))
 
 
 def dilate(X: ZpSet, a: int) -> ZpSet:

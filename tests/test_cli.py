@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -556,17 +557,28 @@ class TestVerifyAll:
         assert len(lines) == 6
         assert all(ln.startswith("ok ") for ln in lines)
 
+    GOLDEN_P100 = [
+        "ok convolution (159 cases)",
+        "ok energy-definitions (159 cases)",
+        "ok containment (4469 cases)",
+        "ok coset-profile (159 cases)",
+        "ok spectral-identity (8024 cases)",
+        "ok coverage (159 cases)",
+    ]
+
     def test_golden_lines_p100(self):
         lines = []
         assert verify_all(100, echo=lines.append) == 0
-        assert lines == [
-            "ok convolution (159 cases)",
-            "ok energy-definitions (159 cases)",
-            "ok containment (4469 cases)",
-            "ok coset-profile (159 cases)",
-            "ok spectral-identity (8024 cases)",
-            "ok coverage (159 cases)",
-        ]
+        assert lines == self.GOLDEN_P100
+
+    def test_family_seconds_go_to_stderr_only(self, capsys):
+        assert main(["verify", "--pmax", "100"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == self.GOLDEN_P100
+        names = [name for name, _, _ in cli._FAMILIES]
+        lines = err.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == names
+        assert all(re.fullmatch(r"[a-z-]+: \d+\.\d\d s", ln) for ln in lines), lines
 
     @staticmethod
     def _last_line(p_max):

@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 import subgroup_lab.energetics as energetics
+import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import (
     CosetProfile,
     InvarianceViolation,
@@ -52,7 +54,7 @@ class TestShiftSizes:
         els = rand_set(p, rng, 40)
         S = ZpSet.from_elements(p, els)
         fast = shift_sizes(S)
-        monkeypatch.setattr(energetics, "_BINCOUNT_PAIR_LIMIT", 0)
+        monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
         slow = shift_sizes(S)
         assert np.array_equal(fast, slow)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import subgroup_lab.energetics as energetics
+import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import (
     SubgroupContext,
     _shifted_sumset_sizes,
@@ -40,8 +40,8 @@ def subgroups_upto_2000():
 def force_gather(mp, on: bool) -> None:
     """Send every coset kernel call to the gather (on), in row blocks of a
     few elements, or to the convolution."""
-    mp.setattr(energetics, "CONV_COST_PER_N", math.inf if on else -1)
-    mp.setattr(energetics, "_GATHER_BLOCK", 7)
+    mp.setattr(spectral, "CONV_COST_PER_N", math.inf if on else -math.inf)
+    mp.setattr(spectral, "_GATHER_BLOCK", 7)
 
 
 def test_power_table_is_the_cyclic_group():
@@ -75,7 +75,7 @@ def test_chain_and_six_fold_match_fold_sumset():
 
 def test_counts_and_profiles_match_convolution(monkeypatch):
     # shift_sizes on its convolution route; its bincount route is pinned elsewhere
-    monkeypatch.setattr(energetics, "_BINCOUNT_PAIR_LIMIT", 0)
+    monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
     for A in subgroups_upto_2000():
         ctx = SubgroupContext(A)
         want = convolve_counts(A.indicator, A.indicator)

@@ -1,10 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import subgroup_lab.energetics as energetics
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import shift_sizes
 from subgroup_lab.numtheory import is_prime, subgroup
@@ -206,7 +206,7 @@ class TestCertifiedFft:
         # p = 1000003 runs at transform length 2^21
         p = 1000003
         el = np.random.default_rng(33).choice(p, size=2000, replace=False)
-        monkeypatch.setattr(energetics, "_BINCOUNT_PAIR_LIMIT", 0)
+        monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
         got = shift_sizes(ZpSet.from_elements(p, el))
         want = np.bincount(((el[:, None] - el[None, :]) % p).ravel(), minlength=p)
         assert np.array_equal(got, want)

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+import subgroup_lab.energetics as energetics
+import subgroup_lab.verifier as verifier
 from subgroup_lab.numtheory import divisors, subgroup
 from subgroup_lab.energetics import additive_energy
 from subgroup_lab.spectral import convolve_counts
@@ -334,6 +336,19 @@ class TestSolutionCounts:
             two = sorted(map(int, fold_sumset(A.indicator, 2).members()))
             for a in range(1, p):
                 assert count_solutions_N(A, a) == brute_count_N(two, els, a, p), (p, d, a)
+
+    def test_positivity_and_counts_share_one_a_star_a(self, monkeypatch):
+        calls = []
+        real = energetics.coset_counts
+        monkeypatch.setattr(
+            energetics, "coset_counts", lambda *a: calls.append(a[0].d) or real(*a)
+        )
+        verifier._context.cache_clear()
+        verifier._solution_table.cache_clear()
+        A = subgroup(1009, 504)
+        assert positivity_condition(A)
+        assert all(count_solutions_N(A, a) > 0 for a in (1, 2, 3))
+        assert calls == [504]  # A * A, built once
 
     def test_mass_identity(self):
         # summing N over nonzero a counts |A| copies of the nonzero conv mass

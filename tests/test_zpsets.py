@@ -1,10 +1,14 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import subgroup_lab.zpsets as zpsets
-from subgroup_lab.numtheory import subgroup
+import subgroup_lab.spectral as spectral
+from subgroup_lab.numtheory import is_prime, subgroup
 from subgroup_lab.zpsets import (
     InvariantSet,
     ZpSet,
@@ -128,6 +132,18 @@ class TestPointwiseOps:
         with pytest.raises(ValueError):
             dilate(S, 14)
 
+    def test_translate_and_shift_intersect_at_edge_shifts(self):
+        # the slice roll at s = 0, 1 and p - 1, and shifts given outside [0, p)
+        rng = random.Random(8)
+        for p in (3, 5, 101, 100003):
+            for k in (0, 1, min(p - 1, 500)):
+                els = rng.sample(range(p), k)
+                S = ZpSet.from_elements(p, els)
+                for s in (0, 1, p - 1, -1, p + 1):
+                    assert set(translate(S, s).members().tolist()) == brute_translate(els, s, p)
+                    got = set(shift_intersect(S, s).members().tolist())
+                    assert got == brute_shift_intersect(els, s, p), (p, k, s)
+
     def test_shift_intersect_matches_oracle(self):
         rng = random.Random(3)
         for p in PRIMES:
@@ -148,7 +164,7 @@ class TestSumset:
                 assert set(int(v) for v in got.members()) == brute_sumset(xs, ys, p)
 
     def test_matches_oracle_convolution_path(self, monkeypatch):
-        monkeypatch.setattr(zpsets, "SHIFT_OR_THRESHOLD", 0)
+        monkeypatch.setattr(spectral, "CONV_COST_PER_N", -math.inf)
         rng = random.Random(5)
         for p in PRIMES:
             for _ in range(4):
@@ -164,16 +180,52 @@ class TestSumset:
             (rand_elements(p, rng, lo=1), rand_elements(p, rng, lo=1))
             for _ in range(10)
         ]
+        monkeypatch.setattr(spectral, "CONV_COST_PER_N", math.inf)
         small = [
             sumset(ZpSet.from_elements(p, a), ZpSet.from_elements(p, b))
             for a, b in pairs
         ]
-        monkeypatch.setattr(zpsets, "SHIFT_OR_THRESHOLD", 0)
+        monkeypatch.setattr(spectral, "CONV_COST_PER_N", -math.inf)
         large = [
             sumset(ZpSet.from_elements(p, a), ZpSet.from_elements(p, b))
             for a, b in pairs
         ]
         assert small == large
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_both_routes_match_brute(self, data):
+        # the gather in row blocks of 7 elements (several blocks and a partial
+        # last one), then the convolution
+        p = data.draw(st.sampled_from([q for q in range(3, 300) if is_prime(q)]))
+        xs = data.draw(st.lists(st.integers(0, p - 1), max_size=p))
+        ys = data.draw(st.lists(st.integers(0, p - 1), max_size=40))
+        X, Y = ZpSet.from_elements(p, xs), ZpSet.from_elements(p, ys)
+        want = brute_sumset(xs, ys, p)
+        for cost, block in ((math.inf, 7), (-math.inf, spectral._GATHER_BLOCK)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "CONV_COST_PER_N", cost)
+                mp.setattr(spectral, "_GATHER_BLOCK", block)
+                assert set(sumset(X, Y).members().tolist()) == want, (p, cost)
+                assert sumset(Y, X) == sumset(X, Y)
+
+    def test_gather_memory_is_bounded_by_row_blocks(self):
+        # p * |small| = 5e7 gathered elements; one unblocked int64 index
+        # matrix would take 400 MB, and one int64 vector over Z_p 8 MB
+        p = 1000003
+        rng = np.random.default_rng(9)
+        xs = rng.choice(p, size=1000, replace=False)
+        ys = rng.choice(p, size=50, replace=False)
+        assert len(ys) * p <= spectral._conv_cost(p)  # the gather is the route
+        X, Y = ZpSet.from_elements(p, xs), ZpSet.from_elements(p, ys)
+        tracemalloc.start()
+        try:
+            got = sumset(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.members(), np.unique((xs[:, None] + ys) % p))
+        assert peak < 6 * 2**20, peak
 
     def test_empty_operand(self):
         S = ZpSet.from_elements(7, [1, 2])
