@@ -4,9 +4,20 @@ Conventions used throughout: moment sums run over every shift s in Z_p
 including s = 0, terms with an empty shifted intersection are omitted, and
 logarithms downstream are natural.  For a subgroup A the shift profile
 |A ∩ (A + s)| is constant on cosets of A, and so is every sum, count or
-profile of sets whose nonzero parts are A-invariant.  coset_counts evaluates
-such a quantity at one point per coset, from the per-prime power table, and
-SubgroupContext holds every per-subgroup quantity built on it.
+profile of sets whose nonzero parts are A-invariant.  coset_counts computes
+such counts on one of three tiers, whichever spectral's cost model prices
+lowest: a bincount of all pair sums (tiny operands), a gather at one point
+per coset from the per-prime power table, or one exact convolution.
+
+Three exact size arguments skip counting altogether:
+- pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (coset_sumset, and
+  zpsets.sumset for arbitrary sets);
+- complement: the shift profile of a set with more than p/2 elements is read
+  from its smaller complement (invariant_profile);
+- multiset count: |6A| <= C(d + 5, 6), so 6A misses part of Z_p* when that
+  is below p - 1 (verifier.check_six_fold, SubgroupContext.covering_index).
+
+SubgroupContext holds every per-subgroup quantity built on them.
 """
 
 from __future__ import annotations
@@ -40,14 +51,14 @@ class InvarianceViolation(ValueError):
 def shift_sizes(X: ZpSet) -> np.ndarray:
     """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers.
 
-    A pairwise-difference bincount or one exact convolution with the
-    reflected indicator, whichever the cost model prices lower.
+    A blocked bincount of the pair differences (pair_counts with Y = -X) or
+    one exact convolution with the reflected indicator, whichever the cost
+    model prices lower.
     """
     p = X.p
     if spectral.SCATTER_COST * X.card * X.card <= spectral._conv_cost(p):
         el = X.members()
-        diffs = (el[:, None] - el[None, :]) % p
-        return np.bincount(diffs.ravel(), minlength=p).astype(np.int64)
+        return spectral.pair_counts(el, (-el) % p, p)
     ind = X.bits.astype(np.int64)
     refl = ind[(p - np.arange(p)) % p]  # indicator of -X
     return cyclic_convolution_exact(ind, refl, p)
@@ -73,14 +84,20 @@ def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
     X is given by its indicator and Y by its members, residues in [0, p).
-    Both must have A-invariant nonzero parts; then so does X * Y.  It is
-    evaluated at 0 and at g^j, one point per coset, by an (m+1) x |Y|
-    gather_counts (m = (p-1)/d) and spread over coset j, column j of
-    power_table(p).reshape(d, m).  Past the crossover it is one exact
-    convolution instead.
+    Both must have A-invariant nonzero parts; then so does X * Y.  Three
+    tiers, priced in spectral's units, the cheapest taken:
+    - pairs, SCATTER_COST |X| |Y|: pair_counts bincounts every x + y, no
+      invariance used; it wins for the tiny operands of small d;
+    - gather, (m + 1) |Y| with m = (p-1)/d: an (m+1) x |Y| gather_counts at 0
+      and at g^j, one point per coset, spread over coset j, column j of
+      power_table(p).reshape(d, m);
+    - one exact convolution, _conv_cost(p).
     """
     p, m = A.p, (A.p - 1) // A.d
-    if m * len(y) > spectral._conv_cost(p):
+    gather, conv = (m + 1) * len(y), spectral._conv_cost(p)
+    if spectral.SCATTER_COST * int(np.count_nonzero(x_bits)) * len(y) < min(gather, conv):
+        return spectral.pair_counts(np.flatnonzero(x_bits), y, p)
+    if gather > conv:
         y_bits = np.zeros(p, dtype=bool)
         y_bits[y] = True
         return cyclic_convolution_exact(x_bits, y_bits, p)
@@ -93,9 +110,32 @@ def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
-    """X + Y for X, Y with A-invariant nonzero parts, gathering over the smaller."""
+    """X + Y for X, Y with A-invariant nonzero parts, gathering over the smaller.
+
+    All of Z_p, uncounted, when |X| + |Y| > p: then X meets z - Y for every z.
+    """
+    if X.card + Y.card > A.p:
+        return ZpSet.full(A.p)
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
     return ZpSet(A.p, coset_counts(A, big.bits, small.members()) > 0)
+
+
+def invariant_profile(A: Subgroup, X: ZpSet) -> np.ndarray:
+    """|X ∩ (X + s)| for every s in Z_p, X with an A-invariant nonzero part.
+
+    Counted as X * (-X) on the coset kernel.  When |X| > p/2 it is read from
+    the complement C = Z_p minus X, whose nonzero part is A-invariant too:
+    X ∩ (X + s) misses exactly C ∪ (C + s), so the size is
+    p - 2|C| + |C ∩ (C + s)|.
+    """
+    p = A.p
+    if 2 * X.card <= p:
+        return coset_counts(A, X.bits, (-X.members()) % p)
+    c_bits = ~X.bits
+    c = np.flatnonzero(c_bits)
+    sizes = coset_counts(A, c_bits, (-c) % p)
+    sizes += p - 2 * len(c)
+    return sizes
 
 
 def additive_energy(A: ZpSet, B: ZpSet) -> int:
@@ -188,11 +228,11 @@ class SubgroupContext:
     @cached_property
     def profile(self) -> np.ndarray:
         """|A ∩ (A + s)| for every s: the counts of A * (-A)."""
-        return coset_counts(self.A, self.aset.bits, (-self.A.elements) % self.p)
+        return invariant_profile(self.A, self.aset)
 
     @cached_property
     def two_a_profile(self) -> np.ndarray:
-        return coset_counts(self.A, self.two_a.bits, (-self.two_a.members()) % self.p)
+        return invariant_profile(self.A, self.two_a)
 
     @cached_property
     def energy(self) -> int:

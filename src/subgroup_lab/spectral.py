@@ -180,6 +180,14 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
 # SCATTER_COST: 2.2-4.0 elements in shift_sizes' bincount (|X| >= 64) and
 # 2.6-4.6 in _shifted_sumset_sizes' scatter (d >= 84), p = 97 to 10007; the
 # bincount still beat the FFT up to |X| = 97 at p = 97 (43-72 against 52-92 us).
+# coset_counts takes pair_counts over its gather when SCATTER_COST |X| |Y| is
+# below (m + 1) |Y|, i.e. up to |X| = (m + 1)/3.  Timed against that gather,
+# pair_counts crossed it near |X| = 7e3 for p = 100003, d = 6, |Y| = 48 (model
+# 5556), 0.7-2.7e3 for d = 42, |Y| = 84 (model 794) and 6e3-1.2e5 at
+# p = 1000003, d = 6, |Y| = 48 (model 55556).  For p <= 10007 the pairs stayed
+# faster 3-6x past the model's switch (p = 1009, d = 4, |Y| = 4: |X| = 500
+# against 84; p = 10007, d = 2: every |X|): there both tiers' unpriced O(p)
+# pass over Z_p sets the time.
 CONV_COST_PER_N = 24
 CONV_COST_PER_CALL = 8192
 SCATTER_COST = 3
@@ -194,18 +202,50 @@ def gather_counts(x_bits: np.ndarray, z, y: np.ndarray, out=None) -> np.ndarray:
     """#{y in Y : z - y in X} at each point of z: int64, or > 0 into a bool out.
 
     X is given by its indicator and Y by its members, z and y residues in
-    [0, p); z = None is all of Z_p, built block by block.  The |z| x |Y|
-    gather runs in row blocks of at most _GATHER_BLOCK elements (or one |Y|).
+    [0, p).  The |z| x |Y| gather runs in row blocks of at most _GATHER_BLOCK
+    elements (or one |Y|).  z = None is all of Z_p: the count over z is then
+    the sum of the rotations of X by each y, and each rotation is copied as
+    one row of the doubled indicator, _GATHER_BLOCK // p rows at a time.
     """
     n = len(x_bits) if z is None else len(z)
     if out is None:
         out = np.empty(n, dtype=np.int64)
+    if z is None:
+        # rows[k] = doubled[k : k + p], a view, so rows[p - y][z] = x_bits[z - y]
+        doubled = np.concatenate((x_bits, x_bits))
+        s = doubled.itemsize
+        rows = np.ndarray((n + 1, n), doubled.dtype, buffer=doubled, strides=(s, s))
+        out[:] = 0
+        step = max(1, _GATHER_BLOCK // n)
+        for i in range(0, len(y), step):
+            out += np.add.reduce(rows[n - y[i : i + step]], axis=0, dtype=out.dtype)
+        return out
     step = max(1, _GATHER_BLOCK // max(1, len(y)))
     for i in range(0, n, step):
-        zi = np.arange(i, min(i + step, n)) if z is None else z[i : i + step]
         # z - y lies in (-p, p); a negative index wraps
-        np.add.reduce(x_bits[zi[:, None] - y], axis=1, dtype=out.dtype, out=out[i : i + step])
+        np.add.reduce(x_bits[z[i : i + step, None] - y], axis=1, dtype=out.dtype, out=out[i : i + step])
     return out
+
+
+def pair_counts(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """#{(x, y) in X x Y : x + y = z} for every z in Z_p, exact int64.
+
+    X and Y are given by their members, residues in [0, p).  The pair sums
+    are reduced mod p and bincounted in row blocks of at most
+    max(_GATHER_BLOCK, p) sums (or one |Y|), so each length-p bincount serves
+    at least p pairs.
+    """
+    step = max(1, max(_GATHER_BLOCK, p) // max(1, len(y)))
+
+    def block(i: int) -> np.ndarray:
+        sums = x[i : i + step, None] + y
+        sums %= p
+        return np.bincount(sums.ravel(), minlength=p)
+
+    counts = block(0)  # the one allocation over Z_p; most calls have one block
+    for i in range(step, len(x), step):
+        counts += block(i)
+    return counts
 
 
 def naive_cyclic_convolution(u, v, p: int) -> np.ndarray:

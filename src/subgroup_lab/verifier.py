@@ -308,9 +308,14 @@ def covering_index(S: ZpSet, kmax: int):
 def check_six_fold(A: Subgroup) -> bool:
     """True iff the six-fold sumset 6A covers every nonzero residue.
 
-    Computed through the chain 2A, 3A, 3A + 3A on the coset kernel, a
-    different route from covering_index's one-step folds.
+    False without counting when C(d + 5, 6), the number of 6-multisets from
+    A and so a bound on |6A|, is below p - 1.  Otherwise computed through the
+    chain 2A, 3A, 3A + 3A with coset_sumset, whose tiers and pigeonhole
+    shortcut serve every step: a different route from covering_index's
+    one-step folds, built without the subgroup's context.
     """
+    if math.comb(A.d + 5, 6) < A.p - 1:
+        return False
     aset = A.indicator
     two = coset_sumset(A, aset, aset)
     three = coset_sumset(A, two, aset)

@@ -1,8 +1,10 @@
 """Dense subsets of Z_p with additive and multiplicative set arithmetic.
 
-A ZpSet is an immutable boolean indicator vector of length p.  A sumset is a
-gather over the smaller operand or one exact convolution, thresholded at >= 1,
-whichever the cost model in spectral prices lower.
+A ZpSet is an immutable boolean indicator vector of length p.  A sumset is
+all of Z_p when |X| + |Y| > p (pigeonhole); otherwise it is a gather of the
+larger operand's rotations by the smaller's members, or one exact
+convolution thresholded at >= 1, whichever the cost model in spectral prices
+lower.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ class ZpSet:
     @classmethod
     def empty(cls, p: int) -> "ZpSet":
         return cls(p, np.zeros(validate_modulus(p), dtype=bool))
+
+    @classmethod
+    def full(cls, p: int) -> "ZpSet":
+        return cls(p, np.ones(validate_modulus(p), dtype=bool))
 
     def members(self) -> np.ndarray:
         """Elements in ascending order."""
@@ -110,6 +116,8 @@ def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
     if small.card == 0:
         return ZpSet.empty(p)
+    if small.card + big.card > p:  # X meets z - Y for every z
+        return ZpSet.full(p)
     from .spectral import _conv_cost, cyclic_convolution_exact, gather_counts
     if small.card * p <= _conv_cost(p):
         return ZpSet(p, gather_counts(big.bits, None, small.members(), np.empty(p, dtype=bool)))

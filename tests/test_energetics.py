@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,25 @@ class TestShiftSizes:
     def test_zero_shift_is_cardinality(self):
         S = ZpSet.from_elements(13, [2, 3, 5, 7])
         assert shift_sizes(S)[0] == 4
+
+    def test_pair_route_memory_is_bounded_by_blocks(self, monkeypatch):
+        # |X| = 4096 is the largest set the cost model sends to the pair
+        # bincount at p = 1000003; one int64 array of all |X|^2 differences
+        # would take 128 MB, blocks of p sums and the counts about 23 MB
+        p, k = 1000003, 4096
+        assert spectral.SCATTER_COST * k * k <= spectral._conv_cost(p)
+        assert spectral.SCATTER_COST * (k + 1) ** 2 > spectral._conv_cost(p)
+        rng = np.random.default_rng(11)
+        S = ZpSet.from_elements(p, rng.choice(p, size=k, replace=False))
+        tracemalloc.start()
+        try:
+            got = shift_sizes(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
+        assert np.array_equal(got, shift_sizes(S))
+        assert peak < 48 * 2**20, peak
 
 
 class TestAdditiveEnergy:

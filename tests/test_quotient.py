@@ -2,11 +2,15 @@
 
 Every subgroup with p <= 2000 is checked exhaustively: its construction from
 the power table, the k-fold chain, A * A, both shift profiles and the
-six-fold verdict.  A Hypothesis property pits the coset kernel against brute
-sumsets on random unions of cosets, on both sides of the gather crossover.
+six-fold verdict, with the coset kernel forced onto each of its three tiers
+in turn.  A Hypothesis property pits the kernel against brute sumsets on
+random unions of cosets, on every tier; the size shortcuts (pigeonhole,
+complement, multiset count) are checked on both sides of their conditions.
 """
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +21,25 @@ import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import (
     SubgroupContext,
     _shifted_sumset_sizes,
+    coset_counts,
     coset_sumset,
+    invariant_profile,
     shift_sizes,
 )
-from subgroup_lab.numtheory import coset_reps, divisors, is_prime, power_table, subgroup
+from subgroup_lab.numtheory import (
+    Subgroup,
+    coset_reps,
+    divisors,
+    is_prime,
+    power_table,
+    primitive_root,
+    subgroup,
+)
 from subgroup_lab.spectral import convolve_counts, phi_subgroup
 from subgroup_lab.verifier import check_six_fold, covering_index
-from subgroup_lab.zpsets import fold_sumset, invariant_set, shift_intersect, sumset
+from subgroup_lab.zpsets import ZpSet, fold_sumset, invariant_set, shift_intersect, sumset
 
-from oracles import brute_cosets, brute_sumset, brute_sumset_ratio
+from oracles import brute_cosets, brute_shift_profile, brute_sumset, brute_sumset_ratio
 
 PRIMES_2000 = [p for p in range(3, 2000) if is_prime(p)]
 PRIMES_3000 = [p for p in range(3, 3000) if is_prime(p)]
@@ -37,11 +51,22 @@ def subgroups_upto_2000():
             yield subgroup(p, d)
 
 
-def force_gather(mp, on: bool) -> None:
-    """Send every coset kernel call to the gather (on), in row blocks of a
-    few elements, or to the convolution."""
-    mp.setattr(spectral, "CONV_COST_PER_N", math.inf if on else -math.inf)
-    mp.setattr(spectral, "_GATHER_BLOCK", 7)
+TIERS = ("pairs", "gather", "fft")
+
+
+def force_tier(mp, tier: str, block: int | None = None) -> None:
+    """Send coset_counts calls to one tier, the pair bincount, the gather or
+    the convolution, with gathers and pair sums in blocks of `block` elements
+    if given.  A call with an empty Y never takes the pair tier."""
+    mp.setattr(spectral, "SCATTER_COST", 0 if tier == "pairs" else math.inf)
+    mp.setattr(spectral, "CONV_COST_PER_N", -math.inf if tier == "fft" else math.inf)
+    if block is not None:
+        mp.setattr(spectral, "_GATHER_BLOCK", block)
+
+
+def random_union(A: Subgroup, k: int, zero: bool, rng: random.Random) -> ZpSet:
+    """A union of k random cosets of A, with 0 if asked."""
+    return invariant_set(A, rng.sample(A.cosets.reps.tolist(), k), zero).base
 
 
 def test_power_table_is_the_cyclic_group():
@@ -61,29 +86,38 @@ def test_subgroup_and_coset_reps_match_brute_scan():
 
 
 def test_chain_and_six_fold_match_fold_sumset():
+    # the references run unforced, the coset kernel once on each tier
     for A in subgroups_upto_2000():
-        ctx = SubgroupContext(A)
-        want = fold_sumset(A.indicator, 1)
-        for k in range(1, 7):
-            if k > 1:  # fold_sumset's own recursion, one step at a time
-                want = sumset(want, A.indicator)
-            assert ctx.fold(k) == want, (A.p, A.d, k)
+        want = [fold_sumset(A.indicator, 1)]
+        for _ in range(5):  # fold_sumset's own recursion, one step at a time
+            want.append(sumset(want[-1], A.indicator))
         k8 = covering_index(A.indicator, 8)
-        assert ctx.covering_index(8) == k8, (A.p, A.d)
-        assert check_six_fold(A) == (k8 is not None and k8 <= 6), (A.p, A.d)
+        for tier in TIERS:
+            with pytest.MonkeyPatch.context() as mp:
+                force_tier(mp, tier)
+                ctx = SubgroupContext(A)
+                for k in range(1, 7):
+                    assert ctx.fold(k) == want[k - 1], (A.p, A.d, k, tier)
+                assert ctx.covering_index(8) == k8, (A.p, A.d, tier)
+                assert check_six_fold(A) == (k8 is not None and k8 <= 6), (A.p, A.d, tier)
 
 
 def test_counts_and_profiles_match_convolution(monkeypatch):
     # shift_sizes on its convolution route; its bincount route is pinned elsewhere
     monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
     for A in subgroups_upto_2000():
-        ctx = SubgroupContext(A)
         want = convolve_counts(A.indicator, A.indicator)
-        assert np.array_equal(ctx.conv_aa.counts, want.counts), (A.p, A.d)
-        assert ctx.conv_aa.total == want.total
-        assert ctx.two_a == fold_sumset(A.indicator, 2)
-        assert np.array_equal(ctx.profile, shift_sizes(A.indicator)), (A.p, A.d)
-        assert np.array_equal(ctx.two_a_profile, shift_sizes(ctx.two_a)), (A.p, A.d)
+        two_a = fold_sumset(A.indicator, 2)
+        profile, two_a_profile = shift_sizes(A.indicator), shift_sizes(two_a)
+        for tier in TIERS:
+            with pytest.MonkeyPatch.context() as mp:
+                force_tier(mp, tier)
+                ctx = SubgroupContext(A)
+                assert np.array_equal(ctx.conv_aa.counts, want.counts), (A.p, A.d, tier)
+                assert ctx.conv_aa.total == want.total
+                assert ctx.two_a == two_a
+                assert np.array_equal(ctx.profile, profile), (A.p, A.d, tier)
+                assert np.array_equal(ctx.two_a_profile, two_a_profile), (A.p, A.d, tier)
 
 
 def test_phi_matches_direct_evaluation():
@@ -110,10 +144,10 @@ def test_shifted_sumset_sizes_match_sumset():
 @pytest.mark.parametrize("p, d", [(13, 4), (31, 6), (61, 12), (101, 20), (101, 100)])
 def test_sumset_ratio_on_both_sides_of_crossover(p, d, monkeypatch):
     want = brute_sumset_ratio(subgroup(p, d).elements.tolist(), p)
-    for on in (True, False):
-        force_gather(monkeypatch, on)
+    for tier in TIERS:
+        force_tier(monkeypatch, tier, block=7)
         got = SubgroupContext(subgroup(p, d)).sumset_ratio
-        assert abs(got - want) <= 1e-9 * max(1.0, want), (p, d, on)
+        assert abs(got - want) <= 1e-9 * max(1.0, want), (p, d, tier)
 
 
 @st.composite
@@ -136,9 +170,98 @@ def coset_unions(draw):
 def test_coset_sumset_matches_brute(case):
     A, X, Y = case
     want = brute_sumset(X.members().tolist(), Y.members().tolist(), A.p)
-    for on in (None, True, False):
+    for tier in (None,) + TIERS:
         with pytest.MonkeyPatch.context() as mp:
-            if on is not None:
-                force_gather(mp, on)
+            if tier is not None:
+                force_tier(mp, tier, block=7)
             got = coset_sumset(A, X, Y)
-        assert set(got.members().tolist()) == want, (A.p, A.d, on)
+        assert set(got.members().tolist()) == want, (A.p, A.d, tier)
+
+
+def test_pigeonhole_boundary_matches_brute():
+    # |X| + |Y| = p may miss a residue; p + 1 never does.  The unions take
+    # a + (m - a) = m cosets and one or both zeros.
+    rng = random.Random(3)
+    for p in (q for q in PRIMES_2000 if q <= 200):
+        for d in divisors(p - 1):
+            A, m = subgroup(p, d), (p - 1) // d
+            for zx, zy in ((True, False), (False, True), (True, True)):
+                a = rng.randint(0, m)
+                X = random_union(A, a, zx, rng)
+                Y = random_union(A, m - a, zy, rng)
+                assert X.card + Y.card == p + (zx and zy)
+                want = brute_sumset(X.members().tolist(), Y.members().tolist(), p)
+                assert set(sumset(X, Y).members().tolist()) == want, (p, d, a)
+                for tier in TIERS:
+                    with pytest.MonkeyPatch.context() as mp:
+                        force_tier(mp, tier)
+                        got = coset_sumset(A, X, Y)
+                    assert set(got.members().tolist()) == want, (p, d, a, tier)
+
+
+def test_sumset_pigeonhole_boundary_on_intervals():
+    # an interval pair with |X| + |Y| = p misses p - 1; one more element covers
+    for p in (7, 101, 1009):
+        for k in (1, p // 2, p - 1):
+            xs, ys = list(range(k)), list(range(p - k))
+            X, Y = ZpSet.from_elements(p, xs), ZpSet.from_elements(p, ys)
+            assert set(sumset(X, Y).members().tolist()) == brute_sumset(xs, ys, p)
+            assert sumset(X, Y).card == p - 1
+            Y1 = ZpSet.from_elements(p, ys + [p - 1])
+            assert sumset(X, Y1) == ZpSet.full(p)
+
+
+def test_complement_profiles_match_brute():
+    # sets above p/2 are profiled through their complement: empty (X = Z_p),
+    # with 0 (X misses 0) and without it; below p/2 the direct route
+    rng = random.Random(4)
+    for p in (q for q in PRIMES_2000 if q <= 150):
+        for d in divisors(p - 1):
+            A, m = subgroup(p, d), (p - 1) // d
+            cases = [ZpSet.full(p), A.indicator]
+            for zero in (False, True):
+                cases.append(random_union(A, rng.randint(0, m), zero, rng))
+            for X in cases:
+                want = brute_shift_profile(X.members().tolist(), p)
+                for tier in TIERS:
+                    with pytest.MonkeyPatch.context() as mp:
+                        force_tier(mp, tier)
+                        got = invariant_profile(A, X)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want, (p, d, X.card, 0 in X, tier)
+
+
+def test_six_fold_multiset_count_rules_out_without_allocating():
+    # C(28, 6) = 376740 < p - 1 at p ~ 2^24, d = 23; the subgroup is built
+    # from its generator so that no power table is made either
+    p, d = 16777259, 23
+    gen = pow(primitive_root(p), (p - 1) // d, p)
+    elements = np.array(sorted(pow(gen, k, p) for k in range(d)), dtype=np.int64)
+    A = Subgroup(p=p, d=d, gen=gen, elements=elements)
+    tracemalloc.start()
+    try:
+        assert check_six_fold(A) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # one indicator over Z_p would take 16 MB
+
+
+def test_pair_tier_memory_is_bounded_by_blocks():
+    # |X| |Y| = 6000 x 2400 pairs: one int64 array of all the sums would take
+    # 110 MB; blocks of p sums and the counts over Z_p take about 23 MB
+    p, d = 1000003, 6
+    A, rng = subgroup(p, d), random.Random(5)
+    X = random_union(A, 1000, True, rng)
+    y = random_union(A, 400, False, rng).members()
+    m = (p - 1) // d
+    assert spectral.SCATTER_COST * X.card * len(y) < min((m + 1) * len(y), spectral._conv_cost(p))
+    tracemalloc.start()
+    try:
+        got = coset_counts(A, X.bits, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = convolve_counts(X, ZpSet.from_elements(p, y)).counts
+    assert np.array_equal(got, want)
+    assert peak < 48 * 2**20, peak
