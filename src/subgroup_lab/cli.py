@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import energetics, numtheory, spectral
-from .energetics import HEAVY_LIMIT, SubgroupContext, shift_sizes
+from .energetics import SubgroupContext, shift_sizes
 from .numtheory import divisors, subgroup
 from .spectral import convolve_counts, dft_magnitudes, naive_dft_magnitudes, phi_subgroup
 from .verifier import (
@@ -103,8 +103,10 @@ class SweepConfig:
         repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
         if repeated:
             raise ValueError(f"repeated checks: {', '.join(repeated)}")
-        if self.hypothesis_constant <= 0:
-            raise ValueError("hypothesis constant must be positive")
+        if not 0 < self.hypothesis_constant < math.inf:
+            raise ValueError(
+                f"hypothesis constant must be positive and finite, got {self.hypothesis_constant}"
+            )
         return self
 
 
@@ -196,7 +198,7 @@ def primes_between(lo: int, hi: int) -> list[int]:
     for q in range(2, int(math.isqrt(hi)) + 1):
         if sieve[q]:
             sieve[q * q :: q] = False
-    return [int(q) for q in np.flatnonzero(sieve) if q >= lo and q % 2 == 1]
+    return (np.flatnonzero(sieve[lo:]) + lo).tolist()
 
 
 def _qualifying_orders(p: int, cfg: SweepConfig) -> list[int]:
@@ -217,18 +219,17 @@ def _qualifying_orders(p: int, cfg: SweepConfig) -> list[int]:
 def _record_for(args) -> SweepRecord:
     p, d, cfg = args
     A = subgroup(p, d)
-    heavy_ok = cfg.heavy_ops or p <= HEAVY_LIMIT
     checks: dict = {}
     if d >= 3:
         ctx = CheckContext(
-            A, hypothesis_constant=cfg.hypothesis_constant, allow_heavy=heavy_ok
+            A, hypothesis_constant=cfg.hypothesis_constant, allow_heavy=cfg.heavy_ops
         )
         for name in cfg.checks:
-            if name in HEAVY_CHECKS and not heavy_ok:
+            if name in HEAVY_CHECKS and not ctx.heavy_ok:
                 continue
             checks[name] = check_bound(name, A, ctx)
     else:  # too small for the catalog; the record reads the same memo
-        ctx = SubgroupContext(A)
+        ctx = SubgroupContext(A, allow_heavy=cfg.heavy_ops)
     return SweepRecord(
         p=p,
         d=d,
@@ -240,7 +241,7 @@ def _record_for(args) -> SweepRecord:
         E32=ctx.energy32,
         phi=ctx.phi,
         ssc_ratio=ctx.ssc,
-        sumset_ratio=ctx.sumset_ratio if heavy_ok else None,
+        sumset_ratio=ctx.sumset_ratio if ctx.heavy_ok else None,
         clears_threshold=clears_cover_threshold(p, d),
         checks=checks,
     )
@@ -739,13 +740,17 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         text = summary_text(rows, checks)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
-        if args.svg_dir:
-            write_check_svgs(rows, checks, args.svg_dir)
+        try:
+            if args.out:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            else:
+                print(text, end="")
+            if args.svg_dir:
+                write_check_svgs(rows, checks, args.svg_dir)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 0
     return 2
 

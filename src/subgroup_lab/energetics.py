@@ -172,12 +172,15 @@ class SubgroupContext:
     A * A, 2A, the k-fold chain, the shift profiles of A and 2A, phi, the
     energies and both ratio sums all come from the coset kernel.  The catalog's
     CheckContext extends this class with its |A| >= 3 guard and knobs.
+    heavy_ok says whether the heavy sumset_ratio may run: always up to
+    HEAVY_LIMIT, above it only with allow_heavy.
     """
 
-    def __init__(self, A: Subgroup):
+    def __init__(self, A: Subgroup, *, allow_heavy: bool = False):
         self.A = A
         self.p = A.p
         self.d = A.d
+        self.heavy_ok = allow_heavy or A.p <= HEAVY_LIMIT
 
     @cached_property
     def aset(self) -> ZpSet:
@@ -262,6 +265,11 @@ class SubgroupContext:
 
     @cached_property
     def sumset_ratio(self) -> float:
+        if not self.heavy_ok:
+            raise ValueError(
+                f"the shifted-sumset ratio sum is heavy; p={self.p} exceeds"
+                f" {HEAVY_LIMIT} (pass allow_heavy=True to force)"
+            )
         # s = 0 term, then one term per coset, added in ascending rep order
         A, d = self.A, self.d
         reps = A.cosets.reps
@@ -333,12 +341,7 @@ def sumset_ratio_sum(A: Subgroup, *, allow_large: bool = False) -> float:
     |A + A_s| is constant as s runs over a coset of A (dilating by u in A maps
     A + A_s onto A + A_{us}), so one size per coset covers all of Z_p*.
     """
-    if A.p > HEAVY_LIMIT and not allow_large:
-        raise ValueError(
-            f"sumset_ratio_sum is heavy; p={A.p} exceeds {HEAVY_LIMIT}"
-            " (pass allow_large=True to force)"
-        )
-    return SubgroupContext(A).sumset_ratio
+    return SubgroupContext(A, allow_heavy=allow_large).sumset_ratio
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ Convolution of nonnegative integers is exact at every size, in three tiers:
    split into limbs narrow enough to certify, recombined exactly in int64.
 3. Otherwise big-integer Kronecker packing (object dtype from 2^63 up).
 
-The complex spectrum of prime length p is computed by the chirp-z (Bluestein)
-reduction to power-of-two FFTs, since p prime admits no radix splitting.
+Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
 """
 
 from __future__ import annotations
@@ -290,37 +289,6 @@ def convolve_counts(X: ZpSet, Y: ZpSet) -> CountProfile:
 # complex spectra
 
 
-@lru_cache(maxsize=8)
-def _bluestein_tables(p: int):
-    """Chirp tables for length p: (w_pos, fft of the wrapped chirp kernel, n).
-
-    Exponents are reduced mod 2p before hitting the complex exponential, since
-    exp(i*pi*m^2/p) has period 2p in m^2.  That keeps arguments small and the
-    tables accurate.
-    """
-    m = np.arange(p, dtype=np.int64)
-    sq = (m * m) % (2 * p)
-    w_pos = np.exp(1j * np.pi * sq / p)  # e^{+i pi m^2 / p}
-    n = _next_pow2(2 * p - 1)
-    kernel = np.zeros(n, dtype=np.complex128)
-    kernel[:p] = np.conj(w_pos)
-    kernel[n - p + 1 :] = np.conj(w_pos[1:][::-1])  # kernel[-m] = kernel[m]
-    return w_pos, np.fft.fft(kernel), n
-
-
-def bluestein_dft(x: np.ndarray) -> np.ndarray:
-    """X[k] = sum_n x[n] e^{+2 pi i n k / p} via chirp-z, any length p >= 1."""
-    x = np.asarray(x, dtype=np.complex128)
-    p = x.size
-    if p == 1:
-        return x.copy()
-    w_pos, kernel_fft, n = _bluestein_tables(p)
-    a = np.zeros(n, dtype=np.complex128)
-    a[:p] = x * w_pos
-    conv = np.fft.ifft(np.fft.fft(a) * kernel_fft)
-    return w_pos * conv[:p]
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """|sum_{x in S} e_p(lambda x)| for every frequency lambda.
@@ -340,8 +308,7 @@ class Spectrum:
 
 def dft_magnitudes(S: ZpSet) -> Spectrum:
     """Full spectrum of the indicator of S, exponential-sum maximum included."""
-    x = S.bits.astype(np.float64)
-    mags = np.abs(bluestein_dft(x))
+    mags = np.abs(np.fft.fft(S.bits.astype(np.float64)))
     mags[0] = float(S.card)  # DC term is the cardinality, exactly
     if S.p == 1 or S.card == 0:
         return Spectrum(p=S.p, mags=mags, phi=0.0, argmax=0)

@@ -58,7 +58,7 @@ class FitResult:
 
 
 class CheckContext(SubgroupContext):
-    """The per-subgroup memo with the catalog's guard, knobs and heavy gate."""
+    """The per-subgroup memo with the catalog's guard and knobs."""
 
     def __init__(
         self,
@@ -71,25 +71,20 @@ class CheckContext(SubgroupContext):
     ):
         if A.d < 3:
             raise ValueError(f"catalog checks need |A| >= 3, got {A.d}")
-        if hypothesis_constant <= 0:
-            raise ValueError("hypothesis constant must be positive")
-        super().__init__(A)
+        positive = {"hypothesis constant": hypothesis_constant, "l3 threshold": l3_threshold}
+        for name, val in positive.items():
+            if not 0 < val < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {val}")
+        if not math.isfinite(l3_moment_order):
+            raise ValueError(f"l3 moment order must be finite, got {l3_moment_order}")
+        super().__init__(A, allow_heavy=allow_heavy)
         self.c = float(hypothesis_constant)
         self.l3_moment_order = float(l3_moment_order)
         self.l3_threshold = float(l3_threshold)
-        self.allow_heavy = allow_heavy
 
     @cached_property
     def lnd(self) -> float:
         return math.log(self.d)
-
-    @cached_property
-    def sumset_ratio(self) -> float:
-        if self.p > HEAVY_LIMIT and not self.allow_heavy:
-            raise ValueError(
-                f"ssc_lemma3 needs the heavy shifted-sumset sum; p={self.p} is gated"
-            )
-        return super().sumset_ratio
 
     # hypothesis-range comparators with the tunable constant
     def _ll(self, a: float, b: float) -> bool:

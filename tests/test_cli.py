@@ -127,8 +127,9 @@ class TestConfigPrecedence:
             SweepConfig(format="xml").validate()
         with pytest.raises(ValueError):
             SweepConfig(checks=("nope",)).validate()
-        with pytest.raises(ValueError):
-            SweepConfig(hypothesis_constant=-1).validate()
+        for bad in (-1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SweepConfig(hypothesis_constant=bad).validate()
 
     def test_validate_rejects_empty_by_construction(self):
         for bad in (
@@ -485,6 +486,24 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: repeated checks: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, cfg_text",
+        [
+            (["--hypothesis-constant", "nan"], ""),
+            (["--hypothesis-constant", "inf"], ""),
+            ([], "hypothesis_constant = nan\n"),
+        ],
+    )
+    def test_sweep_non_finite_constant_exits_2(self, tmp_path, capsys, flags, cfg_text):
+        # a NaN constant used to pass validation and write every :hyp cell false
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / "r.csv"
+        rc = main(["sweep", "--config", str(cfg), "--pmax", "13", "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: hypothesis constant")
+        assert not out.exists()
+
     def test_sweep_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("p_min = banana\n")
@@ -540,6 +559,17 @@ class TestMain:
         assert rc == 0
         assert summary.exists()
         assert (plots / "hk_energy.svg").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg-dir"])
+    def test_report_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        records = tmp_path / "r.csv"
+        assert main(["sweep", "--pmax", "13", "--out", str(records)]) == 0
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        target = tmp_path / "missing" / "x.txt" if flag == "--out" else blocker
+        capsys.readouterr()
+        assert main(["report", str(records), flag, str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_report_missing_file(self, capsys):
         assert main(["report", "/nonexistent/r.csv"]) == 2

@@ -11,7 +11,6 @@ from subgroup_lab.numtheory import is_prime, subgroup
 from subgroup_lab.spectral import (
     CountProfile,
     Spectrum,
-    bluestein_dft,
     convolve_counts,
     cyclic_convolution_exact,
     dft_magnitudes,
@@ -306,24 +305,15 @@ class TestDft:
         assert np.allclose(spec.mags[1:], 1.0, atol=1e-12)
         assert spec.phi == pytest.approx(1.0, abs=1e-12)
 
-    def test_bluestein_against_numpy_fft(self):
-        # the kernel uses the e^(+2 pi i / p) character, so for real input the
-        # transform is the conjugate of numpy's forward fft
-        rng = np.random.default_rng(22)
-        for p in (3, 17, 103, 499):
-            x = rng.random(p)
-            got = bluestein_dft(x)
-            want = np.fft.fft(x).conj()
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
-
-    def test_bluestein_positive_character(self):
-        # transform of the delta at 1 evaluated at frequency k is e^(2 pi i k / p)
-        p = 11
-        x = np.zeros(p)
-        x[1] = 1.0
-        got = bluestein_dft(x)
-        want = np.exp(2j * np.pi * np.arange(p) / p)
-        assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+    def test_matches_naive_at_large_primes(self):
+        # numpy's prime-length FFT where verify's energy family uses it
+        # (p <= 1024) and past that range
+        rng = random.Random(23)
+        for p in (1009, 4099):
+            els = rng.sample(range(p), rng.randint(1, p // 8))
+            S = ZpSet.from_elements(p, els)
+            spec = dft_magnitudes(S)
+            assert np.allclose(spec.mags, naive_dft_magnitudes(S), rtol=1e-9, atol=1e-9)
 
 
 class TestPhiSubgroup:

@@ -7,7 +7,7 @@ import pytest
 import subgroup_lab.energetics as energetics
 import subgroup_lab.verifier as verifier
 from subgroup_lab.numtheory import divisors, subgroup
-from subgroup_lab.energetics import additive_energy
+from subgroup_lab.energetics import SubgroupContext, additive_energy, sumset_ratio_sum
 from subgroup_lab.spectral import convolve_counts
 from subgroup_lab.verifier import (
     ALL_CHECKS,
@@ -66,6 +66,37 @@ class TestCatalogShape:
     def test_context_rejects_bad_constant(self):
         with pytest.raises(ValueError):
             CheckContext(subgroup(7, 3), hypothesis_constant=0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(hypothesis_constant=math.nan),
+            dict(hypothesis_constant=math.inf),
+            dict(l3_threshold=0.0),
+            dict(l3_threshold=-1.0),
+            dict(l3_threshold=math.nan),
+            dict(l3_threshold=math.inf),
+            dict(l3_moment_order=math.nan),
+            dict(l3_moment_order=math.inf),
+        ],
+    )
+    def test_context_rejects_non_finite_knobs(self, knobs):
+        # l3_threshold = 0 used to divide by zero inside the l3_moment check
+        with pytest.raises(ValueError):
+            check_bound("l3_moment", subgroup(13, 3), **knobs)
+
+    def test_one_heavy_gate_for_every_route(self):
+        A = subgroup(4099, 3)
+        routes = (
+            lambda force: SubgroupContext(A, allow_heavy=force).sumset_ratio,
+            lambda force: CheckContext(A, allow_heavy=force).sumset_ratio,
+            lambda force: sumset_ratio_sum(A, allow_large=force),
+        )
+        for route in routes:
+            with pytest.raises(ValueError):
+                route(False)
+        assert SubgroupContext(A).heavy_ok is False
+        assert len({route(True) for route in routes}) == 1
 
     def test_every_check_runs_and_is_coherent(self):
         for p, d in ((7, 3), (31, 6), (101, 20), (211, 30)):
