@@ -463,22 +463,23 @@ def emit_report(records: list[SweepRecord], cfg: SweepConfig) -> dict:
 
 
 def read_rows(path: str) -> tuple[list[dict], list[str]]:
-    """Load a records file written by emit_report.  Returns (rows, check names)."""
-    rows: list[dict] = []
-    if path.endswith(".jsonl"):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        cols = list(rows[0].keys()) if rows else []
+    """Load a records file written by emit_report.  Returns (rows, check names).
+
+    JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        return [], []
+    if lines[0].startswith("{"):
+        rows = [json.loads(ln) for ln in lines]
+        cols = list(rows[0].keys())
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        if not lines:
-            return [], []
         cols = lines[0].split(",")
         rows = [{c: _parse_cell(v) for c, v in zip(cols, ln.split(","))} for ln in lines[1:]]
+    missing = [c for c in CSV_BASE_COLUMNS if c not in cols]
+    if missing:
+        raise ValueError(f"{path} is not a records file: no column {', '.join(missing)}")
     checks = [c[: -len(":ratio")] for c in cols if c.endswith(":ratio")]
     return rows, checks
 

@@ -4,10 +4,8 @@ Conventions used throughout: moment sums run over every shift s in Z_p
 including s = 0, terms with an empty shifted intersection are omitted, and
 logarithms downstream are natural.  For a subgroup A the shift profile
 |A ∩ (A + s)| is constant on cosets of A, and so is every sum, count or
-profile of sets whose nonzero parts are A-invariant.  coset_counts computes
-such counts on one of three tiers, whichever spectral's cost model prices
-lowest: a bincount of all pair sums (tiny operands), a gather at one point
-per coset from the per-prime power table, or one exact convolution.
+profile of sets whose nonzero parts are A-invariant.  shift_sizes and
+coset_counts count on spectral.exact_counts, coset_counts on A's coset layout.
 
 Three exact size arguments skip counting altogether:
 - pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (coset_sumset, and
@@ -49,19 +47,8 @@ class InvarianceViolation(ValueError):
 
 
 def shift_sizes(X: ZpSet) -> np.ndarray:
-    """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers.
-
-    A blocked bincount of the pair differences (pair_counts with Y = -X) or
-    one exact convolution with the reflected indicator, whichever the cost
-    model prices lower.
-    """
-    p = X.p
-    if spectral.SCATTER_COST * X.card * X.card <= spectral._conv_cost(p):
-        el = X.members()
-        return spectral.pair_counts(el, (-el) % p, p)
-    ind = X.bits.astype(np.int64)
-    refl = ind[(p - np.arange(p)) % p]  # indicator of -X
-    return cyclic_convolution_exact(ind, refl, p)
+    """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers: X * (-X)."""
+    return spectral.exact_counts(X.bits, (-X.members()) % X.p)
 
 
 def exact_moment(sizes: np.ndarray, r: int) -> int:
@@ -84,29 +71,10 @@ def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
     X is given by its indicator and Y by its members, residues in [0, p).
-    Both must have A-invariant nonzero parts; then so does X * Y.  Three
-    tiers, priced in spectral's units, the cheapest taken:
-    - pairs, SCATTER_COST |X| |Y|: pair_counts bincounts every x + y, no
-      invariance used; it wins for the tiny operands of small d;
-    - gather, (m + 1) |Y| with m = (p-1)/d: an (m+1) x |Y| gather_counts at 0
-      and at g^j, one point per coset, spread over coset j, column j of
-      power_table(p).reshape(d, m);
-    - one exact convolution, _conv_cost(p).
+    Both must have A-invariant nonzero parts; then so does X * Y, and
+    spectral.exact_counts counts it on A's coset layout.
     """
-    p, m = A.p, (A.p - 1) // A.d
-    gather, conv = (m + 1) * len(y), spectral._conv_cost(p)
-    if spectral.SCATTER_COST * int(np.count_nonzero(x_bits)) * len(y) < min(gather, conv):
-        return spectral.pair_counts(np.flatnonzero(x_bits), y, p)
-    if gather > conv:
-        y_bits = np.zeros(p, dtype=bool)
-        y_bits[y] = True
-        return cyclic_convolution_exact(x_bits, y_bits, p)
-    P = power_table(p)
-    vals = spectral.gather_counts(x_bits, np.concatenate(([0], P[:m])), y)
-    out = np.empty(p, dtype=np.int64)
-    out[0] = vals[0]
-    out[P.reshape(A.d, m)] = vals[1:]
-    return out
+    return spectral.exact_counts(x_bits, y, power_table(A.p).reshape(A.d, -1))
 
 
 def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
@@ -296,6 +264,8 @@ def _shifted_sumset_sizes(A: Subgroup, reps: np.ndarray, l: np.ndarray) -> np.nd
     The d * l sums a + x, a in A, x in A_r, are scattered into one bit row
     per rep, in blocks of about spectral._GATHER_BLOCK sums and bits.  A rep
     whose scatter would cost more than one exact convolution takes that instead.
+    This batched scatter is the one reader of spectral's cost names outside
+    spectral; every other exact count is priced by spectral.exact_counts.
     """
     p, el, aset = A.p, A.elements, A.indicator
     sizes = np.empty(len(reps), dtype=np.int64)
@@ -403,19 +373,17 @@ def threshold_invariant_set(
     if profile.p != A.p:
         raise ValueError(f"modulus mismatch: {profile.p} vs {A.p}")
     counts = profile.counts
-    reps = A.cosets.reps
-    cosets = (reps[:, None] * A.elements[None, :]) % A.p  # one row per coset
-    vals = counts[cosets]
-    broken = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
-    if broken.size:
-        raise InvarianceViolation(
-            f"profile is not constant on the coset of {int(reps[broken[0]])}"
-        )
-    keep = vals[:, 0].astype(np.float64) >= k
-    chosen = [int(r) for r in reps[keep]]
+    layout = power_table(A.p).reshape(A.d, -1)  # column j is the coset g^j A
+    vals = counts[layout]
+    broken = (vals != vals[0]).any(axis=0)
+    if broken.any():
+        rep = int(layout[:, broken].min())  # a coset's least element is its rep
+        raise InvarianceViolation(f"profile is not constant on the coset of {rep}")
+    cosets = layout[:, vals[0].astype(np.float64) >= k]
+    chosen = np.sort(cosets.min(axis=0)).tolist()
     with_zero = include_zero and float(counts[0]) >= k
     bits = np.zeros(A.p, dtype=bool)
-    bits[cosets[keep]] = True
+    bits[cosets] = True
     bits[0] = with_zero
     return InvariantSet(
         base=ZpSet(A.p, bits),

@@ -11,6 +11,10 @@ Convolution of nonnegative integers is exact at every size, in three tiers:
    split into limbs narrow enough to certify, recombined exactly in int64.
 3. Otherwise big-integer Kronecker packing (object dtype from 2^63 up).
 
+Every exact count X * Y of the package (shift profiles, coset counts,
+sumsets) goes through exact_counts, which prices a pair bincount, a gather
+and the exact convolution above, and runs the cheapest.
+
 Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
 """
 
@@ -176,17 +180,17 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
 # crossed gather_counts (|z| = p or |Y| = p/2) at 24-39e3 elements for p = 193
 # to 1009 (never at 97), 13-24 n to 30011 and 31-38 n to 300007; mean squared
 # log error 0.115 (the best fit, 10240 + 21 n: 0.099).  A pair costs
-# SCATTER_COST: 2.2-4.0 elements in shift_sizes' bincount (|X| >= 64) and
-# 2.6-4.6 in _shifted_sumset_sizes' scatter (d >= 84), p = 97 to 10007; the
-# bincount still beat the FFT up to |X| = 97 at p = 97 (43-72 against 52-92 us).
-# coset_counts takes pair_counts over its gather when SCATTER_COST |X| |Y| is
-# below (m + 1) |Y|, i.e. up to |X| = (m + 1)/3.  Timed against that gather,
-# pair_counts crossed it near |X| = 7e3 for p = 100003, d = 6, |Y| = 48 (model
-# 5556), 0.7-2.7e3 for d = 42, |Y| = 84 (model 794) and 6e3-1.2e5 at
-# p = 1000003, d = 6, |Y| = 48 (model 55556).  For p <= 10007 the pairs stayed
-# faster 3-6x past the model's switch (p = 1009, d = 4, |Y| = 4: |X| = 500
-# against 84; p = 10007, d = 2: every |X|): there both tiers' unpriced O(p)
-# pass over Z_p sets the time.
+# SCATTER_COST: 2.2-4.0 elements in pair_counts' bincount (|X| >= 64) and
+# 2.6-4.6 in energetics._shifted_sumset_sizes' scatter (d >= 84), p = 97 to
+# 10007; the bincount still beat the FFT up to |X| = 97 at p = 97 (43-72
+# against 52-92 us).  exact_counts takes the pairs over a coset gather when
+# SCATTER_COST |X| |Y| is below (m + 1) |Y|, i.e. up to |X| = (m + 1)/3.
+# Timed against that gather, pair_counts crossed it near |X| = 7e3 for
+# p = 100003, d = 6, |Y| = 48 (model 5556), 0.7-2.7e3 for d = 42, |Y| = 84
+# (model 794) and 6e3-1.2e5 at p = 1000003, d = 6, |Y| = 48 (model 55556).
+# For p <= 10007 the pairs stayed faster 3-6x past the model's switch
+# (p = 1009, d = 4, |Y| = 4: |X| = 500 against 84; p = 10007, d = 2: every
+# |X|): there both tiers' unpriced O(p) pass over Z_p sets the time.
 CONV_COST_PER_N = 24
 CONV_COST_PER_CALL = 8192
 SCATTER_COST = 3
@@ -197,32 +201,36 @@ def _conv_cost(p: int) -> int:
     return CONV_COST_PER_CALL + CONV_COST_PER_N * (1 << (2 * p - 2).bit_length())
 
 
-def gather_counts(x_bits: np.ndarray, z, y: np.ndarray, out=None) -> np.ndarray:
-    """#{y in Y : z - y in X} at each point of z: int64, or > 0 into a bool out.
+def gather_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np.ndarray:
+    """#{y in Y : z - y in X} for every z in Z_p: int64, or > 0 into a bool out.
 
-    X is given by its indicator and Y by its members, z and y residues in
-    [0, p).  The |z| x |Y| gather runs in row blocks of at most _GATHER_BLOCK
-    elements (or one |Y|).  z = None is all of Z_p: the count over z is then
-    the sum of the rotations of X by each y, and each rotation is copied as
-    one row of the doubled indicator, _GATHER_BLOCK // p rows at a time.
+    X is given by its indicator and Y by its members, residues in [0, p).
+    Without a layout the counts are the sum of the rotations of X by each y,
+    copied as rows of the doubled indicator, _GATHER_BLOCK // p at a time.
+    With one (see exact_counts) they are read at 0 and the layout's first
+    row, in row blocks of at most _GATHER_BLOCK elements (or one |Y|).
     """
-    n = len(x_bits) if z is None else len(z)
+    p = len(x_bits)
     if out is None:
-        out = np.empty(n, dtype=np.int64)
-    if z is None:
+        out = np.empty(p, dtype=np.int64)
+    if layout is None:
         # rows[k] = doubled[k : k + p], a view, so rows[p - y][z] = x_bits[z - y]
         doubled = np.concatenate((x_bits, x_bits))
         s = doubled.itemsize
-        rows = np.ndarray((n + 1, n), doubled.dtype, buffer=doubled, strides=(s, s))
+        rows = np.ndarray((p + 1, p), doubled.dtype, buffer=doubled, strides=(s, s))
         out[:] = 0
-        step = max(1, _GATHER_BLOCK // n)
+        step = max(1, _GATHER_BLOCK // p)
         for i in range(0, len(y), step):
-            out += np.add.reduce(rows[n - y[i : i + step]], axis=0, dtype=out.dtype)
+            out += np.add.reduce(rows[p - y[i : i + step]], axis=0, dtype=out.dtype)
         return out
+    z = np.concatenate(([0], layout[0]))
+    vals = np.empty(len(z), dtype=out.dtype)
     step = max(1, _GATHER_BLOCK // max(1, len(y)))
-    for i in range(0, n, step):
+    for i in range(0, len(z), step):
         # z - y lies in (-p, p); a negative index wraps
-        np.add.reduce(x_bits[z[i : i + step, None] - y], axis=1, dtype=out.dtype, out=out[i : i + step])
+        np.add.reduce(x_bits[z[i : i + step, None] - y], axis=1, dtype=out.dtype, out=vals[i : i + step])
+    out[0] = vals[0]
+    out[layout] = vals[1:]
     return out
 
 
@@ -245,6 +253,32 @@ def pair_counts(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     for i in range(step, len(x), step):
         counts += block(i)
     return counts
+
+
+def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np.ndarray:
+    """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
+
+    X is given by its indicator and Y by its distinct members, residues in
+    [0, p).  The one place that prices the tiers, in the cost model's units:
+    pair_counts at SCATTER_COST |X| |Y|, gather_counts at |Y| per point read,
+    one exact convolution at _conv_cost(p); the pairs run only when strictly
+    cheapest, the gather when no dearer than the convolution.
+    layout = power_table(p).reshape(d, m) says X * Y is constant on its
+    columns, the cosets g^j A, so the gather reads 0 and its first row only.
+    A bool out receives count > 0 and rules out the pairs, whose int64
+    counts span Z_p.
+    """
+    p = len(x_bits)
+    gather = len(y) * (p if layout is None else layout.shape[1] + 1)
+    conv = _conv_cost(p)
+    if out is None and SCATTER_COST * int(np.count_nonzero(x_bits)) * len(y) < min(gather, conv):
+        return pair_counts(np.flatnonzero(x_bits), y, p)
+    if gather > conv:
+        y_bits = np.zeros(p, dtype=bool)
+        y_bits[y] = True
+        counts = cyclic_convolution_exact(x_bits, y_bits, p)
+        return counts if out is None else np.greater(counts, 0, out=out)
+    return gather_counts(x_bits, y, layout, out)
 
 
 def naive_cyclic_convolution(u, v, p: int) -> np.ndarray:

@@ -1,10 +1,8 @@
 """Dense subsets of Z_p with additive and multiplicative set arithmetic.
 
 A ZpSet is an immutable boolean indicator vector of length p.  A sumset is
-all of Z_p when |X| + |Y| > p (pigeonhole); otherwise it is a gather of the
-larger operand's rotations by the smaller's members, or one exact
-convolution thresholded at >= 1, whichever the cost model in spectral prices
-lower.
+all of Z_p when |X| + |Y| > p (pigeonhole), else the support of the counts
+of spectral.exact_counts, which picks the route.
 """
 
 from __future__ import annotations
@@ -111,17 +109,15 @@ def translate(C: ZpSet, z: int) -> ZpSet:
 
 
 def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
-    """X + Y = {x + y mod p}, exact on either route (module docstring)."""
+    """X + Y = {x + y mod p}, exact on every route (module docstring)."""
     p = _require_same_modulus(X, Y)
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
     if small.card == 0:
         return ZpSet.empty(p)
     if small.card + big.card > p:  # X meets z - Y for every z
         return ZpSet.full(p)
-    from .spectral import _conv_cost, cyclic_convolution_exact, gather_counts
-    if small.card * p <= _conv_cost(p):
-        return ZpSet(p, gather_counts(big.bits, None, small.members(), np.empty(p, dtype=bool)))
-    return ZpSet(p, cyclic_convolution_exact(X.bits, Y.bits, p) > 0)
+    from .spectral import exact_counts
+    return ZpSet(p, exact_counts(big.bits, small.members(), out=np.empty(p, dtype=bool)))
 
 
 def fold_sumset(A: ZpSet, k: int) -> ZpSet:

@@ -574,6 +574,26 @@ class TestMain:
     def test_report_missing_file(self, capsys):
         assert main(["report", "/nonexistent/r.csv"]) == 2
 
+    def test_report_without_fixed_columns_exits_2(self, tmp_path, capsys):
+        # exit status 1 is reserved for an invariant violation
+        records = tmp_path / "r.csv"
+        records.write_text("p,d\n7,3\n")
+        assert main(["report", str(records)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sixA_covers" in err
+
+    @pytest.mark.parametrize("fmt, name", [("jsonl", "r.csv"), ("csv", "r.jsonl")])
+    def test_report_reads_either_format_whatever_the_suffix(self, tmp_path, capsys, fmt, name):
+        plain = tmp_path / "plain.csv"
+        assert main(["sweep", "--pmax", "13", "--out", str(plain)]) == 0
+        records = tmp_path / name
+        assert main(["sweep", "--pmax", "13", "--format", fmt, "--out", str(records)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(["report", str(records)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

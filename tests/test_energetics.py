@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 
@@ -24,7 +23,7 @@ from subgroup_lab.energetics import (
     threshold_invariant_set,
 )
 from subgroup_lab.numtheory import divisors, is_prime, subgroup
-from subgroup_lab.spectral import convolve_counts
+from subgroup_lab.spectral import CountProfile, convolve_counts
 from subgroup_lab.zpsets import ZpSet, invariant_set
 
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     brute_ssc_ratio,
     brute_sumset_ratio,
 )
+from routes import TIERS, force_tier
 
 
 def rand_set(p, rng, k):
@@ -42,20 +42,28 @@ def rand_set(p, rng, k):
 
 class TestShiftSizes:
     def test_matches_oracle(self):
+        # unforced, then on each tier with gathers and pair sums in blocks of
+        # 7 elements (the whole-Z_p gather then copies one rotation per block)
         rng = random.Random(31)
         for p in (5, 7, 13, 31):
             for _ in range(4):
                 els = rand_set(p, rng, rng.randint(0, p - 1))
-                prof = shift_sizes(ZpSet.from_elements(p, els))
-                assert list(prof) == brute_shift_profile(els, p)
+                S = ZpSet.from_elements(p, els)
+                want = brute_shift_profile(els, p)
+                assert list(shift_sizes(S)) == want
+                for tier in TIERS:
+                    with pytest.MonkeyPatch.context() as mp:
+                        force_tier(mp, tier, block=7)
+                        assert list(shift_sizes(S)) == want, (p, len(els), tier)
 
     def test_conv_fallback_agrees(self, monkeypatch):
+        # p = 101, |X| = 40 takes the whole-Z_p gather unforced
         rng = random.Random(32)
         p = 101
         els = rand_set(p, rng, 40)
         S = ZpSet.from_elements(p, els)
         fast = shift_sizes(S)
-        monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
+        force_tier(monkeypatch, "fft")
         slow = shift_sizes(S)
         assert np.array_equal(fast, slow)
 
@@ -78,7 +86,7 @@ class TestShiftSizes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
+        force_tier(monkeypatch, "fft")
         assert np.array_equal(got, shift_sizes(S))
         assert peak < 48 * 2**20, peak
 
@@ -330,6 +338,7 @@ class TestInvariantMachinery:
         assert list(threshold_invariant_set(prof, A, 2.0).members()) == [3, 5, 6]
         assert list(threshold_invariant_set(prof, A, 0.5).members()) == [1, 2, 3, 4, 5, 6]
         assert threshold_invariant_set(prof, A, 2.5).base.card == 0
+        assert threshold_invariant_set(prof, A, 0.5).reps == (1, 3)
 
     def test_threshold_set_include_zero(self):
         A = subgroup(7, 3)
@@ -343,7 +352,16 @@ class TestInvariantMachinery:
         A = subgroup(13, 4)
         lopsided = ZpSet.from_elements(13, [1, 2])  # not A-invariant
         prof = convolve_counts(A.indicator, lopsided)
-        with pytest.raises(InvarianceViolation):
+        with pytest.raises(InvarianceViolation, match="not constant on the coset of 1$"):
+            threshold_invariant_set(prof, A, 1.0)
+        # break the cosets 8A = {8, 9, 14, 17, 22, 23} and 2A = {2, 10, 12,
+        # 19, 21, 29} of the order-6 subgroup mod 31 away from their least
+        # elements; the smaller representative is named
+        A = subgroup(31, 6)
+        counts = convolve_counts(A.indicator, A.indicator).counts.copy()
+        counts[[17, 29]] += 1
+        prof = CountProfile(p=31, counts=counts, total=int(counts.sum()))
+        with pytest.raises(InvarianceViolation, match="not constant on the coset of 2$"):
             threshold_invariant_set(prof, A, 1.0)
 
     def test_threshold_result_is_invariant_and_counted(self):
@@ -354,3 +372,5 @@ class TestInvariantMachinery:
             members = set(int(v) for v in S.members())
             want = {z for z in range(1, 31) if prof.counts[z] >= k}
             assert members == want
+            assert S.reps == tuple(r for r in A.cosets.reps.tolist() if r in members)
+            assert not S.includes_zero

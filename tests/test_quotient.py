@@ -8,7 +8,6 @@ random unions of cosets, on every tier; the size shortcuts (pigeonhole,
 complement, multiset count) are checked on both sides of their conditions.
 """
 
-import math
 import random
 import tracemalloc
 
@@ -40,6 +39,7 @@ from subgroup_lab.verifier import check_six_fold, covering_index
 from subgroup_lab.zpsets import ZpSet, fold_sumset, invariant_set, shift_intersect, sumset
 
 from oracles import brute_cosets, brute_shift_profile, brute_sumset, brute_sumset_ratio
+from routes import TIERS, force_tier
 
 PRIMES_2000 = [p for p in range(3, 2000) if is_prime(p)]
 PRIMES_3000 = [p for p in range(3, 3000) if is_prime(p)]
@@ -49,19 +49,6 @@ def subgroups_upto_2000():
     for p in PRIMES_2000:
         for d in divisors(p - 1):
             yield subgroup(p, d)
-
-
-TIERS = ("pairs", "gather", "fft")
-
-
-def force_tier(mp, tier: str, block: int | None = None) -> None:
-    """Send coset_counts calls to one tier, the pair bincount, the gather or
-    the convolution, with gathers and pair sums in blocks of `block` elements
-    if given.  A call with an empty Y never takes the pair tier."""
-    mp.setattr(spectral, "SCATTER_COST", 0 if tier == "pairs" else math.inf)
-    mp.setattr(spectral, "CONV_COST_PER_N", -math.inf if tier == "fft" else math.inf)
-    if block is not None:
-        mp.setattr(spectral, "_GATHER_BLOCK", block)
 
 
 def random_union(A: Subgroup, k: int, zero: bool, rng: random.Random) -> ZpSet:
@@ -102,13 +89,15 @@ def test_chain_and_six_fold_match_fold_sumset():
                 assert check_six_fold(A) == (k8 is not None and k8 <= 6), (A.p, A.d, tier)
 
 
-def test_counts_and_profiles_match_convolution(monkeypatch):
-    # shift_sizes on its convolution route; its bincount route is pinned elsewhere
-    monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
+def test_counts_and_profiles_match_convolution():
+    # the reference profiles from shift_sizes on its convolution route; its
+    # pair and gather routes are pinned against the oracle in test_energetics
     for A in subgroups_upto_2000():
         want = convolve_counts(A.indicator, A.indicator)
         two_a = fold_sumset(A.indicator, 2)
-        profile, two_a_profile = shift_sizes(A.indicator), shift_sizes(two_a)
+        with pytest.MonkeyPatch.context() as mp:
+            force_tier(mp, "fft")
+            profile, two_a_profile = shift_sizes(A.indicator), shift_sizes(two_a)
         for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
                 force_tier(mp, tier)

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -21,6 +20,7 @@ from subgroup_lab.spectral import (
 from subgroup_lab.zpsets import ZpSet
 
 from oracles import brute_convolution, brute_dft_mags, brute_phi
+from routes import force_tier
 
 PRIMES = (3, 5, 7, 13, 31, 101)
 
@@ -205,7 +205,7 @@ class TestCertifiedFft:
         # p = 1000003 runs at transform length 2^21
         p = 1000003
         el = np.random.default_rng(33).choice(p, size=2000, replace=False)
-        monkeypatch.setattr(spectral, "SCATTER_COST", math.inf)
+        force_tier(monkeypatch, "fft")
         got = shift_sizes(ZpSet.from_elements(p, el))
         want = np.bincount(((el[:, None] - el[None, :]) % p).ravel(), minlength=p)
         assert np.array_equal(got, want)

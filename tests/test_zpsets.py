@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 
@@ -7,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import subgroup_lab.spectral as spectral
 from subgroup_lab.numtheory import is_prime, subgroup
+from subgroup_lab.spectral import exact_counts
 from subgroup_lab.zpsets import (
     InvariantSet,
     ZpSet,
@@ -22,12 +21,14 @@ from subgroup_lab.zpsets import (
 )
 
 from oracles import (
+    brute_convolution,
     brute_dilate,
     brute_fold,
     brute_shift_intersect,
     brute_sumset,
     brute_translate,
 )
+from routes import TIERS, force_tier
 
 PRIMES = (3, 5, 7, 13, 31, 101)
 
@@ -164,7 +165,7 @@ class TestSumset:
                 assert set(int(v) for v in got.members()) == brute_sumset(xs, ys, p)
 
     def test_matches_oracle_convolution_path(self, monkeypatch):
-        monkeypatch.setattr(spectral, "CONV_COST_PER_N", -math.inf)
+        force_tier(monkeypatch, "fft")
         rng = random.Random(5)
         for p in PRIMES:
             for _ in range(4):
@@ -180,12 +181,12 @@ class TestSumset:
             (rand_elements(p, rng, lo=1), rand_elements(p, rng, lo=1))
             for _ in range(10)
         ]
-        monkeypatch.setattr(spectral, "CONV_COST_PER_N", math.inf)
+        force_tier(monkeypatch, "gather")
         small = [
             sumset(ZpSet.from_elements(p, a), ZpSet.from_elements(p, b))
             for a, b in pairs
         ]
-        monkeypatch.setattr(spectral, "CONV_COST_PER_N", -math.inf)
+        force_tier(monkeypatch, "fft")
         large = [
             sumset(ZpSet.from_elements(p, a), ZpSet.from_elements(p, b))
             for a, b in pairs
@@ -195,28 +196,34 @@ class TestSumset:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_both_routes_match_brute(self, data):
-        # the gather in row blocks of 7 elements (several blocks and a partial
-        # last one), then the convolution
+        # each tier with gathers and pair sums in blocks of 7 elements (several
+        # blocks and a partial last one): the counts of exact_counts, its bool
+        # out (never on the pair tier) and the sumset built on it
         p = data.draw(st.sampled_from([q for q in range(3, 300) if is_prime(q)]))
         xs = data.draw(st.lists(st.integers(0, p - 1), max_size=p))
         ys = data.draw(st.lists(st.integers(0, p - 1), max_size=40))
         X, Y = ZpSet.from_elements(p, xs), ZpSet.from_elements(p, ys)
         want = brute_sumset(xs, ys, p)
-        for cost, block in ((math.inf, 7), (-math.inf, spectral._GATHER_BLOCK)):
+        counts = brute_convolution(X.members().tolist(), Y.members().tolist(), p)
+        for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(spectral, "CONV_COST_PER_N", cost)
-                mp.setattr(spectral, "_GATHER_BLOCK", block)
-                assert set(sumset(X, Y).members().tolist()) == want, (p, cost)
+                force_tier(mp, tier, block=7)
+                assert exact_counts(X.bits, Y.members()).tolist() == counts, (p, tier)
+                out = np.empty(p, dtype=bool)
+                assert exact_counts(X.bits, Y.members(), out=out) is out
+                assert set(np.flatnonzero(out).tolist()) == want, (p, tier)
+                assert set(sumset(X, Y).members().tolist()) == want, (p, tier)
                 assert sumset(Y, X) == sumset(X, Y)
 
-    def test_gather_memory_is_bounded_by_row_blocks(self):
-        # p * |small| = 5e7 gathered elements; one unblocked int64 index
-        # matrix would take 400 MB, and one int64 vector over Z_p 8 MB
+    def test_gather_memory_is_bounded_by_row_blocks(self, monkeypatch):
+        # p * |small| = 5e7 gathered elements, the route the cost model takes
+        # unforced; one unblocked int64 index matrix would take 400 MB, and
+        # one int64 vector over Z_p 8 MB
         p = 1000003
         rng = np.random.default_rng(9)
         xs = rng.choice(p, size=1000, replace=False)
         ys = rng.choice(p, size=50, replace=False)
-        assert len(ys) * p <= spectral._conv_cost(p)  # the gather is the route
+        force_tier(monkeypatch, "gather")
         X, Y = ZpSet.from_elements(p, xs), ZpSet.from_elements(p, ys)
         tracemalloc.start()
         try:
