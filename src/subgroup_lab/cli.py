@@ -42,7 +42,7 @@ from .verifier import (
     exponent_fit,
     positivity_condition,
 )
-from .zpsets import ZpSet, fold_sumset, shift_intersect, sumset
+from .zpsets import ZpSet, fold_sumset, sumset
 
 CSV_BASE_COLUMNS = (
     "p",
@@ -466,17 +466,25 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     """Load a records file written by emit_report.  Returns (rows, check names).
 
     JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
+    A CSV row with another cell count than the header, or a JSONL row with
+    other keys than the first, raises ValueError naming its line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         return [], []
-    if lines[0].startswith("{"):
-        rows = [json.loads(ln) for ln in lines]
-        cols = list(rows[0].keys())
+    if lines[0][1].startswith("{"):
+        rows = [json.loads(ln) for _, ln in lines]
+        cols = rows[0].keys()
+        bad = [n for (n, _), r in zip(lines, rows) if not isinstance(r, dict) or r.keys() != cols]
     else:
-        cols = lines[0].split(",")
-        rows = [{c: _parse_cell(v) for c, v in zip(cols, ln.split(","))} for ln in lines[1:]]
+        cols = lines[0][1].split(",")
+        cells = [ln.split(",") for _, ln in lines[1:]]
+        bad = [n for (n, _), row in zip(lines[1:], cells) if len(row) != len(cols)]
+        rows = [{c: _parse_cell(v) for c, v in zip(cols, row)} for row in cells]
+    if bad:
+        first = lines[0][0]
+        raise ValueError(f"{path}, line {bad[0]}: row does not match the columns of line {first}")
     missing = [c for c in CSV_BASE_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"{path} is not a records file: no column {', '.join(missing)}")
@@ -546,16 +554,29 @@ def _verify_energy(A, rng):
 
 
 def _verify_containment(A, rng):
-    """A + A_s inside (2A)_s: every shift for p <= 200, else 0 and the coset reps."""
-    aset, cases = A.indicator, 0
+    """A + A_s inside (2A)_s: every shift for p <= 200, else 0 and the coset reps.
+
+    The rows A_s and (2A)_s are cut from rotation views of A and 2A, at most
+    spectral._GATHER_BLOCK elements at a time; each nonempty A_s, in
+    ascending shift order, takes one sumset.
+    """
+    p, aset = A.p, A.indicator
     two = fold_sumset(aset, 2)
-    for s in range(A.p) if A.p <= 200 else [0, *map(int, A.cosets.reps)]:
-        a_s = shift_intersect(aset, s)
-        if a_s.card == 0:
-            continue
-        if not sumset(aset, a_s).is_subset_of(shift_intersect(two, s)):
-            return cases, f"containment p={A.p} d={A.d} s={s}"
-        cases += 1
+    shifts = np.arange(p) if p <= 200 else np.concatenate(([0], A.cosets.reps))
+    # row k of a rotation view is [k : k + p] of the doubled indicator, a view:
+    # the set - k, so row -s % p is the set + s
+    a_rot, two_rot = (
+        np.ndarray((p, p), bool, buffer=np.tile(S.bits, 2), strides=(1, 1)) for S in (aset, two)
+    )
+    step, cases = max(1, spectral._GATHER_BLOCK // p), 0
+    for i in range(0, len(shifts), step):
+        s = shifts[i : i + step]
+        a_s = aset.bits & a_rot[-s % p]
+        outside = ~(two.bits & two_rot[-s % p])  # Z_p minus (2A)_s
+        for j in np.flatnonzero(a_s.any(axis=1)).tolist():
+            if (sumset(aset, ZpSet._wrap(p, a_s[j])).bits & outside[j]).any():
+                return cases, f"containment p={p} d={A.d} s={s[j]}"
+            cases += 1
     return cases, None
 
 

@@ -85,7 +85,7 @@ def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
     if X.card + Y.card > A.p:
         return ZpSet.full(A.p)
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
-    return ZpSet(A.p, coset_counts(A, big.bits, small.members()) > 0)
+    return ZpSet._wrap(A.p, coset_counts(A, big.bits, small.members()) > 0)
 
 
 def invariant_profile(A: Subgroup, X: ZpSet) -> np.ndarray:
@@ -121,7 +121,7 @@ def additive_energy_spectral(A: ZpSet, B: ZpSet) -> float:
     if A.p != B.p:
         raise ValueError(f"modulus mismatch: {A.p} vs {B.p}")
     ma = dft_magnitudes(A).mags
-    mb = dft_magnitudes(B).mags
+    mb = ma if B is A else dft_magnitudes(B).mags
     return float(np.dot(ma * ma, mb * mb) / A.p)
 
 
@@ -161,7 +161,7 @@ class SubgroupContext:
 
     @cached_property
     def two_a(self) -> ZpSet:
-        return ZpSet(self.p, self.conv_aa.counts > 0)
+        return ZpSet._wrap(self.p, self.conv_aa.counts > 0)
 
     @cached_property
     def twoA_size(self) -> int:
@@ -386,7 +386,7 @@ def threshold_invariant_set(
     bits[cosets] = True
     bits[0] = with_zero
     return InvariantSet(
-        base=ZpSet(A.p, bits),
+        base=ZpSet._wrap(A.p, bits),
         subgroup=A,
         reps=tuple(chosen),
         includes_zero=with_zero,

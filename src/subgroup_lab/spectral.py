@@ -218,9 +218,9 @@ def gather_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> n
         doubled = np.concatenate((x_bits, x_bits))
         s = doubled.itemsize
         rows = np.ndarray((p + 1, p), doubled.dtype, buffer=doubled, strides=(s, s))
-        out[:] = 0
         step = max(1, _GATHER_BLOCK // p)
-        for i in range(0, len(y), step):
+        np.add.reduce(rows[p - y[:step]], axis=0, dtype=out.dtype, out=out)
+        for i in range(step, len(y), step):
             out += np.add.reduce(rows[p - y[i : i + step]], axis=0, dtype=out.dtype)
         return out
     z = np.concatenate(([0], layout[0]))

@@ -1,6 +1,8 @@
 """Dense subsets of Z_p with additive and multiplicative set arithmetic.
 
-A ZpSet is an immutable boolean indicator vector of length p.  A sumset is
+A ZpSet is an immutable boolean indicator vector of length p.  ZpSet(p, bits)
+validates p and the length and copies bits; the sets this package builds
+from arrays it has just made are wrapped read-only without a copy.  A sumset is
 all of Z_p when |X| + |Y| > p (pigeonhole), else the support of the counts
 of spectral.exact_counts, which picks the route.
 """
@@ -29,25 +31,37 @@ class ZpSet:
         self.card = int(np.count_nonzero(arr))
 
     @classmethod
+    def _wrap(cls, p: int, bits: np.ndarray) -> "ZpSet":
+        """The set over bits, a bool array of length p that nothing else writes.
+
+        For arrays the package has just built: no copy and no checks, unlike
+        the public constructor, which guards the input boundary.
+        """
+        s = object.__new__(cls)
+        bits.flags.writeable = False
+        s.p, s.bits, s.card = p, bits, int(np.count_nonzero(bits))
+        return s
+
+    @classmethod
     def from_elements(cls, p: int, elements) -> "ZpSet":
         p = validate_modulus(p)
         bits = np.zeros(p, dtype=bool)
         if not isinstance(elements, np.ndarray):
             elements = list(elements)
         bits[np.asarray(elements, dtype=np.int64) % p] = True
-        return cls(p, bits)
+        return cls._wrap(p, bits)
 
     @classmethod
     def empty(cls, p: int) -> "ZpSet":
-        return cls(p, np.zeros(validate_modulus(p), dtype=bool))
+        return cls._wrap(p, np.zeros(validate_modulus(p), dtype=bool))
 
     @classmethod
     def full(cls, p: int) -> "ZpSet":
-        return cls(p, np.ones(validate_modulus(p), dtype=bool))
+        return cls._wrap(p, np.ones(validate_modulus(p), dtype=bool))
 
     def members(self) -> np.ndarray:
-        """Elements in ascending order."""
-        return np.flatnonzero(self.bits).astype(np.int64)
+        """Elements in ascending order, int64."""
+        return self.bits.nonzero()[0].astype(np.int64, copy=False)
 
     def covers_nonzero(self) -> bool:
         """True iff the set contains every nonzero residue."""
@@ -105,7 +119,7 @@ def _rolled(bits: np.ndarray, z: int) -> np.ndarray:
 
 def translate(C: ZpSet, z: int) -> ZpSet:
     """The shifted set C + z."""
-    return ZpSet(C.p, _rolled(C.bits, z))
+    return ZpSet._wrap(C.p, _rolled(C.bits, z))
 
 
 def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
@@ -117,7 +131,7 @@ def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
     if small.card + big.card > p:  # X meets z - Y for every z
         return ZpSet.full(p)
     from .spectral import exact_counts
-    return ZpSet(p, exact_counts(big.bits, small.members(), out=np.empty(p, dtype=bool)))
+    return ZpSet._wrap(p, exact_counts(big.bits, small.members(), out=np.empty(p, dtype=bool)))
 
 
 def fold_sumset(A: ZpSet, k: int) -> ZpSet:
@@ -132,7 +146,7 @@ def fold_sumset(A: ZpSet, k: int) -> ZpSet:
 
 def shift_intersect(C: ZpSet, z: int) -> ZpSet:
     """C intersected with its translate, C ∩ (C + z)."""
-    return ZpSet(C.p, C.bits & _rolled(C.bits, z))
+    return ZpSet._wrap(C.p, C.bits & _rolled(C.bits, z))
 
 
 def dilate(X: ZpSet, a: int) -> ZpSet:
@@ -142,7 +156,7 @@ def dilate(X: ZpSet, a: int) -> ZpSet:
         raise ValueError("dilation factor must be nonzero mod p")
     bits = np.zeros(X.p, dtype=bool)
     bits[(a * X.members()) % X.p] = True
-    return ZpSet(X.p, bits)
+    return ZpSet._wrap(X.p, bits)
 
 
 @dataclass(frozen=True)
@@ -178,7 +192,7 @@ def invariant_set(A: Subgroup, reps, includes_zero: bool = False) -> InvariantSe
     if includes_zero:
         bits[0] = True
     return InvariantSet(
-        base=ZpSet(A.p, bits),
+        base=ZpSet._wrap(A.p, bits),
         subgroup=A,
         reps=tuple(sorted(reps)),
         includes_zero=includes_zero,
@@ -192,9 +206,9 @@ def is_invariant(S: ZpSet, A: Subgroup) -> bool:
     """
     if S.p != A.p:
         raise ValueError(f"modulus mismatch: {S.p} vs {A.p}")
-    nz = np.array(S.bits, copy=True)
+    nz = S.bits.copy()
     nz[0] = False
-    stripped = ZpSet(S.p, nz)
+    stripped = ZpSet._wrap(S.p, nz)
     if stripped.card == 0:
         return True
     return dilate(stripped, A.gen) == stripped

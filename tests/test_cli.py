@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import os
 import random
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -582,6 +584,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sixA_covers" in err
 
+    @pytest.mark.parametrize("fmt, bad", [("csv", "7,3"), ("jsonl", '{"p": 7, "d": 3}')], ids=["csv", "jsonl"])
+    def test_report_row_off_the_columns_exits_2(self, tmp_path, capsys, fmt, bad):
+        # the header (or first row) of a real sweep, then a row with too few cells or keys
+        records = tmp_path / "r.txt"
+        assert main(["sweep", "--pmax", "13", "--format", fmt, "--out", str(records)]) == 0
+        lines = records.read_text().splitlines()
+        records.write_text(f"{lines[0]}\n{bad}\n")
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert capsys.readouterr().err == f"error: {records}, line 2: row does not match the columns of line 1\n"
+
     @pytest.mark.parametrize("fmt, name", [("jsonl", "r.csv"), ("csv", "r.jsonl")])
     def test_report_reads_either_format_whatever_the_suffix(self, tmp_path, capsys, fmt, name):
         plain = tmp_path / "plain.csv"
@@ -645,6 +658,48 @@ class TestVerifyAll:
         real = cli.sumset
         monkeypatch.setattr(cli, "sumset", lambda X, Y: translate(real(X, Y), 1))
         assert self._last_line(13).startswith("FAIL containment p=3")
+
+    @staticmethod
+    def _full_on_call(monkeypatch, n):
+        """cli.sumset returns all of Z_p on its n-th call, the n-th live shift."""
+        real, calls = cli.sumset, itertools.count(1)
+        monkeypatch.setattr(cli, "sumset", lambda X, Y: ZpSet.full(X.p) if next(calls) == n else real(X, Y))
+
+    def test_containment_failure_line_every_shift(self, monkeypatch):
+        self._full_on_call(monkeypatch, 20)
+        assert self._last_line(31) == "FAIL containment p=7 d=3 s=2"
+
+    @pytest.mark.parametrize(
+        "p, d, n, want",
+        [
+            (101, 20, 40, (39, "containment p=101 d=20 s=49")),  # every shift
+            (211, 6, 4, (3, "containment p=211 d=6 s=13")),  # 0 and the coset reps
+            (211, 10, 4, (3, "containment p=211 d=10 s=22")),
+            (211, 14, 5, (4, "containment p=211 d=14 s=9")),
+        ],
+    )
+    def test_containment_reports_first_failing_shift(self, monkeypatch, p, d, n, want):
+        # the empty A_s are skipped and the live ones taken in ascending order
+        self._full_on_call(monkeypatch, n)
+        assert cli._verify_containment(subgroup(p, d), random.Random(0)) == want
+
+    @pytest.mark.parametrize("d, cases", [(30, 8), (42, 6), (210, 2)])
+    def test_containment_rep_path_cases(self, d, cases):
+        assert cli._verify_containment(subgroup(211, d), random.Random(0)) == (cases, None)
+
+    def test_containment_rows_are_blocked(self):
+        # 5,004 shifts (0 and the coset reps); one unblocked bool matrix of
+        # A_s rows would take 50 MB
+        A = subgroup(10007, 2)
+        A.indicator, A.cosets  # built before tracing
+        tracemalloc.start()
+        try:
+            got = cli._verify_containment(A, random.Random(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (2, None)
+        assert peak < 4 * 2**20, peak
 
     def test_detects_broken_coset_constancy(self, monkeypatch):
         # a rotated profile keeps every energy but is not constant on cosets

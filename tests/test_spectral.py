@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import shift_sizes
-from subgroup_lab.numtheory import is_prime, subgroup
+from subgroup_lab.numtheory import is_prime, power_table, subgroup
 from subgroup_lab.spectral import (
     CountProfile,
     Spectrum,
@@ -17,7 +17,7 @@ from subgroup_lab.spectral import (
     naive_dft_magnitudes,
     phi_subgroup,
 )
-from subgroup_lab.zpsets import ZpSet
+from subgroup_lab.zpsets import ZpSet, invariant_set
 
 from oracles import brute_convolution, brute_dft_mags, brute_phi
 from routes import force_tier
@@ -209,6 +209,36 @@ class TestCertifiedFft:
         got = shift_sizes(ZpSet.from_elements(p, el))
         want = np.bincount(((el[:, None] - el[None, :]) % p).ravel(), minlength=p)
         assert np.array_equal(got, want)
+
+
+class TestGatherCounts:
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    @pytest.mark.parametrize("p, d", [(31, 5), (101, 4), (211, 7)])
+    def test_several_blocks_match_pairs_and_brute(self, monkeypatch, block, p, d):
+        # the first block reduces into out, the later ones add to it
+        monkeypatch.setattr(spectral, "_GATHER_BLOCK", block)
+        rng = random.Random(p * block)
+        A = subgroup(p, d)
+        reps = A.cosets.reps.tolist()
+        X = invariant_set(A, rng.sample(reps, len(reps) // 2), includes_zero=True).base
+        Y = invariant_set(A, rng.sample(reps, 3)).base
+        y = Y.members()
+        want = brute_convolution(X.members().tolist(), y.tolist(), p)
+        layout = power_table(p).reshape(d, -1)
+        for lay in (None, layout):
+            got = spectral.gather_counts(X.bits, y, lay)
+            assert got.dtype == np.int64
+            assert got.tolist() == want == spectral.pair_counts(X.members(), y, p).tolist()
+            out = np.empty(p, dtype=bool)
+            assert spectral.gather_counts(X.bits, y, lay, out) is out
+            assert out.tolist() == [c > 0 for c in want]
+
+    def test_empty_y_gives_zeros(self):
+        x_bits = ZpSet.from_elements(13, [1, 5]).bits
+        y = np.empty(0, dtype=np.int64)
+        assert spectral.gather_counts(x_bits, y).tolist() == [0] * 13
+        out = np.ones(13, dtype=bool)
+        assert not spectral.gather_counts(x_bits, y, out=out).any()
 
 
 class TestConvolveCounts:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subgroup_lab.energetics import SubgroupContext, coset_sumset, threshold_invariant_set
 from subgroup_lab.numtheory import is_prime, subgroup
 from subgroup_lab.spectral import exact_counts
 from subgroup_lab.zpsets import (
@@ -80,6 +81,11 @@ class TestZpSet:
         with pytest.raises(ValueError):
             ZpSet.from_elements(8, [1])
 
+    @pytest.mark.parametrize("p, n", [(8, 8), (1, 1), (7, 6), (7, 8)])
+    def test_constructor_rejects_bad_modulus_or_length(self, p, n):
+        with pytest.raises(ValueError):
+            ZpSet(p, np.zeros(n, dtype=bool))
+
     def test_covers_nonzero(self):
         assert ZpSet.from_elements(5, [1, 2, 3, 4]).covers_nonzero()
         assert ZpSet.from_elements(5, [0, 1, 2, 3, 4]).covers_nonzero()
@@ -104,6 +110,35 @@ class TestZpSet:
         for bad in ("7", "7:{1,2", "x:{1}", "7:[1]", ""):
             with pytest.raises(ValueError):
                 ZpSet.from_text(bad)
+
+
+class TestPackageResults:
+    """Sets the package builds are wrapped without a copy, read-only all the same."""
+
+    @staticmethod
+    def results(p, d):
+        A = subgroup(p, d)
+        rng = random.Random(p + d)
+        S = ZpSet.from_elements(p, rng.sample(range(p), p // 3))
+        T = ZpSet.from_elements(p, rng.sample(range(p), 4))
+        ctx = SubgroupContext(A)
+        yield from (ZpSet.empty(p), ZpSet.full(p), S, T, sumset(S, T), sumset(S, ZpSet.empty(p)))
+        yield from (sumset(S, ZpSet.full(p)), translate(S, 3), shift_intersect(S, 5), dilate(S, 3))
+        yield from (fold_sumset(T, 3), ctx.two_a, ctx.fold(3), coset_sumset(A, ctx.two_a, ctx.two_a))
+        yield invariant_set(A, A.cosets.reps[:2], includes_zero=True).base
+        yield threshold_invariant_set(ctx.conv_aa, A, 1).base
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("p, d", [(31, 5), (101, 4)])
+    def test_read_only_with_ascending_int64_members(self, monkeypatch, tier, p, d):
+        force_tier(monkeypatch, tier, block=7)
+        for R in self.results(p, d):
+            assert not R.bits.flags.writeable
+            with pytest.raises(ValueError):
+                R.bits[0] = not R.bits[0]
+            m = R.members()
+            assert m.dtype == np.int64 and m.tolist() == [x for x in range(p) if x in R]
+            assert R.card == len(m) and R.bits.shape == (p,)
 
 
 class TestPointwiseOps:
