@@ -466,25 +466,40 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     """Load a records file written by emit_report.  Returns (rows, check names).
 
     JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
-    A CSV row with another cell count than the header, or a JSONL row with
-    other keys than the first, raises ValueError naming its line.
+    A line that is not JSON, a CSV cell that is not a number, a CSV row with
+    another cell count than the header, or a JSONL row with other keys than
+    the first raises ValueError naming the file and the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         return [], []
+
+    def bad_line(n: int, why: str) -> ValueError:
+        return ValueError(f"{path}, line {n}: {why}")
+
+    off_columns = f"row does not match the columns of line {lines[0][0]}"
+    rows = []
     if lines[0][1].startswith("{"):
-        rows = [json.loads(ln) for _, ln in lines]
+        for n, ln in lines:
+            try:
+                row = json.loads(ln)
+            except json.JSONDecodeError as exc:
+                raise bad_line(n, f"not JSON ({exc.msg}, column {exc.colno})") from None
+            if not isinstance(row, dict) or (rows and row.keys() != rows[0].keys()):
+                raise bad_line(n, off_columns)
+            rows.append(row)
         cols = rows[0].keys()
-        bad = [n for (n, _), r in zip(lines, rows) if not isinstance(r, dict) or r.keys() != cols]
     else:
         cols = lines[0][1].split(",")
-        cells = [ln.split(",") for _, ln in lines[1:]]
-        bad = [n for (n, _), row in zip(lines[1:], cells) if len(row) != len(cols)]
-        rows = [{c: _parse_cell(v) for c, v in zip(cols, row)} for row in cells]
-    if bad:
-        first = lines[0][0]
-        raise ValueError(f"{path}, line {bad[0]}: row does not match the columns of line {first}")
+        for n, ln in lines[1:]:
+            cells = ln.split(",")
+            if len(cells) != len(cols):
+                raise bad_line(n, off_columns)
+            try:
+                rows.append({c: _parse_cell(v) for c, v in zip(cols, cells)})
+            except ValueError as exc:
+                raise bad_line(n, str(exc)) from None
     missing = [c for c in CSV_BASE_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"{path} is not a records file: no column {', '.join(missing)}")
@@ -499,10 +514,12 @@ def _parse_cell(v: str):
         return True
     if v == "false":
         return False
-    try:
-        return int(v)
-    except ValueError:
-        return float(v)
+    for kind in (int, float):
+        try:
+            return kind(v)
+        except ValueError:
+            pass
+    raise ValueError(f"not a number: {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +775,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             rows, checks = read_rows(args.records)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         text = summary_text(rows, checks)

@@ -4,8 +4,9 @@ Conventions used throughout: moment sums run over every shift s in Z_p
 including s = 0, terms with an empty shifted intersection are omitted, and
 logarithms downstream are natural.  For a subgroup A the shift profile
 |A ∩ (A + s)| is constant on cosets of A, and so is every sum, count or
-profile of sets whose nonzero parts are A-invariant.  shift_sizes and
-coset_counts count on spectral.exact_counts, coset_counts on A's coset layout.
+profile of sets whose nonzero parts are A-invariant.  Every count of two
+sets goes through spectral.exact_counts, coset_counts on A's coset layout, and
+the exact moments E and E3 are read off the profile at the coset reps.
 
 Three exact size arguments skip counting altogether:
 - pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (coset_sumset, and
@@ -28,17 +29,11 @@ import numpy as np
 
 from . import spectral
 from .numtheory import Subgroup, power_table
-from .spectral import (
-    CountProfile,
-    convolve_counts,
-    cyclic_convolution_exact,
-    dft_magnitudes,
-    phi_subgroup,
-)
-from .zpsets import InvariantSet, ZpSet, shift_intersect
+from .spectral import CountProfile, convolve_counts, dft_magnitudes, phi_subgroup
+from .zpsets import InvariantSet, ZpSet
 
-# Heavy operations (sumset_ratio_sum forms about d^2 pair sums or one
-# convolution per coset) stay off moduli above this unless explicitly forced.
+# Heavy operations (sumset_ratio_sum takes one exact count A * A_s per coset)
+# stay off moduli above this unless explicitly forced.
 HEAVY_LIMIT = 4096
 
 
@@ -49,22 +44,6 @@ class InvarianceViolation(ValueError):
 def shift_sizes(X: ZpSet) -> np.ndarray:
     """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers: X * (-X)."""
     return spectral.exact_counts(X.bits, (-X.members()) % X.p)
-
-
-def exact_moment(sizes: np.ndarray, r: int) -> int:
-    """Sum over s of |X ∩ (X + s)|^r from the shift profile of X, exact.
-
-    r = 2 gives E(X) and r = 3 gives E3(X).  The terms sum to |X|^2 and none
-    exceeds |X| = sizes[0], so the total is at most |X|^(r+1); int64 is used
-    whenever that bound is below 2^63.  Past it the sum runs in Python ints
-    over the distinct values, each weighted by its count; a subgroup's profile
-    is constant on cosets, so it has at most (p - 1)/|X| + 1 of them.
-    """
-    nz = sizes[sizes > 0].astype(np.int64)
-    if int(sizes[0]) ** (r + 1) < 1 << 63:
-        return int(np.dot(nz ** (r - 1), nz))
-    values, counts = np.unique(nz, return_counts=True)
-    return sum(v**r * c for v, c in zip(values.tolist(), counts.tolist()))
 
 
 def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -138,7 +117,11 @@ class SubgroupContext:
     """Per-subgroup quantities, each computed once, on first use.
 
     A * A, 2A, the k-fold chain, the shift profiles of A and 2A, phi, the
-    energies and both ratio sums all come from the coset kernel.  The catalog's
+    energies and both ratio sums all come from the coset kernel.  E and E3
+    are read at the coset reps: the profile is d at 0 and l_j on the d
+    shifts of coset j, so E_r = d^r + d sum_j l_j^r, exact in Python ints
+    over the distinct l_j (at most min(m, d + 1)), each times its count.  The float sums (E_{3/2}, ssc) keep
+    their O(p) order of terms, so their bits do not change.  The catalog's
     CheckContext extends this class with its |A| >= 3 guard and knobs.
     heavy_ok says whether the heavy sumset_ratio may run: always up to
     HEAVY_LIMIT, above it only with allow_heavy.
@@ -206,12 +189,22 @@ class SubgroupContext:
         return invariant_profile(self.A, self.two_a)
 
     @cached_property
+    def rep_profile(self) -> np.ndarray:
+        """|A ∩ (A + r)| at each coset rep r, in ascending rep order."""
+        return self.profile[self.A.cosets.reps]
+
+    def _moment(self, r: int) -> int:
+        mult = np.bincount(self.rep_profile)  # mult[l] cosets have profile value l
+        ls = np.flatnonzero(mult)
+        return self.d**r + self.d * sum(l**r * k for l, k in zip(ls.tolist(), mult[ls].tolist()))
+
+    @cached_property
     def energy(self) -> int:
-        return exact_moment(self.profile, 2)
+        return self._moment(2)
 
     @cached_property
     def energy3(self) -> int:
-        return exact_moment(self.profile, 3)
+        return self._moment(3)
 
     @cached_property
     def energy32(self) -> float:
@@ -238,62 +231,22 @@ class SubgroupContext:
                 f"the shifted-sumset ratio sum is heavy; p={self.p} exceeds"
                 f" {HEAVY_LIMIT} (pass allow_heavy=True to force)"
             )
-        # s = 0 term, then one term per coset, added in ascending rep order
-        A, d = self.A, self.d
-        reps = A.cosets.reps
-        l = self.profile[reps]
-        reps, l = reps[l > 0], l[l > 0]
+        # s = 0 term, then one term per coset, added in ascending rep order;
+        # |A + A_r| is the support of A * A_r, A_r = A ∩ (A + r)
+        d, el, bits = self.d, self.A.elements, self.aset.bits
+        live = self.rep_profile > 0
         total = d * d / float(self.twoA_size)
-        sizes = _shifted_sumset_sizes(A, reps, l)
-        for li, size in zip(l.tolist(), sizes.tolist()):
+        for r, li in zip(self.A.cosets.reps[live].tolist(), self.rep_profile[live].tolist()):
+            size = int(np.count_nonzero(spectral.exact_counts(bits, el[bits[el - r]])))
             total += d * (li * li / float(size))
         return total
 
     @cached_property
     def li_pairs(self) -> tuple:
         """(rep, |A ∩ (A + rep)|) by decreasing size, ties by ascending rep."""
-        reps = self.A.cosets.reps
-        l = self.profile[reps]
+        reps, l = self.A.cosets.reps, self.rep_profile
         order = np.lexsort((reps, -l))
         return tuple(zip(reps[order].tolist(), l[order].tolist()))
-
-
-def _shifted_sumset_sizes(A: Subgroup, reps: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """|A + A_r| for each r in reps, where A_r = A ∩ (A + r) has l > 0 elements.
-
-    The d * l sums a + x, a in A, x in A_r, are scattered into one bit row
-    per rep, in blocks of about spectral._GATHER_BLOCK sums and bits.  A rep
-    whose scatter would cost more than one exact convolution takes that instead.
-    This batched scatter is the one reader of spectral's cost names outside
-    spectral; every other exact count is priced by spectral.exact_counts.
-    """
-    p, el, aset = A.p, A.elements, A.indicator
-    sizes = np.empty(len(reps), dtype=np.int64)
-
-    def scatter(rows: list) -> None:
-        member = aset.bits[el - reps[rows, None]]  # which x in A lie in A_r
-        r, x = np.nonzero(member)
-        sums = el[x, None] + el
-        sums %= p
-        sums += r[:, None] * p
-        seen = np.zeros(len(rows) * p, dtype=bool)
-        seen[sums] = True
-        sizes[rows] = np.add.reduce(seen.reshape(len(rows), p), axis=1)
-
-    block, cost, conv_cost = [], 0, spectral._conv_cost(p)
-    for i, pairs in enumerate((A.d * l).tolist()):
-        if spectral.SCATTER_COST * pairs > conv_cost:
-            a_r = shift_intersect(aset, int(reps[i]))
-            sizes[i] = np.count_nonzero(cyclic_convolution_exact(aset.bits, a_r.bits, p))
-            continue
-        block.append(i)
-        cost += pairs + p
-        if cost >= spectral._GATHER_BLOCK:
-            scatter(block)
-            block, cost = [], 0
-    if block:
-        scatter(block)
-    return sizes
 
 
 def ssc_ratio_sum(A: Subgroup) -> float:
@@ -332,13 +285,6 @@ class CosetProfile:
 def coset_profile(A: Subgroup) -> CosetProfile:
     """Profile of |A ∩ (A + s)| across the cosets of A in Z_p*."""
     return CosetProfile(subgroup=A, pairs=SubgroupContext(A).li_pairs)
-
-
-def energy_moment_from_profile(profile: CosetProfile) -> float:
-    """E_{3/2}(A) assembled coset-wise: d * sum l_i^{3/2} plus the s = 0 term."""
-    A = profile.subgroup
-    sizes = profile.sizes().astype(np.float64)
-    return float(A.d * np.sum(sizes**1.5) + A.d**1.5)
 
 
 def restricted_moment(profile: CountProfile, M: InvariantSet, r: float) -> float:

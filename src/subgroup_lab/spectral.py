@@ -11,9 +11,11 @@ Convolution of nonnegative integers is exact at every size, in three tiers:
    split into limbs narrow enough to certify, recombined exactly in int64.
 3. Otherwise big-integer Kronecker packing (object dtype from 2^63 up).
 
-Every exact count X * Y of the package (shift profiles, coset counts,
-sumsets) goes through exact_counts, which prices a pair bincount, a gather
-and the exact convolution above, and runs the cheapest.
+Every exact count X * Y of two sets in the package (shift profiles, coset
+counts, sumsets, convolve_counts) goes through exact_counts, which prices a
+pair bincount, a gather and the exact convolution above, and runs the
+cheapest.  Besides its FFT tier, only the verifier's solution table, a
+product of two count vectors, calls the convolution directly.
 
 Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
 """
@@ -180,9 +182,8 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
 # crossed gather_counts (|z| = p or |Y| = p/2) at 24-39e3 elements for p = 193
 # to 1009 (never at 97), 13-24 n to 30011 and 31-38 n to 300007; mean squared
 # log error 0.115 (the best fit, 10240 + 21 n: 0.099).  A pair costs
-# SCATTER_COST: 2.2-4.0 elements in pair_counts' bincount (|X| >= 64) and
-# 2.6-4.6 in energetics._shifted_sumset_sizes' scatter (d >= 84), p = 97 to
-# 10007; the bincount still beat the FFT up to |X| = 97 at p = 97 (43-72
+# SCATTER_COST: 2.2-4.0 elements in pair_counts' bincount (|X| >= 64), p = 97
+# to 10007; the bincount still beat the FFT up to |X| = 97 at p = 97 (43-72
 # against 52-92 us).  exact_counts takes the pairs over a coset gather when
 # SCATTER_COST |X| |Y| is below (m + 1) |Y|, i.e. up to |X| = (m + 1)/3.
 # Timed against that gather, pair_counts crossed it near |X| = 7e3 for
@@ -281,22 +282,6 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np
     return gather_counts(x_bits, y, layout, out)
 
 
-def naive_cyclic_convolution(u, v, p: int) -> np.ndarray:
-    """O(p^2) reference convolution.  Test oracle only; never use in sweeps."""
-    p = validate_modulus(p)
-    out = [0] * p
-    ul = [int(x) for x in u]
-    vl = [int(x) for x in v]
-    for x in range(p):
-        ux = ul[x]
-        if ux == 0:
-            continue
-        for y in range(p):
-            if vl[y]:
-                out[(x + y) % p] += ux * vl[y]
-    return np.asarray(out, dtype=object if max(out) >= 1 << 63 else np.int64)
-
-
 @dataclass(frozen=True)
 class CountProfile:
     """Representation counts (X * Y)(z) for all z, with their total mass."""
@@ -313,10 +298,7 @@ def convolve_counts(X: ZpSet, Y: ZpSet) -> CountProfile:
     """Counts of pair representations z = x + y with x in X, y in Y."""
     if X.p != Y.p:
         raise ValueError(f"modulus mismatch: {X.p} vs {Y.p}")
-    counts = cyclic_convolution_exact(
-        X.bits.astype(np.int64), Y.bits.astype(np.int64), X.p
-    )
-    return CountProfile(p=X.p, counts=counts, total=X.card * Y.card)
+    return CountProfile(p=X.p, counts=exact_counts(X.bits, Y.members()), total=X.card * Y.card)
 
 
 # ---------------------------------------------------------------------------

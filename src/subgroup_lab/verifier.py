@@ -20,6 +20,7 @@ import numpy as np
 from .energetics import (
     HEAVY_LIMIT,
     SubgroupContext,
+    coset_counts,
     coset_sumset,
     restricted_moment,
     threshold_invariant_set,
@@ -331,10 +332,14 @@ def _context(p: int, d: int) -> SubgroupContext:
 
 @lru_cache(maxsize=8)
 def _solution_table(p: int, d: int) -> np.ndarray:
-    """(2A * 2A) * (A * A) at every z, exact."""
+    """(2A * 2A) * (A * A) at every z, exact.
+
+    2A * 2A is a count of two sets with A-invariant nonzero parts, taken on
+    the coset kernel; the product of the two count vectors is one exact
+    convolution.
+    """
     ctx = _context(p, d)
-    ind_2a = ctx.two_a.bits.astype(np.int64)
-    c = cyclic_convolution_exact(ind_2a, ind_2a, p)
+    c = coset_counts(ctx.A, ctx.two_a.bits, ctx.two_a.members())
     return cyclic_convolution_exact(c, ctx.conv_aa.counts, p)
 
 

@@ -40,6 +40,16 @@ def brute_convolution(xs, ys, p):
     return counts
 
 
+def naive_cyclic_convolution(u, v, p):
+    """(u * v)(z) = sum over x + y = z mod p of u[x] v[y], as Python ints."""
+    ul, vl = [int(x) for x in u], [int(y) for y in v]
+    out = [0] * p
+    for x in range(p):
+        for y in range(p):
+            out[(x + y) % p] += ul[x] * vl[y]
+    return out
+
+
 def brute_energy(axs, bxs, p):
     """Quadruple loop: count a1 + b1 == a2 + b2 mod p."""
     n = 0

@@ -37,6 +37,7 @@ from subgroup_lab.verifier import ALL_CHECKS
 from subgroup_lab.zpsets import ZpSet, translate
 
 from oracles import is_prime_slow
+from routes import TIERS, force_tier
 
 
 class TestConfigFile:
@@ -595,6 +596,26 @@ class TestMain:
         assert main(["report", str(records)]) == 2
         assert capsys.readouterr().err == f"error: {records}, line 2: row does not match the columns of line 1\n"
 
+    def test_report_names_the_line_that_is_not_json(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        assert main(["sweep", "--pmax", "13", "--format", "jsonl", "--out", str(records)]) == 0
+        lines = records.read_text().splitlines()
+        records.write_text("\n".join([*lines[:2], "7,3", *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert capsys.readouterr().err == f"error: {records}, line 3: not JSON (Extra data, column 2)\n"
+
+    def test_report_names_the_line_of_a_non_numeric_cell(self, tmp_path, capsys):
+        records = tmp_path / "r.csv"
+        assert main(["sweep", "--pmax", "13", "--out", str(records)]) == 0
+        lines = records.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_BASE_COLUMNS.index("E")] = "abc"
+        records.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert capsys.readouterr().err == f"error: {records}, line 3: not a number: 'abc'\n"
+
     @pytest.mark.parametrize("fmt, name", [("jsonl", "r.csv"), ("csv", "r.jsonl")])
     def test_report_reads_either_format_whatever_the_suffix(self, tmp_path, capsys, fmt, name):
         plain = tmp_path / "plain.csv"
@@ -712,16 +733,19 @@ class TestVerifyAll:
         monkeypatch.setattr(cli, "naive_dft_magnitudes", lambda S: 1.01 * real(S))
         assert self._last_line(13).startswith("FAIL spectral-identity p=3")
 
-    def test_detects_corrupted_convolution(self, monkeypatch):
-        real = spectral.cyclic_convolution_exact
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_detects_corrupted_convolution(self, monkeypatch, tier):
+        # the tier's kernel adds 1 at z = 0 on every call
+        kernel = {"pairs": "pair_counts", "gather": "gather_counts", "fft": "cyclic_convolution_exact"}[tier]
+        real = getattr(spectral, kernel)
 
-        def corrupted(u, v, p):
-            out = real(u, v, p)
-            out = out.copy()
+        def corrupted(*args, **kwargs):
+            out = real(*args, **kwargs).copy()
             out[0] += 1
             return out
 
-        monkeypatch.setattr(spectral, "cyclic_convolution_exact", corrupted)
+        force_tier(monkeypatch, tier)
+        monkeypatch.setattr(spectral, kernel, corrupted)
         lines = []
         assert verify_all(13, echo=lines.append) == 1
         assert lines[-1].startswith("FAIL convolution p=3")

@@ -9,12 +9,11 @@ import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import (
     CosetProfile,
     InvarianceViolation,
+    SubgroupContext,
     additive_energy,
     additive_energy_spectral,
     coset_profile,
     energy_moment,
-    energy_moment_from_profile,
-    exact_moment,
     invariant_convolution_sum,
     restricted_moment,
     shift_sizes,
@@ -193,22 +192,22 @@ class TestEnergyMoments:
         A = subgroup(7, 3).indicator
         assert abs(energy_moment(A, 1.5) - 11.196152422706632) <= 1e-12
 
-    def test_exact_moment_matches_python_sums(self):
-        rng = random.Random(38)
-        for p in (7, 31, 101):
-            els = rand_set(p, rng, rng.randint(1, p - 1))
-            sizes = shift_sizes(ZpSet.from_elements(p, els))
-            for r in (2, 3):
-                assert exact_moment(sizes, r) == sum(int(x) ** r for x in sizes)
-        # |X|^4 >= 2^63 takes Python integers; int64 would wrap on this sum
-        assert exact_moment(np.full(3, 1 << 21, dtype=np.int64), 3) == 3 << 63
+    def test_energy_moments_match_python_sums(self):
+        # E and E3 are read at the coset reps; the sums here run over all of Z_p
+        for p in (q for q in range(3, 301) if is_prime(q)):
+            for d in divisors(p - 1):
+                A = subgroup(p, d)
+                sizes = shift_sizes(A.indicator).tolist()
+                ctx = SubgroupContext(A)
+                assert ctx.energy == sum(int(x) ** 2 for x in sizes), (p, d)
+                assert ctx.energy3 == sum(int(x) ** 3 for x in sizes), (p, d)
 
-    def test_exact_moment_past_int64_on_a_subgroup(self):
+    def test_energy3_past_int64_on_a_subgroup(self):
         # A = Z_p^* at p = 65537: E3 = 2^48 + 65536 * 65535^3 exceeds 2^63
-        sizes = shift_sizes(subgroup(65537, 65536).indicator)
-        want = sum(int(x) ** 3 for x in sizes)
-        assert want >= 1 << 63
-        assert exact_moment(sizes, 3) == want
+        A = subgroup(65537, 65536)
+        want = sum(int(x) ** 3 for x in shift_sizes(A.indicator).tolist())
+        assert want == 2**48 + 65536 * 65535**3 >= 1 << 63
+        assert SubgroupContext(A).energy3 == want
 
 
 class TestCosetProfile:
@@ -240,7 +239,8 @@ class TestCosetProfile:
         for p, d in ((13, 4), (101, 25), (211, 30)):
             A = subgroup(p, d)
             direct = energy_moment(A.indicator, 1.5)
-            via_profile = energy_moment_from_profile(coset_profile(A))
+            # the s = 0 term d^{3/2}, then d shifts per coset of size l
+            via_profile = d**1.5 + d * sum(l**1.5 for _, l in coset_profile(A).pairs)
             assert abs(direct - via_profile) <= 1e-9 * max(1.0, direct)
 
 

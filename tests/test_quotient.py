@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import (
     SubgroupContext,
-    _shifted_sumset_sizes,
     coset_counts,
     coset_sumset,
     invariant_profile,
@@ -34,7 +33,7 @@ from subgroup_lab.numtheory import (
     primitive_root,
     subgroup,
 )
-from subgroup_lab.spectral import convolve_counts, phi_subgroup
+from subgroup_lab.spectral import convolve_counts, cyclic_convolution_exact, phi_subgroup
 from subgroup_lab.verifier import check_six_fold, covering_index
 from subgroup_lab.zpsets import ZpSet, fold_sumset, invariant_set, shift_intersect, sumset
 
@@ -93,10 +92,10 @@ def test_counts_and_profiles_match_convolution():
     # the reference profiles from shift_sizes on its convolution route; its
     # pair and gather routes are pinned against the oracle in test_energetics
     for A in subgroups_upto_2000():
-        want = convolve_counts(A.indicator, A.indicator)
         two_a = fold_sumset(A.indicator, 2)
         with pytest.MonkeyPatch.context() as mp:
             force_tier(mp, "fft")
+            want = convolve_counts(A.indicator, A.indicator)
             profile, two_a_profile = shift_sizes(A.indicator), shift_sizes(two_a)
         for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
@@ -119,15 +118,17 @@ def test_phi_matches_direct_evaluation():
         assert phi_subgroup(A) == (float(mags[i]), int(reps[i])), (A.p, A.d)
 
 
-def test_shifted_sumset_sizes_match_sumset():
+def test_sumset_ratio_matches_ordered_sumset_sum():
+    # bit for bit: the s = 0 term, then d |A_r|^2 / |A + A_r| in ascending rep order
     for p in (q for q in PRIMES_2000 if q <= 700):
         for d in divisors(p - 1):
             A = subgroup(p, d)
-            reps = A.cosets.reps
-            l = SubgroupContext(A).profile[reps]
-            reps, l = reps[l > 0], l[l > 0]
-            want = [sumset(A.indicator, shift_intersect(A.indicator, int(r))).card for r in reps]
-            assert _shifted_sumset_sizes(A, reps, l).tolist() == want, (p, d)
+            want = d * d / float(sumset(A.indicator, A.indicator).card)
+            for r in A.cosets.reps.tolist():
+                a_r = shift_intersect(A.indicator, r)
+                if a_r.card:
+                    want += d * (a_r.card * a_r.card / float(sumset(A.indicator, a_r).card))
+            assert SubgroupContext(A).sumset_ratio == want, (p, d)
 
 
 @pytest.mark.parametrize("p, d", [(13, 4), (31, 6), (61, 12), (101, 20), (101, 100)])
@@ -251,6 +252,6 @@ def test_pair_tier_memory_is_bounded_by_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    want = convolve_counts(X, ZpSet.from_elements(p, y)).counts
-    assert np.array_equal(got, want)
+    y_bits = ZpSet.from_elements(p, y).bits
+    assert np.array_equal(got, cyclic_convolution_exact(X.bits, y_bits, p))
     assert peak < 48 * 2**20, peak
