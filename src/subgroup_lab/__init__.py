@@ -28,7 +28,6 @@ from .zpsets import (
     translate,
 )
 from .spectral import (
-    CountProfile,
     Spectrum,
     convolve_counts,
     cyclic_convolution_exact,
@@ -36,7 +35,6 @@ from .spectral import (
     phi_subgroup,
 )
 from .energetics import (
-    CosetProfile,
     additive_energy,
     additive_energy_spectral,
     coset_profile,

@@ -83,7 +83,7 @@ class SweepConfig:
     def validate(self) -> "SweepConfig":
         if not 3 <= self.p_min <= self.p_max <= numtheory.MODULUS_LIMIT:
             raise ValueError(
-                f"need 3 <= p_min <= p_max <= 2^26, got [{self.p_min}, {self.p_max}]"
+                f"need 3 <= p_min <= p_max <= {numtheory.MODULUS_LIMIT}, got [{self.p_min}, {self.p_max}]"
             )
         if not self.alpha_lo <= self.alpha_hi:
             raise ValueError(f"need alpha_lo <= alpha_hi, got [{self.alpha_lo}, {self.alpha_hi}]")
@@ -123,7 +123,6 @@ class SweepRecord:
     phi: float
     ssc_ratio: float
     sumset_ratio: float | None
-    clears_threshold: bool
     checks: dict
 
 
@@ -242,7 +241,6 @@ def _record_for(args) -> SweepRecord:
         phi=ctx.phi,
         ssc_ratio=ctx.ssc,
         sumset_ratio=ctx.sumset_ratio if ctx.heavy_ok else None,
-        clears_threshold=clears_cover_threshold(p, d),
         checks=checks,
     )
 
@@ -544,7 +542,7 @@ def _enumeration_convolution(X: ZpSet, Y: ZpSet) -> np.ndarray:
 def _verify_convolution(A, rng):
     """A * Y for a random set Y, against pair enumeration."""
     X, Y = A.indicator, _rand_set(A.p, rng)
-    got = convolve_counts(X, Y).counts
+    got = convolve_counts(X, Y)
     want = _enumeration_convolution(X, Y)
     if not np.array_equal(got, want):
         z = int(np.flatnonzero(got != want)[0])
@@ -555,7 +553,7 @@ def _verify_convolution(A, rng):
 def _verify_energy(A, rng):
     """E(A) from pair counts, the shift profile, all rotations and the spectrum."""
     aset, p = A.indicator, A.p
-    counts = convolve_counts(aset, aset).counts
+    counts = convolve_counts(aset, aset)
     e_conv = int(np.dot(counts, counts))
     prof = shift_sizes(aset)
     e_prof = int(np.dot(prof, prof))

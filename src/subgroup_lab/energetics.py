@@ -22,14 +22,13 @@ SubgroupContext holds every per-subgroup quantity built on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import spectral
 from .numtheory import Subgroup, power_table
-from .spectral import CountProfile, convolve_counts, dft_magnitudes, phi_subgroup
+from .spectral import convolve_counts, dft_magnitudes, phi_subgroup
 from .zpsets import InvariantSet, ZpSet
 
 # Heavy operations (sumset_ratio_sum takes one exact count A * A_s per coset)
@@ -46,14 +45,15 @@ def shift_sizes(X: ZpSet) -> np.ndarray:
     return spectral.exact_counts(X.bits, (-X.members()) % X.p)
 
 
-def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray) -> np.ndarray:
+def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
     X is given by its indicator and Y by its members, residues in [0, p).
     Both must have A-invariant nonzero parts; then so does X * Y, and
-    spectral.exact_counts counts it on A's coset layout.
+    spectral.exact_counts counts it on A's coset layout.  A bool out
+    receives the support, count > 0.
     """
-    return spectral.exact_counts(x_bits, y, power_table(A.p).reshape(A.d, -1))
+    return spectral.exact_counts(x_bits, y, power_table(A.p).reshape(A.d, -1), out)
 
 
 def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
@@ -64,7 +64,7 @@ def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
     if X.card + Y.card > A.p:
         return ZpSet.full(A.p)
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
-    return ZpSet._wrap(A.p, coset_counts(A, big.bits, small.members()) > 0)
+    return ZpSet._wrap(A.p, coset_counts(A, big.bits, small.members(), np.empty(A.p, dtype=bool)))
 
 
 def invariant_profile(A: Subgroup, X: ZpSet) -> np.ndarray:
@@ -87,7 +87,7 @@ def invariant_profile(A: Subgroup, X: ZpSet) -> np.ndarray:
 
 def additive_energy(A: ZpSet, B: ZpSet) -> int:
     """E(A, B) = number of quadruples a + b = a' + b', as sum of squared counts."""
-    counts = convolve_counts(A, B).counts
+    counts = convolve_counts(A, B)
     # the counts sum to |A||B| and none exceeds min(|A|, |B|), which bounds
     # the sum of their squares; int64 is used whenever that bound is below 2^63
     if min(A.card, B.card) * A.card * B.card < 1 << 63:
@@ -138,13 +138,15 @@ class SubgroupContext:
         return self.A.indicator
 
     @cached_property
-    def conv_aa(self) -> CountProfile:
+    def conv_aa(self) -> np.ndarray:
+        """(A * A)(z) for every z, read-only."""
         counts = coset_counts(self.A, self.aset.bits, self.A.elements)
-        return CountProfile(p=self.p, counts=counts, total=self.d * self.d)
+        counts.flags.writeable = False
+        return counts
 
     @cached_property
     def two_a(self) -> ZpSet:
-        return ZpSet._wrap(self.p, self.conv_aa.counts > 0)
+        return ZpSet._wrap(self.p, self.conv_aa > 0)
 
     @cached_property
     def twoA_size(self) -> int:
@@ -235,10 +237,11 @@ class SubgroupContext:
         # |A + A_r| is the support of A * A_r, A_r = A ∩ (A + r)
         d, el, bits = self.d, self.A.elements, self.aset.bits
         live = self.rep_profile > 0
+        support = np.empty(self.p, dtype=bool)
         total = d * d / float(self.twoA_size)
         for r, li in zip(self.A.cosets.reps[live].tolist(), self.rep_profile[live].tolist()):
-            size = int(np.count_nonzero(spectral.exact_counts(bits, el[bits[el - r]])))
-            total += d * (li * li / float(size))
+            spectral.exact_counts(bits, el[bits[el - r]], out=support)
+            total += d * (li * li / float(np.count_nonzero(support)))
         return total
 
     @cached_property
@@ -267,31 +270,20 @@ def sumset_ratio_sum(A: Subgroup, *, allow_large: bool = False) -> float:
     return SubgroupContext(A, allow_heavy=allow_large).sumset_ratio
 
 
-@dataclass(frozen=True)
-class CosetProfile:
-    """Shift-intersection sizes per coset, sorted by decreasing size.
+def coset_profile(A: Subgroup) -> tuple:
+    """(rep, |A ∩ (A + rep)|) per coset of A in Z_p*, by decreasing size.
 
-    pairs holds (rep, l) where l = |A ∩ (A + rep)|; every shift in the coset
-    of rep shares that size.  Ties are broken by ascending representative.
+    Every shift in the coset of rep shares that size.  Ties are broken by
+    ascending representative.
     """
-
-    subgroup: Subgroup
-    pairs: tuple[tuple[int, int], ...]
-
-    def sizes(self) -> np.ndarray:
-        return np.asarray([l for _, l in self.pairs], dtype=np.int64)
+    return SubgroupContext(A).li_pairs
 
 
-def coset_profile(A: Subgroup) -> CosetProfile:
-    """Profile of |A ∩ (A + s)| across the cosets of A in Z_p*."""
-    return CosetProfile(subgroup=A, pairs=SubgroupContext(A).li_pairs)
-
-
-def restricted_moment(profile: CountProfile, M: InvariantSet, r: float) -> float:
-    """Sum over z in M of profile(z)^r."""
-    if profile.p != M.base.p:
-        raise ValueError(f"modulus mismatch: {profile.p} vs {M.base.p}")
-    vals = profile.counts[M.members()].astype(np.float64)
+def restricted_moment(counts: np.ndarray, M: InvariantSet, r: float) -> float:
+    """Sum over z in M of counts(z)^r."""
+    if len(counts) != M.base.p:
+        raise ValueError(f"modulus mismatch: {len(counts)} vs {M.base.p}")
+    vals = counts[M.members()].astype(np.float64)
     return float(np.sum(vals**r))
 
 
@@ -299,26 +291,25 @@ def invariant_convolution_sum(S1: InvariantSet, S2: InvariantSet, S3: InvariantS
     """Sum over z in S3 of (S1 * S2)(z), exact."""
     if not (S1.subgroup == S2.subgroup == S3.subgroup):
         raise ValueError("invariant sets must share one subgroup")
-    counts = convolve_counts(S1.base, S2.base).counts
+    counts = convolve_counts(S1.base, S2.base)
     return int(counts[S3.members()].sum())
 
 
 def threshold_invariant_set(
-    profile: CountProfile,
+    counts: np.ndarray,
     A: Subgroup,
     k: float,
     *,
     include_zero: bool = False,
 ) -> InvariantSet:
-    """Largest A-invariant set on which the profile is >= k.
+    """Largest A-invariant set on which the counts are >= k.
 
-    The profile must be constant on cosets of A (true for convolutions of
+    The counts must be constant on cosets of A (true for convolutions of
     invariant sets); a violation raises rather than returning a best effort.
-    Zero is excluded unless include_zero is set and profile(0) clears k.
+    Zero is excluded unless include_zero is set and counts(0) clears k.
     """
-    if profile.p != A.p:
-        raise ValueError(f"modulus mismatch: {profile.p} vs {A.p}")
-    counts = profile.counts
+    if len(counts) != A.p:
+        raise ValueError(f"modulus mismatch: {len(counts)} vs {A.p}")
     layout = power_table(A.p).reshape(A.d, -1)  # column j is the coset g^j A
     vals = counts[layout]
     broken = (vals != vals[0]).any(axis=0)

@@ -139,7 +139,7 @@ def validate_modulus(p: int) -> int:
     """Check that p is an odd prime in the supported range and return it."""
     p = int(p)
     if p < 3 or p > MODULUS_LIMIT:
-        raise ValueError(f"modulus must be an odd prime in [3, 2^26], got {p}")
+        raise ValueError(f"modulus must be an odd prime in [3, {MODULUS_LIMIT}], got {p}")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p

@@ -26,11 +26,14 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .numtheory import validate_modulus
-from .zpsets import ZpSet
+
+if TYPE_CHECKING:
+    from .zpsets import ZpSet
 
 # Relative and absolute floors for floating-point spectral comparisons.
 REL_TOL = 1e-6
@@ -282,23 +285,13 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np
     return gather_counts(x_bits, y, layout, out)
 
 
-@dataclass(frozen=True)
-class CountProfile:
-    """Representation counts (X * Y)(z) for all z, with their total mass."""
-
-    p: int
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self) -> None:
-        self.counts.flags.writeable = False
-
-
-def convolve_counts(X: ZpSet, Y: ZpSet) -> CountProfile:
-    """Counts of pair representations z = x + y with x in X, y in Y."""
+def convolve_counts(X: ZpSet, Y: ZpSet) -> np.ndarray:
+    """Counts of pair representations z = x + y with x in X, y in Y (read-only)."""
     if X.p != Y.p:
         raise ValueError(f"modulus mismatch: {X.p} vs {Y.p}")
-    return CountProfile(p=X.p, counts=exact_counts(X.bits, Y.members()), total=X.card * Y.card)
+    counts = exact_counts(X.bits, Y.members())
+    counts.flags.writeable = False
+    return counts
 
 
 # ---------------------------------------------------------------------------

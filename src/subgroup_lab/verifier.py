@@ -198,8 +198,7 @@ def _chk_phi_expA(ctx: CheckContext):
 
 def _chk_sv_convolution(ctx: CheckContext):
     # instantiated with S1 = S2 = S3 = A, the subgroup as an invariant set
-    counts = ctx.conv_aa.counts
-    lhs = float(counts[ctx.A.elements].sum())
+    lhs = float(ctx.conv_aa[ctx.A.elements].sum())
     rhs = ctx.d ** (-1 / 3) * (ctx.d**3) ** (2 / 3)
     hyp = ctx._ll(ctx.d**3, min(float(ctx.d) ** 5, ctx.p**3 / ctx.d))
     return lhs, rhs, hyp
@@ -208,9 +207,8 @@ def _chk_sv_convolution(ctx: CheckContext):
 def _chk_l3_moment(ctx: CheckContext):
     r = ctx.l3_moment_order
     k = ctx.l3_threshold
-    prof = ctx.conv_aa
-    M = threshold_invariant_set(prof, ctx.A, k)
-    lhs = restricted_moment(prof, M, r)
+    M = threshold_invariant_set(ctx.conv_aa, ctx.A, k)
+    lhs = restricted_moment(ctx.conv_aa, M, r)
     s1 = s2 = float(ctx.d)
     base = s1**2 * s2**2 / ctx.d
     if r == 3.0:
@@ -268,19 +266,28 @@ def check_bound(
     context: CheckContext | None = None,
     **knobs,
 ) -> BoundCheck:
-    """Evaluate one named bound on a subgroup.  Unknown names raise ValueError."""
+    """Evaluate one named bound on A, in a CheckContext built from the knobs.
+
+    A given context must be A's and carries its own knobs.  Unknown names,
+    another subgroup's context, or knobs beside a context raise ValueError.
+    """
     if name not in _CATALOG:
         raise ValueError(f"unknown check name: {name!r} (have {', '.join(ALL_CHECKS)})")
-    ctx = context if context is not None else CheckContext(A, **knobs)
-    lhs, rhs, hyp = _CATALOG[name](ctx)
+    if context is None:
+        context = CheckContext(A, **knobs)
+    elif context.A != A:
+        raise ValueError(f"context is for {context.A!r}, not {A!r}")
+    elif knobs:
+        raise ValueError(f"knobs {', '.join(sorted(knobs))} come with a context that has its own")
+    lhs, rhs, hyp = _CATALOG[name](context)
     if name in _INVERTED:
         ratio = rhs / lhs if lhs > 0 else float("inf")
     else:
         ratio = lhs / rhs
     return BoundCheck(
         name=name,
-        p=ctx.p,
-        d=ctx.d,
+        p=context.p,
+        d=context.d,
         lhs=float(lhs),
         rhs_expr=float(rhs),
         ratio=float(ratio),
@@ -340,7 +347,7 @@ def _solution_table(p: int, d: int) -> np.ndarray:
     """
     ctx = _context(p, d)
     c = coset_counts(ctx.A, ctx.two_a.bits, ctx.two_a.members())
-    return cyclic_convolution_exact(c, ctx.conv_aa.counts, p)
+    return cyclic_convolution_exact(c, ctx.conv_aa, p)
 
 
 def count_solutions_N(A: Subgroup, a: int, *, allow_large: bool = False) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import Subgroup, validate_modulus
+from .spectral import exact_counts
 
 
 class ZpSet:
@@ -130,7 +131,6 @@ def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
         return ZpSet.empty(p)
     if small.card + big.card > p:  # X meets z - Y for every z
         return ZpSet.full(p)
-    from .spectral import exact_counts
     return ZpSet._wrap(p, exact_counts(big.bits, small.members(), out=np.empty(p, dtype=bool)))
 
 

@@ -114,7 +114,7 @@ def test_criterion_2_convolution_matches_naive_oracle():
             want = brute_convolution(xs, ys, p)
             X = ZpSet.from_elements(p, xs)
             Y = ZpSet.from_elements(p, ys)
-            got_counts = convolve_counts(X, Y).counts
+            got_counts = convolve_counts(X, Y)
             got_raw = cyclic_convolution_exact(
                 X.bits.astype(np.int64), Y.bits.astype(np.int64), p
             )

@@ -7,7 +7,6 @@ import pytest
 import subgroup_lab.energetics as energetics
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import (
-    CosetProfile,
     InvarianceViolation,
     SubgroupContext,
     additive_energy,
@@ -22,7 +21,7 @@ from subgroup_lab.energetics import (
     threshold_invariant_set,
 )
 from subgroup_lab.numtheory import divisors, is_prime, subgroup
-from subgroup_lab.spectral import CountProfile, convolve_counts
+from subgroup_lab.spectral import convolve_counts
 from subgroup_lab.zpsets import ZpSet, invariant_set
 
 from oracles import (
@@ -140,7 +139,7 @@ class TestAdditiveEnergy:
         monkeypatch.setattr(energetics, "np", DotSpy())
         got = additive_energy(A, B)
         assert DotSpy.calls == 1
-        counts = convolve_counts(A, B).counts
+        counts = convolve_counts(A, B)
         assert got == sum(int(c) ** 2 for c in counts.tolist())
 
     def test_spectral_form_agrees(self):
@@ -212,35 +211,34 @@ class TestEnergyMoments:
 
 class TestCosetProfile:
     def test_golden_7_3(self):
-        prof = coset_profile(subgroup(7, 3))
-        assert prof.pairs == ((1, 1), (3, 1))
+        assert coset_profile(subgroup(7, 3)) == ((1, 1), (3, 1))
 
     def test_sorted_by_size_desc(self):
         for p, d in ((101, 10), (211, 14)):
-            prof = coset_profile(subgroup(p, d))
-            sizes = [l for _, l in prof.pairs]
+            A = subgroup(p, d)
+            pairs = coset_profile(A)
+            sizes = [l for _, l in pairs]
             assert sizes == sorted(sizes, reverse=True)
-            assert isinstance(prof, CosetProfile)
+            assert pairs == SubgroupContext(A).li_pairs
 
     def test_sizes_cover_all_nonzero_shifts(self):
         # d * sum of coset sizes counts every nonzero shift intersection
         p, d = 61, 12
         A = subgroup(p, d)
-        prof = coset_profile(A)
         raw = shift_sizes(A.indicator)
-        assert d * int(prof.sizes().sum()) == int(raw[1:].sum())
+        assert d * sum(l for _, l in coset_profile(A)) == int(raw[1:].sum())
 
     def test_full_group_single_entry(self):
         # one nonzero coset; every nonzero shift meets Z_p* in p-2 points
-        assert coset_profile(subgroup(7, 6)).pairs == ((1, 5),)
-        assert coset_profile(subgroup(11, 10)).pairs == ((1, 9),)
+        assert coset_profile(subgroup(7, 6)) == ((1, 5),)
+        assert coset_profile(subgroup(11, 10)) == ((1, 9),)
 
     def test_moment_from_profile_matches_direct(self):
         for p, d in ((13, 4), (101, 25), (211, 30)):
             A = subgroup(p, d)
             direct = energy_moment(A.indicator, 1.5)
             # the s = 0 term d^{3/2}, then d shifts per coset of size l
-            via_profile = d**1.5 + d * sum(l**1.5 for _, l in coset_profile(A).pairs)
+            via_profile = d**1.5 + d * sum(l**1.5 for _, l in coset_profile(A))
             assert abs(direct - via_profile) <= 1e-9 * max(1.0, direct)
 
 
@@ -358,11 +356,10 @@ class TestInvariantMachinery:
         # 19, 21, 29} of the order-6 subgroup mod 31 away from their least
         # elements; the smaller representative is named
         A = subgroup(31, 6)
-        counts = convolve_counts(A.indicator, A.indicator).counts.copy()
+        counts = convolve_counts(A.indicator, A.indicator).copy()
         counts[[17, 29]] += 1
-        prof = CountProfile(p=31, counts=counts, total=int(counts.sum()))
         with pytest.raises(InvarianceViolation, match="not constant on the coset of 2$"):
-            threshold_invariant_set(prof, A, 1.0)
+            threshold_invariant_set(counts, A, 1.0)
 
     def test_threshold_result_is_invariant_and_counted(self):
         A = subgroup(31, 6)
@@ -370,7 +367,7 @@ class TestInvariantMachinery:
         for k in (1.0, 2.0, 3.0):
             S = threshold_invariant_set(prof, A, k)
             members = set(int(v) for v in S.members())
-            want = {z for z in range(1, 31) if prof.counts[z] >= k}
+            want = {z for z in range(1, 31) if prof[z] >= k}
             assert members == want
             assert S.reps == tuple(r for r in A.cosets.reps.tolist() if r in members)
             assert not S.includes_zero

@@ -101,8 +101,8 @@ def test_counts_and_profiles_match_convolution():
             with pytest.MonkeyPatch.context() as mp:
                 force_tier(mp, tier)
                 ctx = SubgroupContext(A)
-                assert np.array_equal(ctx.conv_aa.counts, want.counts), (A.p, A.d, tier)
-                assert ctx.conv_aa.total == want.total
+                assert np.array_equal(ctx.conv_aa, want), (A.p, A.d, tier)
+                assert ctx.conv_aa.sum() == A.d * A.d and not ctx.conv_aa.flags.writeable
                 assert ctx.two_a == two_a
                 assert np.array_equal(ctx.profile, profile), (A.p, A.d, tier)
                 assert np.array_equal(ctx.two_a_profile, two_a_profile), (A.p, A.d, tier)

@@ -126,6 +126,18 @@ class TestCatalogShape:
                 b.hypothesis_ok,
             )
 
+    def test_context_of_another_subgroup_raises(self):
+        with pytest.raises(ValueError, match="context is for Subgroup\\(p=13, d=3\\)"):
+            check_bound("e3", subgroup(7, 3), CheckContext(subgroup(13, 3)))
+
+    def test_knobs_beside_a_context_raise(self):
+        # the knobs would be ignored: the context carries the default constant
+        A = subgroup(61, 12)
+        assert check_bound("hk_energy", A, CheckContext(A)).hypothesis_ok
+        assert not check_bound("hk_energy", A, hypothesis_constant=1e-9).hypothesis_ok
+        with pytest.raises(ValueError, match="hypothesis_constant"):
+            check_bound("hk_energy", A, CheckContext(A), hypothesis_constant=1e-9)
+
 
 class TestContextStatistics:
     """The per-subgroup statistics a sweep record reads off the context."""
@@ -264,9 +276,9 @@ class TestHypothesisKnobs:
     def test_l3_moment_cubic_log_branch(self):
         A = subgroup(31, 6)
         r = check_bound("l3_moment", A, l3_moment_order=3.0)
-        prof = convolve_counts(A.indicator, A.indicator)
-        members = [z for z in range(1, 31) if prof.counts[z] >= 2]
-        want_lhs = float(sum(int(prof.counts[z]) ** 3 for z in members))
+        counts = convolve_counts(A.indicator, A.indicator)
+        members = [z for z in range(1, 31) if counts[z] >= 2]
+        want_lhs = float(sum(int(counts[z]) ** 3 for z in members))
         assert r.lhs == want_lhs
         want_rhs = (6**4 / 6) * max(math.log(6**4 / (6**2 * 8)), 1.0)
         assert r.rhs_expr == pytest.approx(want_rhs)
@@ -325,7 +337,9 @@ class TestCovering:
 class TestCoverThreshold:
     def test_golden(self):
         assert clears_cover_threshold(7, 3)  # 3^23 = 94143178827 >= 7^11
+        assert clears_cover_threshold(7, 6)
         assert not clears_cover_threshold(7, 2)
+        assert not clears_cover_threshold(7, 1)
 
     def test_exact_at_integer_boundary(self):
         # find the first d clearing p^(11/23) by integer search, then check
