@@ -6,7 +6,6 @@ inequalities these objects satisfy, with a sweep CLI on top.
 """
 
 from .numtheory import (
-    CosetDecomposition,
     Subgroup,
     coset_reps,
     divisors,

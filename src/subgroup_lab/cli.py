@@ -466,7 +466,8 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
     A line that is not JSON, a CSV cell that is not a number, a CSV row with
     another cell count than the header, or a JSONL row with other keys than
-    the first raises ValueError naming the file and the line.
+    the first raises ValueError naming the file and the line; a check name
+    outside ALL_CHECKS (it names an SVG file) raises naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -502,6 +503,9 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     if missing:
         raise ValueError(f"{path} is not a records file: no column {', '.join(missing)}")
     checks = [c[: -len(":ratio")] for c in cols if c.endswith(":ratio")]
+    unknown = [c for c in checks if c not in ALL_CHECKS]
+    if unknown:
+        raise ValueError(f"{path}: unknown check {', '.join(map(repr, unknown))}")
     return rows, checks
 
 
@@ -530,13 +534,12 @@ def _rand_set(p: int, rng: random.Random, max_card: int = 512) -> ZpSet:
 
 
 def _enumeration_convolution(X: ZpSet, Y: ZpSet) -> np.ndarray:
-    """Pair-enumeration representation counts, independent of the FFT path."""
-    xs = X.members()
-    ys = Y.members()
-    if xs.size == 0 or ys.size == 0:
-        return np.zeros(X.p, dtype=np.int64)
-    sums = (xs[:, None] + ys[None, :]) % X.p
-    return np.bincount(sums.ravel(), minlength=X.p).astype(np.int64)
+    """Representation counts from the sorted pair sums, a route no tier of
+    exact_counts takes (its pair tier bincounts the sums): the count of z is
+    the gap between the first positions of z and z + 1 in the sorted sums."""
+    sums = ((X.members()[:, None] + Y.members()) % X.p).ravel()
+    sums.sort()
+    return np.diff(np.searchsorted(sums, np.arange(X.p + 1)))
 
 
 def _verify_convolution(A, rng):
@@ -577,7 +580,7 @@ def _verify_containment(A, rng):
     """
     p, aset = A.p, A.indicator
     two = fold_sumset(aset, 2)
-    shifts = np.arange(p) if p <= 200 else np.concatenate(([0], A.cosets.reps))
+    shifts = np.arange(p) if p <= 200 else np.concatenate(([0], A.reps))
     # row k of a rotation view is [k : k + p] of the doubled indicator, a view:
     # the set - k, so row -s % p is the set + s
     a_rot, two_rot = (
@@ -597,7 +600,7 @@ def _verify_containment(A, rng):
 
 def _verify_coset_profile(A, rng):
     """The shift profile is constant on cosets; phi equals the dense spectrum's."""
-    p, reps = A.p, A.cosets.reps
+    p, reps = A.p, A.reps
     prof = shift_sizes(A.indicator)
     vals = prof[(reps[:, None] * A.elements) % p]  # one row per coset
     broken = np.flatnonzero((vals != prof[reps][:, None]).any(axis=1))

@@ -5,8 +5,8 @@ including s = 0, terms with an empty shifted intersection are omitted, and
 logarithms downstream are natural.  For a subgroup A the shift profile
 |A ∩ (A + s)| is constant on cosets of A, and so is every sum, count or
 profile of sets whose nonzero parts are A-invariant.  Every count of two
-sets goes through spectral.exact_counts, coset_counts on A's coset layout, and
-the exact moments E and E3 are read off the profile at the coset reps.
+sets goes through spectral.exact_counts, on A.layout for such sets, and the
+exact moments E and E3 are read off the profile at the coset reps.
 
 Three exact size arguments skip counting altogether:
 - pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (coset_sumset, and
@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .numtheory import Subgroup, power_table
+from .numtheory import Subgroup
 from .spectral import convolve_counts, dft_magnitudes, phi_subgroup
 from .zpsets import InvariantSet, ZpSet
 
@@ -45,43 +45,32 @@ def shift_sizes(X: ZpSet) -> np.ndarray:
     return spectral.exact_counts(X.bits, (-X.members()) % X.p)
 
 
-def coset_counts(A: Subgroup, x_bits: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
-
-    X is given by its indicator and Y by its members, residues in [0, p).
-    Both must have A-invariant nonzero parts; then so does X * Y, and
-    spectral.exact_counts counts it on A's coset layout.  A bool out
-    receives the support, count > 0.
-    """
-    return spectral.exact_counts(x_bits, y, power_table(A.p).reshape(A.d, -1), out)
-
-
 def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
-    """X + Y for X, Y with A-invariant nonzero parts, gathering over the smaller.
+    """X + Y for X, Y with A-invariant nonzero parts, counted on A.layout.
 
     All of Z_p, uncounted, when |X| + |Y| > p: then X meets z - Y for every z.
     """
     if X.card + Y.card > A.p:
         return ZpSet.full(A.p)
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
-    return ZpSet._wrap(A.p, coset_counts(A, big.bits, small.members(), np.empty(A.p, dtype=bool)))
+    support = np.empty(A.p, dtype=bool)
+    return ZpSet._wrap(A.p, spectral.exact_counts(big.bits, small.members(), A.layout, support))
 
 
 def invariant_profile(A: Subgroup, X: ZpSet) -> np.ndarray:
     """|X ∩ (X + s)| for every s in Z_p, X with an A-invariant nonzero part.
 
-    Counted as X * (-X) on the coset kernel.  When |X| > p/2 it is read from
-    the complement C = Z_p minus X, whose nonzero part is A-invariant too:
+    Counted as X * (-X) on A.layout.  When |X| > p/2 it is read from the
+    complement C = Z_p minus X, whose nonzero part is A-invariant too:
     X ∩ (X + s) misses exactly C ∪ (C + s), so the size is
     p - 2|C| + |C ∩ (C + s)|.
     """
     p = A.p
-    if 2 * X.card <= p:
-        return coset_counts(A, X.bits, (-X.members()) % p)
-    c_bits = ~X.bits
-    c = np.flatnonzero(c_bits)
-    sizes = coset_counts(A, c_bits, (-c) % p)
-    sizes += p - 2 * len(c)
+    bits = X.bits if 2 * X.card <= p else ~X.bits
+    y = (-np.flatnonzero(bits)) % p
+    sizes = spectral.exact_counts(bits, y, A.layout)
+    if bits is not X.bits:
+        sizes += p - 2 * len(y)
     return sizes
 
 
@@ -106,8 +95,8 @@ def additive_energy_spectral(A: ZpSet, B: ZpSet) -> float:
 
 def energy_moment(A: ZpSet, r: float) -> float:
     """E_r(A) = sum over shifts s (s = 0 included) of |A ∩ (A + s)|^r."""
-    if r < 1:
-        raise ValueError(f"moment order must be >= 1, got {r}")
+    if not (math.isfinite(r) and r >= 1):
+        raise ValueError(f"moment order must be finite and >= 1, got {r}")
     sizes = shift_sizes(A)
     nz = sizes[sizes > 0].astype(np.float64)
     return float(np.sum(nz**r))
@@ -117,7 +106,7 @@ class SubgroupContext:
     """Per-subgroup quantities, each computed once, on first use.
 
     A * A, 2A, the k-fold chain, the shift profiles of A and 2A, phi, the
-    energies and both ratio sums all come from the coset kernel.  E and E3
+    energies and both ratio sums all come from A.layout.  E and E3
     are read at the coset reps: the profile is d at 0 and l_j on the d
     shifts of coset j, so E_r = d^r + d sum_j l_j^r, exact in Python ints
     over the distinct l_j (at most min(m, d + 1)), each times its count.  The float sums (E_{3/2}, ssc) keep
@@ -140,7 +129,7 @@ class SubgroupContext:
     @cached_property
     def conv_aa(self) -> np.ndarray:
         """(A * A)(z) for every z, read-only."""
-        counts = coset_counts(self.A, self.aset.bits, self.A.elements)
+        counts = spectral.exact_counts(self.aset.bits, self.A.elements, self.A.layout)
         counts.flags.writeable = False
         return counts
 
@@ -193,7 +182,7 @@ class SubgroupContext:
     @cached_property
     def rep_profile(self) -> np.ndarray:
         """|A ∩ (A + r)| at each coset rep r, in ascending rep order."""
-        return self.profile[self.A.cosets.reps]
+        return self.profile[self.A.reps]
 
     def _moment(self, r: int) -> int:
         mult = np.bincount(self.rep_profile)  # mult[l] cosets have profile value l
@@ -239,7 +228,7 @@ class SubgroupContext:
         live = self.rep_profile > 0
         support = np.empty(self.p, dtype=bool)
         total = d * d / float(self.twoA_size)
-        for r, li in zip(self.A.cosets.reps[live].tolist(), self.rep_profile[live].tolist()):
+        for r, li in zip(self.A.reps[live].tolist(), self.rep_profile[live].tolist()):
             spectral.exact_counts(bits, el[bits[el - r]], out=support)
             total += d * (li * li / float(np.count_nonzero(support)))
         return total
@@ -247,7 +236,7 @@ class SubgroupContext:
     @cached_property
     def li_pairs(self) -> tuple:
         """(rep, |A ∩ (A + rep)|) by decreasing size, ties by ascending rep."""
-        reps, l = self.A.cosets.reps, self.rep_profile
+        reps, l = self.A.reps, self.rep_profile
         order = np.lexsort((reps, -l))
         return tuple(zip(reps[order].tolist(), l[order].tolist()))
 
@@ -310,7 +299,7 @@ def threshold_invariant_set(
     """
     if len(counts) != A.p:
         raise ValueError(f"modulus mismatch: {len(counts)} vs {A.p}")
-    layout = power_table(A.p).reshape(A.d, -1)  # column j is the coset g^j A
+    layout = A.layout  # column j is the coset g^j A
     vals = counts[layout]
     broken = (vals != vals[0]).any(axis=0)
     if broken.any():

@@ -188,8 +188,19 @@ class Subgroup:
 
         return ZpSet.from_elements(self.p, self.elements)
 
+    @property
+    def layout(self) -> np.ndarray:
+        """The coset quotient: power_table(p).reshape(d, m), a read-only view.
+
+        Column j is the coset g^j A, so row 0 holds one point of each coset.
+        Rebuilt on each access (O(1)), so a Subgroup never pins a power table
+        that power_table's cache has let go.
+        """
+        return power_table(self.p).reshape(self.d, -1)
+
     @cached_property
-    def cosets(self) -> "CosetDecomposition":
+    def reps(self) -> np.ndarray:
+        """The least element of each coset, ascending (coset_reps)."""
         return coset_reps(self)
 
 
@@ -226,39 +237,12 @@ def subgroup(p: int, d: int) -> Subgroup:
     return Subgroup(p=p, d=d, gen=pow(primitive_root(p), m, p), elements=elements)
 
 
-@dataclass(eq=False)
-class CosetDecomposition:
-    """Cosets of a subgroup in Z_p*, keyed by their minimal representatives."""
+def coset_reps(A: Subgroup) -> np.ndarray:
+    """The minimal residue of each coset of A in Z_p*, sorted and read-only.
 
-    subgroup: Subgroup
-    reps: np.ndarray  # sorted ascending, one per coset, (p-1)/d of them
-
-    def __post_init__(self) -> None:
-        self.reps.flags.writeable = False
-
-    @cached_property
-    def coset_index(self) -> np.ndarray:
-        """Array mapping z in Z_p to the index of its coset in reps (-1 at 0)."""
-        A = self.subgroup
-        idx = np.full(A.p, -1, dtype=np.int64)
-        members = (self.reps[:, None] * A.elements[None, :]) % A.p
-        idx[members.ravel()] = np.repeat(np.arange(len(self.reps)), A.d)
-        return idx
-
-    def coset_of(self, rep: int) -> np.ndarray:
-        """Elements of the coset rep * A, sorted ascending."""
-        A = self.subgroup
-        out = (rep * A.elements) % A.p
-        out.sort()
-        return out
-
-
-def coset_reps(A: Subgroup) -> CosetDecomposition:
-    """Decompose Z_p* into cosets of A, choosing the minimal residue of each.
-
-    The cosets are the columns of power_table(p).reshape(d, m), so the
-    representatives are the column minima, sorted: O(p) vectorised work.
+    The cosets are the columns of A.layout, so the representatives are its
+    column minima: O(p) vectorised work.
     """
-    m = (A.p - 1) // A.d
-    reps = np.sort(power_table(A.p).reshape(A.d, m).min(axis=0))
-    return CosetDecomposition(subgroup=A, reps=reps)
+    reps = np.sort(A.layout.min(axis=0))
+    reps.flags.writeable = False
+    return reps

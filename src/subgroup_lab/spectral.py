@@ -11,8 +11,8 @@ Convolution of nonnegative integers is exact at every size, in three tiers:
    split into limbs narrow enough to certify, recombined exactly in int64.
 3. Otherwise big-integer Kronecker packing (object dtype from 2^63 up).
 
-Every exact count X * Y of two sets in the package (shift profiles, coset
-counts, sumsets, convolve_counts) goes through exact_counts, which prices a
+Every exact count X * Y of two sets in the package (shift profiles, A * A,
+sumsets, convolve_counts) goes through exact_counts, which prices a
 pair bincount, a gather and the exact convolution above, and runs the
 cheapest.  Besides its FFT tier, only the verifier's solution table, a
 product of two count vectors, calls the convolution directly.
@@ -132,23 +132,24 @@ def _kronecker_linear(u: np.ndarray, v: np.ndarray, bound: int) -> list[int]:
     return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") for i in range(m)]
 
 
-def _integer_operand(a, p: int) -> np.ndarray:
-    """Length-p nonnegative integers as int64 (object from 2^63 up).
+def all_integral(a: np.ndarray) -> bool:
+    """Whether every entry of a is a finite integer.
 
-    Bool, integer and integral float dtypes are accepted, and object arrays
-    of Python or numpy integers; anything else raises instead of truncating.
+    Bool, integer and integral float dtypes qualify, and object arrays of
+    Python or numpy integers; callers raise on anything else, never truncate.
     """
+    kind = a.dtype.kind
+    if kind == "O":
+        return all(isinstance(x, numbers.Integral) for x in a.tolist())
+    return kind in "biu" or bool(kind == "f" and np.isfinite(a).all() and (a == np.floor(a)).all())
+
+
+def _integer_operand(a, p: int) -> np.ndarray:
+    """Length-p nonnegative integers as int64 (object from 2^63 up)."""
     a = np.asarray(a)
     if a.shape != (p,):
         raise ValueError("operands must be vectors of length p")
-    kind = a.dtype.kind
-    if kind == "O":
-        integral = all(isinstance(x, numbers.Integral) for x in a.tolist())
-    else:
-        integral = kind in "biu" or (
-            kind == "f" and np.isfinite(a).all() and (a == np.floor(a)).all()
-        )
-    if not integral:
+    if not all_integral(a):
         raise ValueError("convolution operands must be finite integers")
     if (a < 0).any():
         raise ValueError("convolution operands must be nonnegative")
@@ -267,8 +268,8 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np
     pair_counts at SCATTER_COST |X| |Y|, gather_counts at |Y| per point read,
     one exact convolution at _conv_cost(p); the pairs run only when strictly
     cheapest, the gather when no dearer than the convolution.
-    layout = power_table(p).reshape(d, m) says X * Y is constant on its
-    columns, the cosets g^j A, so the gather reads 0 and its first row only.
+    A subgroup's layout (numtheory.Subgroup.layout) says X * Y is constant on
+    its columns, the cosets g^j A, so the gather reads 0 and its first row only.
     A bool out receives count > 0 and rules out the pairs, whose int64
     counts span Z_p.
     """
@@ -351,7 +352,7 @@ def phi_subgroup(A) -> tuple[float, int]:
     frequencies collapse to (p-1)/d representative evaluations: one gather
     of O(p) phases from a per-prime table of unit roots.
     """
-    reps = A.cosets.reps
+    reps = A.reps
     phases = (reps[:, None] * A.elements[None, :]) % A.p
     sums = _unit_roots(A.p)[phases].sum(axis=1)
     mags = np.abs(sums)

@@ -20,13 +20,12 @@ import numpy as np
 from .energetics import (
     HEAVY_LIMIT,
     SubgroupContext,
-    coset_counts,
     coset_sumset,
     restricted_moment,
     threshold_invariant_set,
 )
 from .numtheory import Subgroup, subgroup
-from .spectral import cyclic_convolution_exact
+from .spectral import cyclic_convolution_exact, exact_counts
 from .zpsets import ZpSet, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
@@ -322,8 +321,7 @@ def check_six_fold(A: Subgroup) -> bool:
     aset = A.indicator
     two = coset_sumset(A, aset, aset)
     three = coset_sumset(A, two, aset)
-    six = coset_sumset(A, three, three)
-    return six.covers_nonzero()
+    return coset_sumset(A, three, three).covers_nonzero()
 
 
 def clears_cover_threshold(p: int, d: int) -> bool:
@@ -342,11 +340,10 @@ def _solution_table(p: int, d: int) -> np.ndarray:
     """(2A * 2A) * (A * A) at every z, exact.
 
     2A * 2A is a count of two sets with A-invariant nonzero parts, taken on
-    the coset kernel; the product of the two count vectors is one exact
-    convolution.
+    A.layout; the product of the two count vectors is one exact convolution.
     """
     ctx = _context(p, d)
-    c = coset_counts(ctx.A, ctx.two_a.bits, ctx.two_a.members())
+    c = exact_counts(ctx.two_a.bits, ctx.two_a.members(), ctx.A.layout)
     return cyclic_convolution_exact(c, ctx.conv_aa, p)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import Subgroup, validate_modulus
-from .spectral import exact_counts
+from .spectral import all_integral, exact_counts
 
 
 class ZpSet:
@@ -47,9 +47,7 @@ class ZpSet:
     def from_elements(cls, p: int, elements) -> "ZpSet":
         p = validate_modulus(p)
         bits = np.zeros(p, dtype=bool)
-        if not isinstance(elements, np.ndarray):
-            elements = list(elements)
-        bits[np.asarray(elements, dtype=np.int64) % p] = True
+        bits[_residues(elements, p)] = True
         return cls._wrap(p, bits)
 
     @classmethod
@@ -104,6 +102,14 @@ class ZpSet:
         inner = body[1:-1].strip()
         elems = [int(tok) for tok in inner.split(",")] if inner else []
         return cls.from_elements(int(head), elems)
+
+
+def _residues(values, p: int) -> np.ndarray:
+    """The values mod p as int64; a non-integral or non-finite entry raises."""
+    a = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if a.size and not all_integral(a):
+        raise ValueError("set elements must be finite integers")
+    return (a % p).astype(np.int64, copy=False)
 
 
 def _require_same_modulus(X: ZpSet, Y: ZpSet) -> int:
@@ -181,20 +187,18 @@ def invariant_set(A: Subgroup, reps, includes_zero: bool = False) -> InvariantSe
 
     Reps must be nonzero and lie in pairwise distinct cosets.
     """
-    reps = [int(r) % A.p for r in reps]
+    reps = _residues(reps, A.p)
+    if not reps.all():
+        raise ValueError("coset representative must be nonzero")
     bits = np.zeros(A.p, dtype=bool)
-    for r in reps:
-        if r == 0:
-            raise ValueError("coset representative must be nonzero")
-        bits[(r * A.elements) % A.p] = True
-    if int(bits.sum()) != A.d * len(reps):
+    bits[(reps[:, None] * A.elements) % A.p] = True
+    if int(np.count_nonzero(bits)) != A.d * len(reps):
         raise ValueError("representatives fall in overlapping cosets")
-    if includes_zero:
-        bits[0] = True
+    bits[0] = includes_zero
     return InvariantSet(
         base=ZpSet._wrap(A.p, bits),
         subgroup=A,
-        reps=tuple(sorted(reps)),
+        reps=tuple(sorted(reps.tolist())),
         includes_zero=includes_zero,
     )
 

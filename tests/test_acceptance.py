@@ -198,7 +198,7 @@ def test_criterion_5_coset_constancy_and_phi():
     for p, d in _all_subgroups(3, 500):
         A = subgroup(p, d)
         prof = shift_sizes(A.indicator)
-        for rep in A.cosets.reps:
+        for rep in A.reps:
             coset = (int(rep) * A.elements) % p
             assert (prof[coset] == prof[int(rep)]).all(), (p, d, int(rep))
         fast, _ = phi_subgroup(A)

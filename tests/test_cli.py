@@ -611,6 +611,20 @@ class TestMain:
         assert main(["report", str(records)]) == 2
         assert capsys.readouterr().err == f"error: {records}, line 3: not a number: 'abc'\n"
 
+    @pytest.mark.parametrize("name", ["../escaped", "nested/name", "hk_energyx"])
+    def test_report_rejects_unknown_check_names(self, tmp_path, capsys, name):
+        # a check name becomes an SVG file name under --svg-dir
+        records = tmp_path / "r.csv"
+        assert main(["sweep", "--pmax", "13", "--out", str(records)]) == 0
+        lines = records.read_text().splitlines()
+        lines[0] = lines[0].replace("hk_energy:ratio", f"{name}:ratio")
+        records.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        svg_dir = tmp_path / "plots" / "inner"
+        assert main(["report", str(records), "--svg-dir", str(svg_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {records}: unknown check {name!r}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["r.csv", "r.csv.summary.txt"]
+
     @pytest.mark.parametrize("fmt, name", [("jsonl", "r.csv"), ("csv", "r.jsonl")])
     def test_report_reads_either_format_whatever_the_suffix(self, tmp_path, capsys, fmt, name):
         plain = tmp_path / "plain.csv"
@@ -721,7 +735,7 @@ class TestVerifyAll:
         # 5,004 shifts (0 and the coset reps); one unblocked bool matrix of
         # A_s rows would take 50 MB
         A = subgroup(10007, 2)
-        A.indicator, A.cosets  # built before tracing
+        A.indicator, A.reps  # built before tracing
         tracemalloc.start()
         try:
             got = cli._verify_containment(A, random.Random(0))

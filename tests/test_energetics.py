@@ -42,10 +42,13 @@ class TestShiftSizes:
     def test_matches_oracle(self):
         # unforced, then on each tier with gathers and pair sums in blocks of
         # 7 elements (the whole-Z_p gather then copies one rotation per block)
+        # and sets past p/2: Z_p, Z_p minus a point, random ones
         rng = random.Random(31)
         for p in (5, 7, 13, 31):
-            for _ in range(4):
-                els = rand_set(p, rng, rng.randint(0, p - 1))
+            sets = [rand_set(p, rng, rng.randint(0, p - 1)) for _ in range(4)]
+            sets += [list(range(p)), list(range(1, p)), rand_set(p, rng, p - 1)]
+            sets += [rand_set(p, rng, rng.randint(p // 2 + 1, p - 2)) for _ in range(2)]
+            for els in sets:
                 S = ZpSet.from_elements(p, els)
                 want = brute_shift_profile(els, p)
                 assert list(shift_sizes(S)) == want
@@ -186,6 +189,11 @@ class TestEnergyMoments:
     def test_rejects_r_below_one(self):
         with pytest.raises(ValueError):
             energy_moment(ZpSet.from_elements(7, [1]), 0.5)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), np.float64("nan")])
+    def test_rejects_non_finite_order(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            energy_moment(ZpSet.from_elements(7, [1, 2]), r)
 
     def test_golden_e32_7_3(self):
         A = subgroup(7, 3).indicator
@@ -369,5 +377,5 @@ class TestInvariantMachinery:
             members = set(int(v) for v in S.members())
             want = {z for z in range(1, 31) if prof[z] >= k}
             assert members == want
-            assert S.reps == tuple(r for r in A.cosets.reps.tolist() if r in members)
+            assert S.reps == tuple(r for r in A.reps.tolist() if r in members)
             assert not S.includes_zero

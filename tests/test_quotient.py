@@ -17,13 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgroup_lab.spectral as spectral
-from subgroup_lab.energetics import (
-    SubgroupContext,
-    coset_counts,
-    coset_sumset,
-    invariant_profile,
-    shift_sizes,
-)
+from subgroup_lab.energetics import SubgroupContext, coset_sumset, invariant_profile, shift_sizes
 from subgroup_lab.numtheory import (
     Subgroup,
     coset_reps,
@@ -52,7 +46,7 @@ def subgroups_upto_2000():
 
 def random_union(A: Subgroup, k: int, zero: bool, rng: random.Random) -> ZpSet:
     """A union of k random cosets of A, with 0 if asked."""
-    return invariant_set(A, rng.sample(A.cosets.reps.tolist(), k), zero).base
+    return invariant_set(A, rng.sample(A.reps.tolist(), k), zero).base
 
 
 def test_power_table_is_the_cyclic_group():
@@ -65,10 +59,15 @@ def test_power_table_is_the_cyclic_group():
 
 
 def test_subgroup_and_coset_reps_match_brute_scan():
+    # the layout's columns are the cosets, a read-only view of the power table
     for A in subgroups_upto_2000():
         els, reps = brute_cosets(A.p, A.d)
         assert A.elements.tolist() == els, (A.p, A.d)
-        assert coset_reps(A).reps.tolist() == reps, (A.p, A.d)
+        assert coset_reps(A).tolist() == A.reps.tolist() == reps, (A.p, A.d)
+        cosets = {frozenset(r * a % A.p for a in els) for r in reps}
+        assert {frozenset(col) for col in A.layout.T.tolist()} == cosets, (A.p, A.d)
+        assert np.shares_memory(A.layout, power_table(A.p)), (A.p, A.d)
+        assert not (A.layout.flags.writeable or A.reps.flags.writeable), (A.p, A.d)
 
 
 def test_chain_and_six_fold_match_fold_sumset():
@@ -111,7 +110,7 @@ def test_counts_and_profiles_match_convolution():
 def test_phi_matches_direct_evaluation():
     # the unit-root table must reproduce the direct exponentials bit for bit
     for A in subgroups_upto_2000():
-        reps = A.cosets.reps
+        reps = A.reps
         phases = (reps[:, None] * A.elements[None, :]) % A.p
         mags = np.abs(np.exp(2j * np.pi * phases / A.p).sum(axis=1))
         i = int(np.argmax(mags))
@@ -124,7 +123,7 @@ def test_sumset_ratio_matches_ordered_sumset_sum():
         for d in divisors(p - 1):
             A = subgroup(p, d)
             want = d * d / float(sumset(A.indicator, A.indicator).card)
-            for r in A.cosets.reps.tolist():
+            for r in A.reps.tolist():
                 a_r = shift_intersect(A.indicator, r)
                 if a_r.card:
                     want += d * (a_r.card * a_r.card / float(sumset(A.indicator, a_r).card))
@@ -145,7 +144,7 @@ def coset_unions(draw):
     """(A, X, Y): a subgroup and two unions of its cosets, each maybe with 0."""
     p = draw(st.sampled_from(PRIMES_3000))
     A = subgroup(p, draw(st.sampled_from(divisors(p - 1))))
-    reps = A.cosets.reps.tolist()
+    reps = A.reps.tolist()
     rnd = draw(st.randoms(use_true_random=False))
     # keep the brute oracle's |X| |Y| pair loop near 10^6
     nx = draw(st.integers(0, min(len(reps), max(1, 2000 // A.d))))
@@ -248,7 +247,7 @@ def test_pair_tier_memory_is_bounded_by_blocks():
     assert spectral.SCATTER_COST * X.card * len(y) < min((m + 1) * len(y), spectral._conv_cost(p))
     tracemalloc.start()
     try:
-        got = coset_counts(A, X.bits, y)
+        got = spectral.exact_counts(X.bits, y, A.layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

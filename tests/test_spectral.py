@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import shift_sizes
-from subgroup_lab.numtheory import is_prime, power_table, subgroup
+from subgroup_lab.numtheory import is_prime, subgroup
 from subgroup_lab.spectral import (
     Spectrum,
     convolve_counts,
@@ -217,13 +217,12 @@ class TestGatherCounts:
         monkeypatch.setattr(spectral, "_GATHER_BLOCK", block)
         rng = random.Random(p * block)
         A = subgroup(p, d)
-        reps = A.cosets.reps.tolist()
+        reps = A.reps.tolist()
         X = invariant_set(A, rng.sample(reps, len(reps) // 2), includes_zero=True).base
         Y = invariant_set(A, rng.sample(reps, 3)).base
         y = Y.members()
         want = brute_convolution(X.members().tolist(), y.tolist(), p)
-        layout = power_table(p).reshape(d, -1)
-        for lay in (None, layout):
+        for lay in (None, A.layout):
             got = spectral.gather_counts(X.bits, y, lay)
             assert got.dtype == np.int64
             assert got.tolist() == want == spectral.pair_counts(X.members(), y, p).tolist()

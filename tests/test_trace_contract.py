@@ -3,8 +3,8 @@
 `perfbench/child.py` names the functions it traces (`TARGETS`) and calls a
 probe with each call's own arguments for three of them (`_probes`).  The
 tier-1 suite never runs a traced benchmark, so these tests read child.py,
-without running it, and check that every name still resolves and every
-probed function still takes its probe's positional arguments.
+without running it, and check that every name still resolves and that each
+probe and its function take the same positional arguments.
 """
 
 import importlib
@@ -44,3 +44,13 @@ def test_every_probed_function_takes_its_probe_arguments(child):
         params = inspect.signature(probe).parameters
         args = [object()] * len(params)
         inspect.signature(_resolve(qualname)).bind(*args)  # raises TypeError if not
+
+
+def test_every_probe_takes_every_positional_argument_of_its_function(child):
+    # the probe sees each call's own arguments, so a parameter the function
+    # gains (an optional one too) must be one its probe accepts as well
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for qualname, probe in child._probes(lambda a: "").items():
+        params = inspect.signature(_resolve(qualname)).parameters.values()
+        args = [object()] * sum(p.kind in positional for p in params)
+        inspect.signature(probe).bind(*args)  # raises TypeError if not

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-import subgroup_lab.energetics as energetics
+import subgroup_lab.spectral as spectral
 import subgroup_lab.verifier as verifier
 from subgroup_lab.numtheory import divisors, subgroup
 from subgroup_lab.energetics import SubgroupContext, additive_energy, sumset_ratio_sum
@@ -383,17 +383,24 @@ class TestSolutionCounts:
                 assert count_solutions_N(A, a) == brute_count_N(two, els, a, p), (p, d, a)
 
     def test_positivity_and_counts_share_one_a_star_a(self, monkeypatch):
+        # every exact count on a coset layout, as (d, |Y|)
         calls = []
-        real = energetics.coset_counts
-        monkeypatch.setattr(
-            energetics, "coset_counts", lambda *a: calls.append(a[0].d) or real(*a)
-        )
+        real = spectral.exact_counts
+
+        def counted(x_bits, y, layout=None, out=None):
+            if layout is not None:
+                calls.append((layout.shape[0], len(y)))
+            return real(x_bits, y, layout, out)
+
+        for module in (spectral, verifier):
+            monkeypatch.setattr(module, "exact_counts", counted)
         verifier._context.cache_clear()
         verifier._solution_table.cache_clear()
         A = subgroup(1009, 504)
         assert positivity_condition(A)
         assert all(count_solutions_N(A, a) > 0 for a in (1, 2, 3))
-        assert calls == [504]  # A * A, built once
+        two_a = fold_sumset(A.indicator, 2).card
+        assert calls == [(504, 504), (504, two_a)]  # A * A once, then 2A * 2A
 
     def test_mass_identity(self):
         # summing N over nonzero a counts |A| copies of the nonzero conv mass

@@ -81,6 +81,16 @@ class TestZpSet:
         with pytest.raises(ValueError):
             ZpSet.from_elements(8, [1])
 
+    @pytest.mark.parametrize("els", [[1.5, 2.9], [1, float("nan")], np.array([np.inf]), ["1"]])
+    def test_rejects_non_integral_elements(self, els):
+        with pytest.raises(ValueError, match="finite integers"):
+            ZpSet.from_elements(7, els)
+
+    def test_accepts_integer_bool_and_integral_float_elements(self):
+        for els in ([1, 9], np.array([1, 2], dtype=np.int32), [2.0, 8.0], [1, 2**70]):
+            assert ZpSet.from_elements(7, els) == ZpSet.from_elements(7, [int(e) % 7 for e in els])
+        assert ZpSet.from_elements(7, np.array([True, False])).members().tolist() == [0, 1]
+
     @pytest.mark.parametrize("p, n", [(8, 8), (1, 1), (7, 6), (7, 8)])
     def test_constructor_rejects_bad_modulus_or_length(self, p, n):
         with pytest.raises(ValueError):
@@ -125,7 +135,7 @@ class TestPackageResults:
         yield from (ZpSet.empty(p), ZpSet.full(p), S, T, sumset(S, T), sumset(S, ZpSet.empty(p)))
         yield from (sumset(S, ZpSet.full(p)), translate(S, 3), shift_intersect(S, 5), dilate(S, 3))
         yield from (fold_sumset(T, 3), ctx.two_a, ctx.fold(3), coset_sumset(A, ctx.two_a, ctx.two_a))
-        yield invariant_set(A, A.cosets.reps[:2], includes_zero=True).base
+        yield invariant_set(A, A.reps[:2], includes_zero=True).base
         yield threshold_invariant_set(ctx.conv_aa, A, 1).base
 
     @pytest.mark.parametrize("tier", TIERS)
@@ -332,6 +342,11 @@ class TestInvariantSets:
     def test_rejects_zero_rep(self):
         with pytest.raises(ValueError):
             invariant_set(subgroup(7, 3), (0,))
+
+    @pytest.mark.parametrize("reps", [[1.5], [2, float("inf")], [float("nan")]])
+    def test_rejects_non_integral_reps(self, reps):
+        with pytest.raises(ValueError, match="finite integers"):
+            invariant_set(subgroup(13, 4), reps)
 
     def test_rejects_same_coset_reps(self):
         # 2 sits in the coset of 1 for the cubes mod 7
