@@ -29,7 +29,7 @@ import numpy as np
 from . import energetics, numtheory, spectral
 from .energetics import SubgroupContext, shift_sizes
 from .numtheory import divisors, subgroup
-from .spectral import convolve_counts, dft_magnitudes, naive_dft_magnitudes, phi_subgroup
+from .spectral import convolve_counts, dft_magnitudes, exact_supports, naive_dft_magnitudes, phi_subgroup
 from .verifier import (
     ALL_CHECKS,
     HEAVY_CHECKS,
@@ -42,7 +42,7 @@ from .verifier import (
     exponent_fit,
     positivity_condition,
 )
-from .zpsets import ZpSet, fold_sumset, sumset
+from .zpsets import ZpSet, fold_sumset
 
 CSV_BASE_COLUMNS = (
     "p",
@@ -575,26 +575,27 @@ def _verify_containment(A, rng):
     """A + A_s inside (2A)_s: every shift for p <= 200, else 0 and the coset reps.
 
     The rows A_s and (2A)_s are cut from rotation views of A and 2A, at most
-    spectral._GATHER_BLOCK elements at a time; each nonempty A_s, in
-    ascending shift order, takes one sumset.
+    spectral._GATHER_BLOCK elements at a time; the nonempty A_s of a block
+    take one exact_supports call, and the first failing one in ascending
+    shift order is reported.
     """
     p, aset = A.p, A.indicator
     two = fold_sumset(aset, 2)
     shifts = np.arange(p) if p <= 200 else np.concatenate(([0], A.reps))
-    # row k of a rotation view is [k : k + p] of the doubled indicator, a view:
-    # the set - k, so row -s % p is the set + s
-    a_rot, two_rot = (
-        np.ndarray((p, p), bool, buffer=np.tile(S.bits, 2), strides=(1, 1)) for S in (aset, two)
-    )
+    # row -s % p of a rotation view is the set + s
+    a_rot, two_rot = (spectral._rotations(S.bits) for S in (aset, two))
     step, cases = max(1, spectral._GATHER_BLOCK // p), 0
     for i in range(0, len(shifts), step):
         s = shifts[i : i + step]
         a_s = aset.bits & a_rot[-s % p]
+        live = a_s.any(axis=1)
+        s = s[live]
         outside = ~(two.bits & two_rot[-s % p])  # Z_p minus (2A)_s
-        for j in np.flatnonzero(a_s.any(axis=1)).tolist():
-            if (sumset(aset, ZpSet._wrap(p, a_s[j])).bits & outside[j]).any():
-                return cases, f"containment p={p} d={A.d} s={s[j]}"
-            cases += 1
+        bad = (exact_supports(aset.bits, a_s[live]) & outside).any(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            return cases + j, f"containment p={p} d={A.d} s={s[j]}"
+        cases += len(s)
     return cases, None
 
 

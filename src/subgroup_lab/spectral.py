@@ -14,8 +14,12 @@ Convolution of nonnegative integers is exact at every size, in three tiers:
 Every exact count X * Y of two sets in the package (shift profiles, A * A,
 sumsets, convolve_counts) goes through exact_counts, which prices a
 pair bincount, a gather and the exact convolution above, and runs the
-cheapest.  Besides its FFT tier, only the verifier's solution table, a
-product of two count vectors, calls the convolution directly.
+cheapest.  exact_supports takes the supports of X * Y_k for a block of sets
+Y_k at once (verify's containment family, one call per block of shifts); it
+prices each row with the same helper, shares one gather among the rows it
+would gather and hands the others to exact_counts.  Besides its FFT tier,
+only the verifier's solution table, a product of two count vectors, calls
+the convolution directly.
 
 Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
 """
@@ -206,6 +210,21 @@ def _conv_cost(p: int) -> int:
     return CONV_COST_PER_CALL + CONV_COST_PER_N * (1 << (2 * p - 2).bit_length())
 
 
+def _gather_and_conv_costs(n_y, points: int, p: int) -> tuple:
+    """Prices of a gather reading n_y members of Y at `points` points each and
+    of one exact convolution; n_y may be an array of sizes, one per set Y."""
+    return n_y * points, _conv_cost(p)
+
+
+def _rotations(x_bits: np.ndarray) -> np.ndarray:
+    """The (p + 1, p) view whose row k is doubled[k : k + p] of the doubled
+    indicator, so row p - y is X + y: rows[p - y][z] = x_bits[z - y]."""
+    p = len(x_bits)
+    doubled = np.concatenate((x_bits, x_bits))
+    s = doubled.itemsize
+    return np.ndarray((p + 1, p), doubled.dtype, buffer=doubled, strides=(s, s))
+
+
 def gather_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np.ndarray:
     """#{y in Y : z - y in X} for every z in Z_p: int64, or > 0 into a bool out.
 
@@ -219,10 +238,7 @@ def gather_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> n
     if out is None:
         out = np.empty(p, dtype=np.int64)
     if layout is None:
-        # rows[k] = doubled[k : k + p], a view, so rows[p - y][z] = x_bits[z - y]
-        doubled = np.concatenate((x_bits, x_bits))
-        s = doubled.itemsize
-        rows = np.ndarray((p + 1, p), doubled.dtype, buffer=doubled, strides=(s, s))
+        rows = _rotations(x_bits)
         step = max(1, _GATHER_BLOCK // p)
         np.add.reduce(rows[p - y[:step]], axis=0, dtype=out.dtype, out=out)
         for i in range(step, len(y), step):
@@ -264,18 +280,18 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
     X is given by its indicator and Y by its distinct members, residues in
-    [0, p).  The one place that prices the tiers, in the cost model's units:
-    pair_counts at SCATTER_COST |X| |Y|, gather_counts at |Y| per point read,
-    one exact convolution at _conv_cost(p); the pairs run only when strictly
-    cheapest, the gather when no dearer than the convolution.
+    [0, p).  The tiers are priced in the cost model's units: pair_counts at
+    SCATTER_COST |X| |Y|, and, by _gather_and_conv_costs, which exact_supports
+    shares, gather_counts at |Y| per point read and one exact convolution at
+    _conv_cost(p); the pairs run only when strictly cheapest, the gather when
+    no dearer than the convolution.
     A subgroup's layout (numtheory.Subgroup.layout) says X * Y is constant on
     its columns, the cosets g^j A, so the gather reads 0 and its first row only.
     A bool out receives count > 0 and rules out the pairs, whose int64
     counts span Z_p.
     """
     p = len(x_bits)
-    gather = len(y) * (p if layout is None else layout.shape[1] + 1)
-    conv = _conv_cost(p)
+    gather, conv = _gather_and_conv_costs(len(y), p if layout is None else layout.shape[1] + 1, p)
     if out is None and SCATTER_COST * int(np.count_nonzero(x_bits)) * len(y) < min(gather, conv):
         return pair_counts(np.flatnonzero(x_bits), y, p)
     if gather > conv:
@@ -284,6 +300,42 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np
         counts = cyclic_convolution_exact(x_bits, y_bits, p)
         return counts if out is None else np.greater(counts, 0, out=out)
     return gather_counts(x_bits, y, layout, out)
+
+
+def exact_supports(x_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row k of the (k, p) bool result is (X * Y_k) > 0, the sumset X + Y_k.
+
+    X is given by its indicator and each Y_k by row k of a bool matrix.  A
+    row with |X| + |Y_k| > p is all of Z_p (pigeonhole).  The others are
+    priced as in exact_counts: the rows it would gather share one rotation
+    view of X and are OR-reduced over their rows of it, in steps of whole
+    rows that read at most _GATHER_BLOCK elements (or one row's |Y_k| p);
+    each row priced above the convolution is one exact_counts call.
+    """
+    k, p = rows.shape
+    if len(x_bits) != p:
+        raise ValueError("rows must have the length of x_bits")
+    out = np.zeros((k, p), dtype=bool)
+    sizes = np.count_nonzero(rows, axis=1)
+    full = sizes + np.count_nonzero(x_bits) > p
+    out[full] = True
+    live = (sizes > 0) & ~full
+    gather, conv = _gather_and_conv_costs(sizes, p, p)
+    for j in np.flatnonzero(live & (gather > conv)).tolist():
+        exact_counts(x_bits, np.flatnonzero(rows[j]), out=out[j])
+    g = np.flatnonzero(live & (gather <= conv))
+    rot = _rotations(x_bits)
+    read = np.cumsum(gather[g])  # elements gathered through each row
+    i = 0
+    while i < g.size:
+        start = read[i - 1] if i else 0
+        j = max(i + 1, int(np.searchsorted(read, start + _GATHER_BLOCK, side="right")))
+        step = g[i:j]
+        n = sizes[step]
+        y = np.nonzero(rows[step])[1]  # members, row after row
+        out[step] = np.logical_or.reduceat(rot[p - y], np.cumsum(n) - n, axis=0)
+        i = j
+    return out
 
 
 def convolve_counts(X: ZpSet, Y: ZpSet) -> np.ndarray:

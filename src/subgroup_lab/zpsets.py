@@ -1,10 +1,10 @@
 """Dense subsets of Z_p with additive and multiplicative set arithmetic.
 
 A ZpSet is an immutable boolean indicator vector of length p.  ZpSet(p, bits)
-validates p and the length and copies bits; the sets this package builds
-from arrays it has just made are wrapped read-only without a copy.  A sumset is
-all of Z_p when |X| + |Y| > p (pigeonhole), else the support of the counts
-of spectral.exact_counts, which picks the route.
+validates p, the length and that every entry is 0 or 1, and copies bits; the
+sets this package builds from arrays it has just made are wrapped read-only
+without a copy.  A sumset is all of Z_p when |X| + |Y| > p (pigeonhole), else
+the support of the counts of spectral.exact_counts, which picks the route.
 """
 
 from __future__ import annotations
@@ -24,9 +24,12 @@ class ZpSet:
 
     def __init__(self, p: int, bits: np.ndarray):
         self.p = validate_modulus(p)
-        arr = np.array(bits, dtype=bool, copy=True)
+        arr = np.asarray(bits)
         if arr.shape != (self.p,):
             raise ValueError(f"indicator must have length p={self.p}")
+        if arr.dtype != bool and not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("indicator entries must be 0 or 1")
+        arr = arr.astype(bool)  # a copy
         arr.flags.writeable = False
         self.bits = arr
         self.card = int(np.count_nonzero(arr))

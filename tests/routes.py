@@ -1,9 +1,10 @@
 """Route forcing for the tests: pin spectral.exact_counts to one tier.
 
-exact_counts prices its tiers from spectral's cost constants, so setting
-them to 0 or +-inf leaves exactly one tier the cheapest.  Tests force a
-route only through force_tier, so that a change of the prices cannot
-silently move a test onto a route it does not name.
+exact_counts and the batched spectral.exact_supports price their tiers from
+spectral's cost constants, so setting them to 0 or +-inf leaves exactly one
+tier the cheapest.  Tests force a route only through force_tier, so that a
+change of the prices cannot silently move a test onto a route it does not
+name.
 """
 
 import math
@@ -17,7 +18,7 @@ def force_tier(mp, tier: str, block: int | None = None) -> None:
     """Send exact_counts calls to one tier, the pair bincount, the gather or
     the convolution, with gathers and pair sums in blocks of `block` elements
     if given.  A call with an empty Y, or with a bool out, never takes the
-    pair tier."""
+    pair tier; exact_supports gathers its rows for "pairs" and "gather"."""
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}")
     mp.setattr(spectral, "SCATTER_COST", 0 if tier == "pairs" else math.inf)

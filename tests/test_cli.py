@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -34,7 +33,7 @@ from subgroup_lab.cli import (
 )
 from subgroup_lab.numtheory import divisors, subgroup
 from subgroup_lab.verifier import ALL_CHECKS
-from subgroup_lab.zpsets import ZpSet, translate
+from subgroup_lab.zpsets import ZpSet
 
 from oracles import is_prime_slow
 from routes import TIERS, force_tier
@@ -699,18 +698,28 @@ class TestVerifyAll:
         assert self._last_line(13).startswith("FAIL energy-definitions p=3")
 
     def test_detects_broken_containment(self, monkeypatch):
-        real = cli.sumset
-        monkeypatch.setattr(cli, "sumset", lambda X, Y: translate(real(X, Y), 1))
+        # every sum A + A_s comes back translated by 1
+        real = cli.exact_supports
+        monkeypatch.setattr(cli, "exact_supports", lambda x_bits, rows: np.roll(real(x_bits, rows), 1, axis=1))
         assert self._last_line(13).startswith("FAIL containment p=3")
 
     @staticmethod
-    def _full_on_call(monkeypatch, n):
-        """cli.sumset returns all of Z_p on its n-th call, the n-th live shift."""
-        real, calls = cli.sumset, itertools.count(1)
-        monkeypatch.setattr(cli, "sumset", lambda X, Y: ZpSet.full(X.p) if next(calls) == n else real(X, Y))
+    def _full_on_row(monkeypatch, n):
+        """cli.exact_supports returns all of Z_p in its n-th row over all
+        calls, the sum of the n-th live shift."""
+        real, done = cli.exact_supports, [0]  # rows returned so far
+
+        def corrupted(x_bits, rows):
+            out = real(x_bits, rows)
+            if 0 <= n - 1 - done[0] < len(rows):
+                out[n - 1 - done[0]] = True
+            done[0] += len(rows)
+            return out
+
+        monkeypatch.setattr(cli, "exact_supports", corrupted)
 
     def test_containment_failure_line_every_shift(self, monkeypatch):
-        self._full_on_call(monkeypatch, 20)
+        self._full_on_row(monkeypatch, 20)
         assert self._last_line(31) == "FAIL containment p=7 d=3 s=2"
 
     @pytest.mark.parametrize(
@@ -724,7 +733,7 @@ class TestVerifyAll:
     )
     def test_containment_reports_first_failing_shift(self, monkeypatch, p, d, n, want):
         # the empty A_s are skipped and the live ones taken in ascending order
-        self._full_on_call(monkeypatch, n)
+        self._full_on_row(monkeypatch, n)
         assert cli._verify_containment(subgroup(p, d), random.Random(0)) == want
 
     @pytest.mark.parametrize("d, cases", [(30, 8), (42, 6), (210, 2)])

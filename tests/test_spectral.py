@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from subgroup_lab.spectral import (
     naive_dft_magnitudes,
     phi_subgroup,
 )
-from subgroup_lab.zpsets import ZpSet, invariant_set
+from subgroup_lab.zpsets import ZpSet, invariant_set, sumset
 
 from oracles import brute_convolution, brute_dft_mags, brute_phi, naive_cyclic_convolution
 from routes import force_tier
@@ -236,6 +237,77 @@ class TestGatherCounts:
         assert spectral.gather_counts(x_bits, y).tolist() == [0] * 13
         out = np.ones(13, dtype=bool)
         assert not spectral.gather_counts(x_bits, y, out=out).any()
+
+
+@st.composite
+def support_batches(draw):
+    """X and a bool matrix of rows Y_k over a small Z_p, with a route: None
+    (priced), "fft" or "gather" with a block that may end between rows or
+    fall below one row's |Y_k| p.  Row sizes mix empty rows, rows past the
+    pigeonhole bound |X| + |Y_k| > p and anything in between."""
+    p = draw(st.sampled_from([q for q in range(3, 500) if is_prime(q)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx = draw(st.integers(0, p))
+    sizes = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, p), st.integers(min(p, p - nx + 1), p)),
+            max_size=12,
+        )
+    )
+    x_bits = np.zeros(p, dtype=bool)
+    x_bits[rng.choice(p, nx, replace=False)] = True
+    rows = np.zeros((len(sizes), p), dtype=bool)
+    for row, n in zip(rows, sizes):
+        row[rng.choice(p, n, replace=False)] = True
+    tier = draw(st.sampled_from([None, "fft", "gather"]))
+    block = draw(st.integers(1, 3 * p)) if tier == "gather" else None
+    return x_bits, rows, tier, block
+
+
+class TestExactSupports:
+    @settings(max_examples=150, deadline=None)
+    @given(support_batches())
+    def test_rows_match_sumset(self, case):
+        x_bits, rows, tier, block = case
+        k, p = rows.shape
+        with pytest.MonkeyPatch.context() as mp:
+            if tier is not None:
+                force_tier(mp, tier, block)
+            convs = _count_calls(mp, "cyclic_convolution_exact")
+            got = spectral.exact_supports(x_bits, rows)
+        X = ZpSet(p, x_bits)
+        want = np.array([sumset(X, ZpSet(p, row)).bits for row in rows]).reshape(k, p)
+        assert got.dtype == bool and np.array_equal(got, want)
+        sizes = rows.sum(axis=1)
+        live = (sizes > 0) & (sizes + X.card <= p)  # neither empty nor pigeonhole
+        if tier == "fft":
+            assert len(convs) == live.sum()
+        elif tier == "gather":
+            assert not convs
+
+    def test_gather_peak_is_a_few_blocks(self):
+        # 26 rows A + t, A of order 24 in Z_10009: each row gathers 24 p
+        # elements, just under one block, and all of them 24 blocks (6 MB)
+        p, d = 10009, 24
+        A = subgroup(p, d)
+        x_bits = A.indicator.bits
+        rows = np.array([np.roll(x_bits, t) for t in range(spectral._GATHER_BLOCK // p)])
+        gather, conv = spectral._gather_and_conv_costs(d, p, p)
+        assert gather <= spectral._GATHER_BLOCK and gather <= conv
+        tracemalloc.start()
+        try:
+            got = spectral.exact_supports(x_bits, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) * gather > 20 * spectral._GATHER_BLOCK
+        assert peak < 3 * spectral._GATHER_BLOCK, peak
+        X = A.indicator
+        assert all(np.array_equal(got[t], sumset(X, ZpSet(p, rows[t])).bits) for t in (0, 7, len(rows) - 1))
+
+    def test_rejects_rows_of_another_length(self):
+        with pytest.raises(ValueError):
+            spectral.exact_supports(np.ones(7, dtype=bool), np.ones((2, 5), dtype=bool))
 
 
 class TestConvolveCounts:

@@ -91,6 +91,27 @@ class TestZpSet:
             assert ZpSet.from_elements(7, els) == ZpSet.from_elements(7, [int(e) % 7 for e in els])
         assert ZpSet.from_elements(7, np.array([True, False])).members().tolist() == [0, 1]
 
+    @pytest.mark.parametrize(
+        "p, bits",
+        [
+            (7, [0, 2, 1, 0, 0, -1, 0.5]),  # used to give {1, 2, 5, 6}
+            (5, [np.nan, 0, 0, 0, 1.0]),  # used to give {0, 4}
+            (5, [0, 0, 0, 0, np.inf]),
+            (5, np.array([0, 1, 0, 0, 3], dtype=np.uint8)),
+            (5, [None, 0, 0, 0, 1]),
+            (5, ["1", 0, 0, 0, 0]),
+        ],
+    )
+    def test_constructor_rejects_entries_other_than_0_and_1(self, p, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ZpSet(p, bits)
+
+    def test_constructor_accepts_0_1_of_any_dtype(self):
+        want = ZpSet.from_elements(5, [1, 4])
+        for bits in ([0, 1, 0, 0, 1], [0.0, 1.0, 0.0, 0.0, 1.0], np.array([0, 1, 0, 0, 1], dtype=np.int8)):
+            S = ZpSet(5, bits)
+            assert S == want and S.bits.dtype == bool and S.card == 2
+
     @pytest.mark.parametrize("p, n", [(8, 8), (1, 1), (7, 6), (7, 8)])
     def test_constructor_rejects_bad_modulus_or_length(self, p, n):
         with pytest.raises(ValueError):
