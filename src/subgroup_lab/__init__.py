@@ -16,7 +16,6 @@ from .numtheory import (
     validate_modulus,
 )
 from .zpsets import (
-    InvariantSet,
     ZpSet,
     dilate,
     fold_sumset,

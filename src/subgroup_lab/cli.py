@@ -460,14 +460,19 @@ def emit_report(records: list[SweepRecord], cfg: SweepConfig) -> dict:
     return paths
 
 
+# The fixed cells summary_text reads, with the type each must have.
+_FIXED_CELLS = {"p": int, "d": int, "A_size": int, "sixA_covers": bool}
+
+
 def read_rows(path: str) -> tuple[list[dict], list[str]]:
     """Load a records file written by emit_report.  Returns (rows, check names).
 
     JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
     A line that is not JSON, a CSV cell that is not a number, a CSV row with
-    another cell count than the header, or a JSONL row with other keys than
-    the first raises ValueError naming the file and the line; a check name
-    outside ALL_CHECKS (it names an SVG file) raises naming the file.
+    another cell count than the header, a JSONL row with other keys than
+    the first, or a fixed cell of another type than _FIXED_CELLS gives it
+    raises ValueError naming the file and the line; a check name outside
+    ALL_CHECKS (it names an SVG file) raises naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -479,7 +484,8 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
 
     off_columns = f"row does not match the columns of line {lines[0][0]}"
     rows = []
-    if lines[0][1].startswith("{"):
+    jsonl = lines[0][1].startswith("{")
+    if jsonl:
         for n, ln in lines:
             try:
                 row = json.loads(ln)
@@ -502,6 +508,10 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     missing = [c for c in CSV_BASE_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"{path} is not a records file: no column {', '.join(missing)}")
+    for (n, _), row in zip(lines if jsonl else lines[1:], rows):
+        for c, kind in _FIXED_CELLS.items():
+            if type(row[c]) is not kind:  # bool is an int subclass; an int is no bool
+                raise bad_line(n, f"{c} must be {kind.__name__}, got {row[c]!r}")
     checks = [c[: -len(":ratio")] for c in cols if c.endswith(":ratio")]
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:

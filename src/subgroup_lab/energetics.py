@@ -4,15 +4,14 @@ Conventions used throughout: moment sums run over every shift s in Z_p
 including s = 0, terms with an empty shifted intersection are omitted, and
 logarithms downstream are natural.  For a subgroup A the shift profile
 |A ∩ (A + s)| is constant on cosets of A, and so is every sum, count or
-profile of sets whose nonzero parts are A-invariant.  Every count of two
+profile of sets that carry A (zpsets module docstring).  Every count of two
 sets goes through spectral.exact_counts, on A.layout for such sets, and the
 exact moments E and E3 are read off the profile at the coset reps.
 
 Three exact size arguments skip counting altogether:
-- pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (coset_sumset, and
-  zpsets.sumset for arbitrary sets);
+- pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (zpsets.sumset);
 - complement: the shift profile of a set with more than p/2 elements is read
-  from its smaller complement (invariant_profile);
+  from its smaller complement (shift_sizes);
 - multiset count: |6A| <= C(d + 5, 6), so 6A misses part of Z_p* when that
   is below p - 1 (verifier.check_six_fold, SubgroupContext.covering_index).
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import spectral
 from .numtheory import Subgroup
 from .spectral import convolve_counts, dft_magnitudes, phi_subgroup
-from .zpsets import InvariantSet, ZpSet
+from .zpsets import ZpSet, sumset
 
 # Heavy operations (sumset_ratio_sum takes one exact count A * A_s per coset)
 # stay off moduli above this unless explicitly forced.
@@ -41,34 +40,17 @@ class InvarianceViolation(ValueError):
 
 
 def shift_sizes(X: ZpSet) -> np.ndarray:
-    """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers: X * (-X)."""
-    return spectral.exact_counts(X.bits, (-X.members()) % X.p)
+    """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers: X * (-X).
 
-
-def coset_sumset(A: Subgroup, X: ZpSet, Y: ZpSet) -> ZpSet:
-    """X + Y for X, Y with A-invariant nonzero parts, counted on A.layout.
-
-    All of Z_p, uncounted, when |X| + |Y| > p: then X meets z - Y for every z.
+    Counted on the layout of the subgroup X carries, if it carries one.  When
+    |X| > p/2 it is read from the complement C = Z_p minus X (which carries
+    the same subgroup): X ∩ (X + s) misses exactly C ∪ (C + s), so the size
+    is p - 2|C| + |C ∩ (C + s)|.
     """
-    if X.card + Y.card > A.p:
-        return ZpSet.full(A.p)
-    small, big = (X, Y) if X.card <= Y.card else (Y, X)
-    support = np.empty(A.p, dtype=bool)
-    return ZpSet._wrap(A.p, spectral.exact_counts(big.bits, small.members(), A.layout, support))
-
-
-def invariant_profile(A: Subgroup, X: ZpSet) -> np.ndarray:
-    """|X ∩ (X + s)| for every s in Z_p, X with an A-invariant nonzero part.
-
-    Counted as X * (-X) on A.layout.  When |X| > p/2 it is read from the
-    complement C = Z_p minus X, whose nonzero part is A-invariant too:
-    X ∩ (X + s) misses exactly C ∪ (C + s), so the size is
-    p - 2|C| + |C ∩ (C + s)|.
-    """
-    p = A.p
+    p = X.p
     bits = X.bits if 2 * X.card <= p else ~X.bits
     y = (-np.flatnonzero(bits)) % p
-    sizes = spectral.exact_counts(bits, y, A.layout)
+    sizes = spectral.exact_counts(bits, y, X._layout())
     if bits is not X.bits:
         sizes += p - 2 * len(y)
     return sizes
@@ -124,7 +106,8 @@ class SubgroupContext:
 
     @cached_property
     def aset(self) -> ZpSet:
-        return self.A.indicator
+        """A as a set that carries A (zpsets module docstring)."""
+        return ZpSet._wrap(self.p, self.A.indicator.bits, self.A)
 
     @cached_property
     def conv_aa(self) -> np.ndarray:
@@ -135,7 +118,7 @@ class SubgroupContext:
 
     @cached_property
     def two_a(self) -> ZpSet:
-        return ZpSet._wrap(self.p, self.conv_aa > 0)
+        return ZpSet._wrap(self.p, self.conv_aa > 0, self.A)
 
     @cached_property
     def twoA_size(self) -> int:
@@ -151,16 +134,19 @@ class SubgroupContext:
             raise ValueError(f"fold count must be >= 1, got {k}")
         chain = self._chain
         while len(chain) < k:
-            chain.append(coset_sumset(self.A, chain[-1], self.aset))
+            chain.append(sumset(chain[-1], self.aset))
         return chain[k - 1]
 
     def covering_index(self, kmax: int):
         """Smallest k <= kmax with kA containing all of Z_p*, or None.
 
-        Folds too small to cover by counting are not built.
+        Folds too small to cover by counting are not built; for d = 1,
+        kA = {k} never covers the p - 1 >= 2 nonzero residues.
         """
         if kmax < 1:
             raise ValueError(f"kmax must be >= 1, got {kmax}")
+        if self.d == 1:
+            return None
         k = 1
         # |kA| is at most C(k + d - 1, k), the number of k-multisets from A
         while k <= kmax and math.comb(k + self.d - 1, k) < self.p - 1:
@@ -173,11 +159,11 @@ class SubgroupContext:
     @cached_property
     def profile(self) -> np.ndarray:
         """|A ∩ (A + s)| for every s: the counts of A * (-A)."""
-        return invariant_profile(self.A, self.aset)
+        return shift_sizes(self.aset)
 
     @cached_property
     def two_a_profile(self) -> np.ndarray:
-        return invariant_profile(self.A, self.two_a)
+        return shift_sizes(self.two_a)
 
     @cached_property
     def rep_profile(self) -> np.ndarray:
@@ -268,19 +254,19 @@ def coset_profile(A: Subgroup) -> tuple:
     return SubgroupContext(A).li_pairs
 
 
-def restricted_moment(counts: np.ndarray, M: InvariantSet, r: float) -> float:
+def restricted_moment(counts: np.ndarray, M: ZpSet, r: float) -> float:
     """Sum over z in M of counts(z)^r."""
-    if len(counts) != M.base.p:
-        raise ValueError(f"modulus mismatch: {len(counts)} vs {M.base.p}")
+    if len(counts) != M.p:
+        raise ValueError(f"modulus mismatch: {len(counts)} vs {M.p}")
     vals = counts[M.members()].astype(np.float64)
     return float(np.sum(vals**r))
 
 
-def invariant_convolution_sum(S1: InvariantSet, S2: InvariantSet, S3: InvariantSet) -> int:
-    """Sum over z in S3 of (S1 * S2)(z), exact."""
-    if not (S1.subgroup == S2.subgroup == S3.subgroup):
-        raise ValueError("invariant sets must share one subgroup")
-    counts = convolve_counts(S1.base, S2.base)
+def invariant_convolution_sum(S1: ZpSet, S2: ZpSet, S3: ZpSet) -> int:
+    """Sum over z in S3 of (S1 * S2)(z), exact, for three sets that carry one subgroup."""
+    if S1.sym is None or not (S1.sym == S2.sym == S3.sym):
+        raise ValueError("invariant sets must carry one subgroup")
+    counts = convolve_counts(S1, S2)
     return int(counts[S3.members()].sum())
 
 
@@ -290,8 +276,8 @@ def threshold_invariant_set(
     k: float,
     *,
     include_zero: bool = False,
-) -> InvariantSet:
-    """Largest A-invariant set on which the counts are >= k.
+) -> ZpSet:
+    """Largest A-invariant set on which the counts are >= k; it carries A.
 
     The counts must be constant on cosets of A (true for convolutions of
     invariant sets); a violation raises rather than returning a best effort.
@@ -305,15 +291,7 @@ def threshold_invariant_set(
     if broken.any():
         rep = int(layout[:, broken].min())  # a coset's least element is its rep
         raise InvarianceViolation(f"profile is not constant on the coset of {rep}")
-    cosets = layout[:, vals[0].astype(np.float64) >= k]
-    chosen = np.sort(cosets.min(axis=0)).tolist()
-    with_zero = include_zero and float(counts[0]) >= k
     bits = np.zeros(A.p, dtype=bool)
-    bits[cosets] = True
-    bits[0] = with_zero
-    return InvariantSet(
-        base=ZpSet._wrap(A.p, bits),
-        subgroup=A,
-        reps=tuple(chosen),
-        includes_zero=with_zero,
-    )
+    bits[layout[:, vals[0].astype(np.float64) >= k]] = True
+    bits[0] = include_zero and float(counts[0]) >= k
+    return ZpSet._wrap(A.p, bits, A)

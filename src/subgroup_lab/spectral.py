@@ -14,7 +14,8 @@ Convolution of nonnegative integers is exact at every size, in three tiers:
 Every exact count X * Y of two sets in the package (shift profiles, A * A,
 sumsets, convolve_counts) goes through exact_counts, which prices a
 pair bincount, a gather and the exact convolution above, and runs the
-cheapest.  exact_supports takes the supports of X * Y_k for a block of sets
+cheapest; two sets that carry one subgroup A (zpsets) are counted on
+A.layout.  exact_supports takes the supports of X * Y_k for a block of sets
 Y_k at once (verify's containment family, one call per block of shifts); it
 prices each row with the same helper, shares one gather among the rows it
 would gather and hands the others to exact_counts.  Besides its FFT tier,
@@ -339,10 +340,13 @@ def exact_supports(x_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def convolve_counts(X: ZpSet, Y: ZpSet) -> np.ndarray:
-    """Counts of pair representations z = x + y with x in X, y in Y (read-only)."""
+    """Counts of pair representations z = x + y with x in X, y in Y (read-only).
+
+    Counted on the layout of the subgroup both sets carry, if they carry one.
+    """
     if X.p != Y.p:
         raise ValueError(f"modulus mismatch: {X.p} vs {Y.p}")
-    counts = exact_counts(X.bits, Y.members())
+    counts = exact_counts(X.bits, Y.members(), X._layout(Y))
     counts.flags.writeable = False
     return counts
 

@@ -17,15 +17,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .energetics import (
-    HEAVY_LIMIT,
-    SubgroupContext,
-    coset_sumset,
-    restricted_moment,
-    threshold_invariant_set,
-)
+from .energetics import HEAVY_LIMIT, SubgroupContext, restricted_moment, threshold_invariant_set
 from .numtheory import Subgroup, subgroup
-from .spectral import cyclic_convolution_exact, exact_counts
+from .spectral import convolve_counts, cyclic_convolution_exact
 from .zpsets import ZpSet, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
@@ -215,7 +209,7 @@ def _chk_l3_moment(ctx: CheckContext):
         rhs = base * max(math.log(arg), 1.0) if arg > 0 else base
     else:
         rhs = base * k ** (r - 3)
-    m_size = float(len(M.members()))
+    m_size = float(M.card)
     hyp = ctx._gg(k, 1.0) and ctx._ll(
         s1 * s2 * m_size * ctx.d, min(float(ctx.d) ** 6, float(ctx.p) ** 3)
     )
@@ -312,16 +306,16 @@ def check_six_fold(A: Subgroup) -> bool:
 
     False without counting when C(d + 5, 6), the number of 6-multisets from
     A and so a bound on |6A|, is below p - 1.  Otherwise computed through the
-    chain 2A, 3A, 3A + 3A with coset_sumset, whose tiers and pigeonhole
-    shortcut serve every step: a different route from covering_index's
-    one-step folds, built without the subgroup's context.
+    chain 2A, 3A, 3A + 3A of sumsets, each counted on A.layout (its sets
+    carry A): a different route from covering_index's one-step folds, built
+    without the subgroup's context.
     """
     if math.comb(A.d + 5, 6) < A.p - 1:
         return False
-    aset = A.indicator
-    two = coset_sumset(A, aset, aset)
-    three = coset_sumset(A, two, aset)
-    return coset_sumset(A, three, three).covers_nonzero()
+    aset = ZpSet._wrap(A.p, A.indicator.bits, A)
+    two = sumset(aset, aset)
+    three = sumset(two, aset)
+    return sumset(three, three).covers_nonzero()
 
 
 def clears_cover_threshold(p: int, d: int) -> bool:
@@ -339,12 +333,11 @@ def _context(p: int, d: int) -> SubgroupContext:
 def _solution_table(p: int, d: int) -> np.ndarray:
     """(2A * 2A) * (A * A) at every z, exact.
 
-    2A * 2A is a count of two sets with A-invariant nonzero parts, taken on
-    A.layout; the product of the two count vectors is one exact convolution.
+    2A carries A, so 2A * 2A is counted on A.layout; the product of the two
+    count vectors is one exact convolution.
     """
     ctx = _context(p, d)
-    c = exact_counts(ctx.two_a.bits, ctx.two_a.members(), ctx.A.layout)
-    return cyclic_convolution_exact(c, ctx.conv_aa, p)
+    return cyclic_convolution_exact(convolve_counts(ctx.two_a, ctx.two_a), ctx.conv_aa, p)
 
 
 def count_solutions_N(A: Subgroup, a: int, *, allow_large: bool = False) -> int:

@@ -5,11 +5,18 @@ validates p, the length and that every entry is 0 or 1, and copies bits; the
 sets this package builds from arrays it has just made are wrapped read-only
 without a copy.  A sumset is all of Z_p when |X| + |Y| > p (pigeonhole), else
 the support of the counts of spectral.exact_counts, which picks the route.
+
+A set may carry its subgroup, sym: a Subgroup A whose dilations fix the set's
+nonzero part.  Only the package sets it, where the invariance holds by
+construction: invariant_set, threshold_invariant_set, A and 2A in
+energetics.SubgroupContext, and a sumset of two sets that carry the same A
+(a dilate of X + Y by u in A is uX + uY).  Counts of such sets are constant
+on the cosets of A, so sumset, shift_sizes and convolve_counts count them on
+A.layout (ZpSet._layout decides).  Every other set, A.indicator and the
+public constructor's included, carries None.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +27,7 @@ from .spectral import all_integral, exact_counts
 class ZpSet:
     """Immutable subset of Z_p backed by a dense boolean vector."""
 
-    __slots__ = ("p", "bits", "card")
+    __slots__ = ("p", "bits", "card", "sym")
 
     def __init__(self, p: int, bits: np.ndarray):
         self.p = validate_modulus(p)
@@ -33,18 +40,31 @@ class ZpSet:
         arr.flags.writeable = False
         self.bits = arr
         self.card = int(np.count_nonzero(arr))
+        self.sym = None
 
     @classmethod
-    def _wrap(cls, p: int, bits: np.ndarray) -> "ZpSet":
+    def _wrap(cls, p: int, bits: np.ndarray, sym: Subgroup | None = None) -> "ZpSet":
         """The set over bits, a bool array of length p that nothing else writes.
 
         For arrays the package has just built: no copy and no checks, unlike
-        the public constructor, which guards the input boundary.
+        the public constructor, which guards the input boundary.  sym must be
+        a subgroup whose dilations fix the set's nonzero part (module docstring).
         """
         s = object.__new__(cls)
         bits.flags.writeable = False
-        s.p, s.bits, s.card = p, bits, int(np.count_nonzero(bits))
+        s.p, s.bits, s.card, s.sym = p, bits, int(np.count_nonzero(bits)), sym
         return s
+
+    def _layout(self, other: "ZpSet | None" = None) -> np.ndarray | None:
+        """A.layout if this set and other (default: this set) carry one A, else None.
+
+        The one rule for when a count may be read on the cosets of A: sumset,
+        shift_sizes and convolve_counts pass what it returns to exact_counts.
+        """
+        A = self.sym
+        if A is None or (other is not None and other.sym != A):
+            return None
+        return A.layout
 
     @classmethod
     def from_elements(cls, p: int, elements) -> "ZpSet":
@@ -133,14 +153,20 @@ def translate(C: ZpSet, z: int) -> ZpSet:
 
 
 def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
-    """X + Y = {x + y mod p}, exact on every route (module docstring)."""
+    """X + Y = {x + y mod p}, exact on every route (module docstring).
+
+    Counted on the layout of the subgroup both carry, and then carries it.
+    """
     p = _require_same_modulus(X, Y)
+    layout = X._layout(Y)
+    sym = None if layout is None else X.sym
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
     if small.card == 0:
-        return ZpSet.empty(p)
+        return ZpSet._wrap(p, np.zeros(p, dtype=bool), sym)
     if small.card + big.card > p:  # X meets z - Y for every z
-        return ZpSet.full(p)
-    return ZpSet._wrap(p, exact_counts(big.bits, small.members(), out=np.empty(p, dtype=bool)))
+        return ZpSet._wrap(p, np.ones(p, dtype=bool), sym)
+    support = np.empty(p, dtype=bool)
+    return ZpSet._wrap(p, exact_counts(big.bits, small.members(), layout, support), sym)
 
 
 def fold_sumset(A: ZpSet, k: int) -> ZpSet:
@@ -168,25 +194,8 @@ def dilate(X: ZpSet, a: int) -> ZpSet:
     return ZpSet._wrap(X.p, bits)
 
 
-@dataclass(frozen=True)
-class InvariantSet:
-    """A union of cosets of a subgroup, optionally including 0.
-
-    Dilation by any subgroup element permutes each coset onto itself, so these
-    are exactly the sets fixed by the subgroup action away from zero.
-    """
-
-    base: ZpSet
-    subgroup: Subgroup
-    reps: tuple[int, ...]
-    includes_zero: bool
-
-    def members(self) -> np.ndarray:
-        return self.base.members()
-
-
-def invariant_set(A: Subgroup, reps, includes_zero: bool = False) -> InvariantSet:
-    """Build the union of the cosets rep*A over reps, plus 0 if asked.
+def invariant_set(A: Subgroup, reps, includes_zero: bool = False) -> ZpSet:
+    """The union of the cosets rep*A over reps, plus 0 if asked; it carries A.
 
     Reps must be nonzero and lie in pairwise distinct cosets.
     """
@@ -198,12 +207,7 @@ def invariant_set(A: Subgroup, reps, includes_zero: bool = False) -> InvariantSe
     if int(np.count_nonzero(bits)) != A.d * len(reps):
         raise ValueError("representatives fall in overlapping cosets")
     bits[0] = includes_zero
-    return InvariantSet(
-        base=ZpSet._wrap(A.p, bits),
-        subgroup=A,
-        reps=tuple(sorted(reps.tolist())),
-        includes_zero=includes_zero,
-    )
+    return ZpSet._wrap(A.p, bits, A)
 
 
 def is_invariant(S: ZpSet, A: Subgroup) -> bool:

@@ -610,6 +610,38 @@ class TestMain:
         assert main(["report", str(records)]) == 2
         assert capsys.readouterr().err == f"error: {records}, line 3: not a number: 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "fmt, column, value, why",
+        [
+            ("csv", "p", "", "p must be int, got None"),
+            ("csv", "d", "1.5", "d must be int, got 1.5"),
+            ("csv", "A_size", "true", "A_size must be int, got True"),
+            ("csv", "sixA_covers", "7", "sixA_covers must be bool, got 7"),
+            ("jsonl", "d", None, "d must be int, got None"),
+            ("jsonl", "d", "3", "d must be int, got '3'"),
+            ("jsonl", "p", 7.0, "p must be int, got 7.0"),
+            ("jsonl", "sixA_covers", 7, "sixA_covers must be bool, got 7"),
+        ],
+    )
+    def test_report_names_the_line_of_a_bad_cell(self, tmp_path, capsys, fmt, column, value, why):
+        # a wrong fixed cell would crash the summary (exit 1) or, as sixA_covers = 7,
+        # be counted as covering
+        records = tmp_path / "r.txt"
+        assert main(["sweep", "--pmax", "13", "--format", fmt, "--out", str(records)]) == 0
+        lines = records.read_text().splitlines()
+        if fmt == "csv":
+            cells = lines[2].split(",")
+            cells[CSV_BASE_COLUMNS.index(column)] = value
+            lines[2] = ",".join(cells)
+        else:
+            row = json.loads(lines[2])
+            row[column] = value
+            lines[2] = json.dumps(row)
+        records.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert capsys.readouterr().err == f"error: {records}, line 3: {why}\n"
+
     @pytest.mark.parametrize("name", ["../escaped", "nested/name", "hk_energyx"])
     def test_report_rejects_unknown_check_names(self, tmp_path, capsys, name):
         # a check name becomes an SVG file name under --svg-dir

@@ -22,7 +22,7 @@ from subgroup_lab.energetics import (
 )
 from subgroup_lab.numtheory import divisors, is_prime, subgroup
 from subgroup_lab.spectral import convolve_counts
-from subgroup_lab.zpsets import ZpSet, invariant_set
+from subgroup_lab.zpsets import ZpSet, invariant_set, is_invariant
 
 from oracles import (
     brute_energy,
@@ -310,6 +310,11 @@ class TestInvariantMachinery:
         S2 = invariant_set(subgroup(7, 6), (1,))
         with pytest.raises(ValueError):
             invariant_convolution_sum(S1, S1, S2)
+        # sets that carry no subgroup, even equal ones, are refused too
+        plain = ZpSet(7, S1.bits)
+        for args in ((plain, plain, plain), (S1, plain, S1)):
+            with pytest.raises(ValueError, match="carry one subgroup"):
+                invariant_convolution_sum(*args)
 
     def test_restricted_moment_golden(self):
         A = subgroup(7, 3)
@@ -343,16 +348,15 @@ class TestInvariantMachinery:
         prof = convolve_counts(A.indicator, A.indicator)
         assert list(threshold_invariant_set(prof, A, 2.0).members()) == [3, 5, 6]
         assert list(threshold_invariant_set(prof, A, 0.5).members()) == [1, 2, 3, 4, 5, 6]
-        assert threshold_invariant_set(prof, A, 2.5).base.card == 0
-        assert threshold_invariant_set(prof, A, 0.5).reps == (1, 3)
+        assert threshold_invariant_set(prof, A, 2.5).card == 0
+        assert threshold_invariant_set(prof, A, 0.5).sym is A
 
     def test_threshold_set_include_zero(self):
         A = subgroup(7, 3)
         two = invariant_set(A, (1, 3), includes_zero=True)  # all of Z_7
-        prof = convolve_counts(two.base, two.base)
-        S = threshold_invariant_set(prof, A, 1.0, include_zero=True)
-        assert S.includes_zero
-        assert 0 in S.base
+        prof = convolve_counts(two, two)
+        assert 0 in threshold_invariant_set(prof, A, 1.0, include_zero=True)
+        assert 0 not in threshold_invariant_set(prof, A, 1.0)
 
     def test_threshold_set_raises_on_nonconstant_profile(self):
         A = subgroup(13, 4)
@@ -377,5 +381,4 @@ class TestInvariantMachinery:
             members = set(int(v) for v in S.members())
             want = {z for z in range(1, 31) if prof[z] >= k}
             assert members == want
-            assert S.reps == tuple(r for r in A.reps.tolist() if r in members)
-            assert not S.includes_zero
+            assert S.sym is A and is_invariant(S, A)

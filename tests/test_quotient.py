@@ -3,9 +3,12 @@
 Every subgroup with p <= 2000 is checked exhaustively: its construction from
 the power table, the k-fold chain, A * A, both shift profiles and the
 six-fold verdict, with the coset kernel forced onto each of its three tiers
-in turn.  A Hypothesis property pits the kernel against brute sumsets on
-random unions of cosets, on every tier; the size shortcuts (pigeonhole,
-complement, multiset count) are checked on both sides of their conditions.
+in turn; each result, counted on A.layout because its sets carry A, is
+compared with the same call on sets that carry no subgroup (A.indicator and
+untagged copies), which count at every point.
+A Hypothesis property pits the kernel against brute sumsets on random unions
+of cosets, on every tier; the size shortcuts (pigeonhole, complement,
+multiset count) are checked on both sides of their conditions.
 """
 
 import random
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgroup_lab.spectral as spectral
-from subgroup_lab.energetics import SubgroupContext, coset_sumset, invariant_profile, shift_sizes
+from subgroup_lab.energetics import SubgroupContext, shift_sizes
 from subgroup_lab.numtheory import (
     Subgroup,
     coset_reps,
@@ -29,7 +32,14 @@ from subgroup_lab.numtheory import (
 )
 from subgroup_lab.spectral import convolve_counts, cyclic_convolution_exact, phi_subgroup
 from subgroup_lab.verifier import check_six_fold, covering_index
-from subgroup_lab.zpsets import ZpSet, fold_sumset, invariant_set, shift_intersect, sumset
+from subgroup_lab.zpsets import (
+    ZpSet,
+    dilate,
+    fold_sumset,
+    invariant_set,
+    shift_intersect,
+    sumset,
+)
 
 from oracles import brute_cosets, brute_shift_profile, brute_sumset, brute_sumset_ratio
 from routes import TIERS, force_tier
@@ -45,8 +55,13 @@ def subgroups_upto_2000():
 
 
 def random_union(A: Subgroup, k: int, zero: bool, rng: random.Random) -> ZpSet:
-    """A union of k random cosets of A, with 0 if asked."""
-    return invariant_set(A, rng.sample(A.reps.tolist(), k), zero).base
+    """A union of k random cosets of A, with 0 if asked; it carries A."""
+    return invariant_set(A, rng.sample(A.reps.tolist(), k), zero)
+
+
+def untagged(S: ZpSet) -> ZpSet:
+    """A copy of S that carries no subgroup."""
+    return ZpSet(S.p, S.bits)
 
 
 def test_power_table_is_the_cyclic_group():
@@ -71,35 +86,44 @@ def test_subgroup_and_coset_reps_match_brute_scan():
 
 
 def test_chain_and_six_fold_match_fold_sumset():
-    # the references run unforced, the coset kernel once on each tier
+    # the references run unforced on A.indicator, which carries no subgroup,
+    # the coset kernel once on each tier
     for A in subgroups_upto_2000():
-        want = [fold_sumset(A.indicator, 1)]
+        plain = A.indicator
+        want = [fold_sumset(plain, 1)]
         for _ in range(5):  # fold_sumset's own recursion, one step at a time
-            want.append(sumset(want[-1], A.indicator))
-        k8 = covering_index(A.indicator, 8)
+            want.append(sumset(want[-1], plain))
+        k8 = covering_index(plain, 8)
         for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
                 force_tier(mp, tier)
                 ctx = SubgroupContext(A)
                 for k in range(1, 7):
                     assert ctx.fold(k) == want[k - 1], (A.p, A.d, k, tier)
+                    assert ctx.fold(k).sym is A and want[k - 1].sym is None
                 assert ctx.covering_index(8) == k8, (A.p, A.d, tier)
                 assert check_six_fold(A) == (k8 is not None and k8 <= 6), (A.p, A.d, tier)
 
 
 def test_counts_and_profiles_match_convolution():
-    # the reference profiles from shift_sizes on its convolution route; its
-    # pair and gather routes are pinned against the oracle in test_energetics
+    # the references from A.indicator, which carries no subgroup, on the
+    # convolution route, the profiles as X * (-X) so that shift_sizes's
+    # complement rule is checked against a count that does not use it; the
+    # pair and gather routes of shift_sizes are pinned against the oracle in
+    # test_energetics
     for A in subgroups_upto_2000():
-        two_a = fold_sumset(A.indicator, 2)
+        plain = A.indicator
+        two_a = fold_sumset(plain, 2)
         with pytest.MonkeyPatch.context() as mp:
             force_tier(mp, "fft")
-            want = convolve_counts(A.indicator, A.indicator)
-            profile, two_a_profile = shift_sizes(A.indicator), shift_sizes(two_a)
+            want = convolve_counts(plain, plain)
+            profile = convolve_counts(plain, dilate(plain, -1))
+            two_a_profile = convolve_counts(two_a, dilate(two_a, -1))
         for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
                 force_tier(mp, tier)
                 ctx = SubgroupContext(A)
+                assert np.array_equal(convolve_counts(ctx.aset, ctx.aset), want), (A.p, A.d, tier)
                 assert np.array_equal(ctx.conv_aa, want), (A.p, A.d, tier)
                 assert ctx.conv_aa.sum() == A.d * A.d and not ctx.conv_aa.flags.writeable
                 assert ctx.two_a == two_a
@@ -151,20 +175,22 @@ def coset_unions(draw):
     ny = draw(st.integers(0, min(len(reps), 10**6 // ((nx * A.d + 1) * A.d))))
     X = invariant_set(A, rnd.sample(reps, nx), draw(st.booleans()))
     Y = invariant_set(A, rnd.sample(reps, ny), draw(st.booleans()))
-    return A, X.base, Y.base
+    return A, X, Y
 
 
 @settings(max_examples=60, deadline=None)
 @given(coset_unions())
 def test_coset_sumset_matches_brute(case):
+    # X and Y carry A, so sumset counts them on A.layout
     A, X, Y = case
     want = brute_sumset(X.members().tolist(), Y.members().tolist(), A.p)
     for tier in (None,) + TIERS:
         with pytest.MonkeyPatch.context() as mp:
             if tier is not None:
                 force_tier(mp, tier, block=7)
-            got = coset_sumset(A, X, Y)
+            got = sumset(X, Y)
         assert set(got.members().tolist()) == want, (A.p, A.d, tier)
+        assert got.sym is A
 
 
 def test_pigeonhole_boundary_matches_brute():
@@ -180,12 +206,13 @@ def test_pigeonhole_boundary_matches_brute():
                 Y = random_union(A, m - a, zy, rng)
                 assert X.card + Y.card == p + (zx and zy)
                 want = brute_sumset(X.members().tolist(), Y.members().tolist(), p)
-                assert set(sumset(X, Y).members().tolist()) == want, (p, d, a)
+                assert set(sumset(untagged(X), Y).members().tolist()) == want, (p, d, a)
                 for tier in TIERS:
                     with pytest.MonkeyPatch.context() as mp:
                         force_tier(mp, tier)
-                        got = coset_sumset(A, X, Y)
+                        got = sumset(X, Y)
                     assert set(got.members().tolist()) == want, (p, d, a, tier)
+                    assert got.sym is A
 
 
 def test_sumset_pigeonhole_boundary_on_intervals():
@@ -202,22 +229,23 @@ def test_sumset_pigeonhole_boundary_on_intervals():
 
 def test_complement_profiles_match_brute():
     # sets above p/2 are profiled through their complement: empty (X = Z_p),
-    # with 0 (X misses 0) and without it; below p/2 the direct route
+    # with 0 (X misses 0) and without it; below p/2 the direct route.  Each
+    # set carries A and is profiled again untagged, at every point
     rng = random.Random(4)
     for p in (q for q in PRIMES_2000 if q <= 150):
         for d in divisors(p - 1):
             A, m = subgroup(p, d), (p - 1) // d
-            cases = [ZpSet.full(p), A.indicator]
+            cases = [invariant_set(A, A.reps, True), invariant_set(A, [1])]
             for zero in (False, True):
                 cases.append(random_union(A, rng.randint(0, m), zero, rng))
-            for X in cases:
+            for X in cases + [untagged(X) for X in cases]:
                 want = brute_shift_profile(X.members().tolist(), p)
                 for tier in TIERS:
                     with pytest.MonkeyPatch.context() as mp:
                         force_tier(mp, tier)
-                        got = invariant_profile(A, X)
+                        got = shift_sizes(X)
                     assert got.dtype == np.int64
-                    assert got.tolist() == want, (p, d, X.card, 0 in X, tier)
+                    assert got.tolist() == want, (p, d, X.card, 0 in X, X.sym, tier)
 
 
 def test_six_fold_multiset_count_rules_out_without_allocating():

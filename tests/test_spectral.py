@@ -219,8 +219,8 @@ class TestGatherCounts:
         rng = random.Random(p * block)
         A = subgroup(p, d)
         reps = A.reps.tolist()
-        X = invariant_set(A, rng.sample(reps, len(reps) // 2), includes_zero=True).base
-        Y = invariant_set(A, rng.sample(reps, 3)).base
+        X = invariant_set(A, rng.sample(reps, len(reps) // 2), includes_zero=True)
+        Y = invariant_set(A, rng.sample(reps, 3))
         y = Y.members()
         want = brute_convolution(X.members().tolist(), y.tolist(), p)
         for lay in (None, A.layout):

@@ -1,20 +1,25 @@
 """The traced benchmark's contract with the package.
 
 `perfbench/child.py` names the functions it traces (`TARGETS`) and calls a
-probe with each call's own arguments for three of them (`_probes`).  The
-tier-1 suite never runs a traced benchmark, so these tests read child.py,
-without running it, and check that every name still resolves and that each
-probe and its function take the same positional arguments.
+probe with each call's own arguments for three of them (`_probes`).  Most of
+these tests read child.py, without running it, and check that every name
+still resolves and that each probe and its function take the same positional
+arguments; the last runs one traced repetition of `sweep` and of `verify`.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +59,21 @@ def test_every_probe_takes_every_positional_argument_of_its_function(child):
         params = inspect.signature(_resolve(qualname)).parameters.values()
         args = [object()] * sum(p.kind in positional for p in params)
         inspect.signature(probe).bind(*args)  # raises TypeError if not
+
+
+@pytest.mark.parametrize(
+    "cli_args",
+    [["sweep", "--pmax", "13", "--out", "r.csv"], ["verify", "--pmax", "13"]],
+    ids=["sweep", "verify"],
+)
+def test_traced_repetition_runs_with_probed_spans(tmp_path, cli_args):
+    # a probe that no longer fits its function's call fails every traced
+    # repetition, which the signature checks above cannot see for a call
+    # made with other arguments than the probe takes
+    spans = tmp_path / "spans.json"
+    cmd = [sys.executable, "-E", "-s", str(CHILD), repr(time.monotonic()), str(ROOT), str(spans)]
+    proc = subprocess.run(cmd + cli_args, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["rc"] == 0
+    names = {span[1] for span in json.loads(spans.read_text())["spans"]}
+    assert {"zpsets.sumset", "energetics.shift_sizes"} <= names, sorted(names)

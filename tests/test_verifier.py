@@ -304,6 +304,11 @@ class TestCovering:
     def test_kmax_cuts_search(self):
         assert covering_index(subgroup(7, 3).indicator, 1) is None
 
+    @pytest.mark.parametrize("p", [3, 7, 101])
+    def test_context_answers_trivial_subgroup_at_once(self, p):
+        # kA = {k} never covers Z_p*: no multiset loop up to kmax
+        assert SubgroupContext(subgroup(p, 1)).covering_index(10**9) is None
+
     def test_rejects_bad_kmax(self):
         with pytest.raises(ValueError):
             covering_index(subgroup(7, 3).indicator, 0)
@@ -392,8 +397,7 @@ class TestSolutionCounts:
                 calls.append((layout.shape[0], len(y)))
             return real(x_bits, y, layout, out)
 
-        for module in (spectral, verifier):
-            monkeypatch.setattr(module, "exact_counts", counted)
+        monkeypatch.setattr(spectral, "exact_counts", counted)
         verifier._context.cache_clear()
         verifier._solution_table.cache_clear()
         A = subgroup(1009, 504)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgroup_lab.energetics import SubgroupContext, coset_sumset, threshold_invariant_set
-from subgroup_lab.numtheory import is_prime, subgroup
+from subgroup_lab.energetics import SubgroupContext, threshold_invariant_set
+from subgroup_lab.numtheory import divisors, is_prime, subgroup
 from subgroup_lab.spectral import exact_counts
 from subgroup_lab.zpsets import (
-    InvariantSet,
     ZpSet,
     dilate,
     fold_sumset,
@@ -155,9 +154,9 @@ class TestPackageResults:
         ctx = SubgroupContext(A)
         yield from (ZpSet.empty(p), ZpSet.full(p), S, T, sumset(S, T), sumset(S, ZpSet.empty(p)))
         yield from (sumset(S, ZpSet.full(p)), translate(S, 3), shift_intersect(S, 5), dilate(S, 3))
-        yield from (fold_sumset(T, 3), ctx.two_a, ctx.fold(3), coset_sumset(A, ctx.two_a, ctx.two_a))
-        yield invariant_set(A, A.reps[:2], includes_zero=True).base
-        yield threshold_invariant_set(ctx.conv_aa, A, 1).base
+        yield from (fold_sumset(T, 3), ctx.two_a, ctx.fold(3), sumset(ctx.two_a, ctx.two_a))
+        yield invariant_set(A, A.reps[:2], includes_zero=True)
+        yield threshold_invariant_set(ctx.conv_aa, A, 1)
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("p, d", [(31, 5), (101, 4)])
@@ -170,6 +169,32 @@ class TestPackageResults:
             m = R.members()
             assert m.dtype == np.int64 and m.tolist() == [x for x in range(p) if x in R]
             assert R.card == len(m) and R.bits.shape == (p,)
+
+    def test_tagged_sets_are_invariant_and_pointwise_ops_untag(self):
+        # every subgroup with p <= 300: each set the package tags is fixed by
+        # its subgroup's dilations away from 0 (the sumsets take the pigeonhole
+        # full set and the empty set too); translate, dilate, shift_intersect,
+        # A.indicator and the constructors never tag, whatever they are given
+        for p in (q for q in range(3, 301) if is_prime(q)):
+            for d in divisors(p - 1):
+                A = subgroup(p, d)
+                ctx = SubgroupContext(A)
+                aset = ctx.aset
+                union = invariant_set(A, A.reps[::2], includes_zero=True)
+                empty = invariant_set(A, ())
+                tagged = [aset, ctx.two_a, ctx.fold(3), union, empty, sumset(union, ctx.two_a)]
+                tagged += [sumset(union, union), sumset(aset, empty), sumset(ctx.fold(3), ctx.fold(3))]
+                tagged += [threshold_invariant_set(ctx.conv_aa, A, k) for k in (1, 2)]
+                for S in tagged:
+                    assert S.sym is A and is_invariant(S, A), (p, d, S)
+                copy = ZpSet(p, aset.bits)
+                other = SubgroupContext(subgroup(p, p - 1 if d == 1 else 1)).aset
+                plain = [translate(aset, 1), dilate(aset, 2), shift_intersect(aset, 1), copy]
+                plain += [A.indicator, sumset(A.indicator, A.indicator)]
+                plain += [ZpSet.from_elements(p, A.elements), ZpSet.full(p)]
+                plain += [sumset(aset, copy), sumset(aset, other)]
+                for S in plain:
+                    assert S.sym is None, (p, d, S)
 
 
 class TestPointwiseOps:
@@ -317,6 +342,16 @@ class TestSumset:
         two = sumset(A, A)
         assert list(two.members()) == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_untagged_operand_is_counted_at_every_point(self, monkeypatch, tier):
+        # {1} is not fixed by A = {1, 5, 8, 12}: read on A's cosets, {1} + A
+        # would come out as {0, 2, 3, 10, 11}, also beside A carrying A
+        force_tier(monkeypatch, tier)
+        A = subgroup(13, 4)
+        for aset in (A.indicator, SubgroupContext(A).aset):
+            got = sumset(ZpSet.from_elements(13, [1]), aset)
+            assert got.members().tolist() == [0, 2, 6, 9] and got.sym is None
+
 
 class TestFoldSumset:
     def test_k1_is_identity(self):
@@ -348,8 +383,7 @@ class TestInvariantSets:
         A = subgroup(7, 3)
         S = invariant_set(A, (1, 3))
         assert list(S.members()) == [1, 2, 3, 4, 5, 6]
-        assert S.reps == (1, 3)
-        assert not S.includes_zero
+        assert S.sym is A
 
     def test_zero_flag(self):
         A = subgroup(7, 3)
@@ -377,8 +411,8 @@ class TestInvariantSets:
     def test_is_invariant(self):
         A = subgroup(13, 4)
         assert is_invariant(A.indicator, A)
-        assert is_invariant(invariant_set(A, (1, 2)).base, A)
-        with_zero = invariant_set(A, (2,), includes_zero=True).base
+        assert is_invariant(invariant_set(A, (1, 2)), A)
+        with_zero = invariant_set(A, (2,), includes_zero=True)
         assert is_invariant(with_zero, A)
         assert not is_invariant(ZpSet.from_elements(13, [1, 5]), A)
         assert is_invariant(ZpSet.empty(13), A)
@@ -388,4 +422,4 @@ class TestInvariantSets:
         S = invariant_set(A, (2,), includes_zero=True)
         m = list(S.members())
         assert m == sorted(m)
-        assert isinstance(S, InvariantSet)
+        assert isinstance(S, ZpSet)
