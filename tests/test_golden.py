@@ -9,9 +9,14 @@ The float columns (E32, phi, the ratio sums and every check's lhs, rhs and
 ratio) depend on numpy's summation order (np.sum and np.add.reduce add
 pairwise) and on the platform's libm (log, exp, pow, cos).  A numpy or libm
 that rounds differently may change their last bits without any fault in the
-package; only then regenerate the hashes, with
+package; only then re-capture a configuration: delete its entry from
+golden_records.json and run
 
     PYTHONPATH=src python tests/test_golden.py
+
+which adds the configurations missing from the file and leaves every hash
+already there as it is, so capturing a new configuration never re-blesses
+the old ones.
 """
 
 import hashlib
@@ -31,6 +36,7 @@ CONFIGS = {
     "p4090_heavy_k5": (["--pmin", "4090", "--pmax", "4400", "--heavy", "--kmax", "5"], ("csv",)),
     "p100000": (["--pmin", "100000", "--pmax", "100150"], ("csv",)),
     "pmax2000_heavy": (["--pmax", "2000", "--heavy"], ("csv",)),
+    "pmax300_k64": (["--pmax", "300", "--kmax", "64"], ("csv",)),
 }
 
 
@@ -83,11 +89,15 @@ def test_sweep_output_is_byte_identical(name, fmt, tmp_path, capsys):
 if __name__ == "__main__":
     import tempfile
 
-    golden = {}
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    added = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, fmt in _cases():
-            golden[f"{name}.{fmt}"] = sweep_hashes(CONFIGS[name][0], fmt, tmp)
+            if f"{name}.{fmt}" not in golden:
+                golden[f"{name}.{fmt}"] = sweep_hashes(CONFIGS[name][0], fmt, tmp)
+                added.append(f"{name}.{fmt}")
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1)
         fh.write("\n")
-    print(f"wrote {len(golden)} hash sets to {GOLDEN}", file=sys.stderr)
+    print(f"added {', '.join(added) or 'nothing'} to {GOLDEN}", file=sys.stderr)
