@@ -460,8 +460,11 @@ def emit_report(records: list[SweepRecord], cfg: SweepConfig) -> dict:
     return paths
 
 
-# The fixed cells summary_text reads, with the type each must have.
-_FIXED_CELLS = {"p": int, "d": int, "A_size": int, "sixA_covers": bool}
+# The types the cells summary_text reads may have, and their name: the fixed
+# cells by column, a check's cells by suffix (empty where it was skipped).
+_INT, _NUMBER = ((int,), "int"), ((int, float, type(None)), "a number or empty")
+_FIXED_CELLS = {"p": _INT, "d": _INT, "A_size": _INT, "sixA_covers": ((bool,), "bool")}
+_CHECK_CELLS = dict(lhs=_NUMBER, rhs=_NUMBER, ratio=_NUMBER, hyp=((bool, type(None)), "bool or empty"))
 
 
 def read_rows(path: str) -> tuple[list[dict], list[str]]:
@@ -470,9 +473,9 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
     A line that is not JSON, a CSV cell that is not a number, a CSV row with
     another cell count than the header, a JSONL row with other keys than
-    the first, or a fixed cell of another type than _FIXED_CELLS gives it
-    raises ValueError naming the file and the line; a check name outside
-    ALL_CHECKS (it names an SVG file) raises naming the file.
+    the first, or a fixed or check cell of another type than _FIXED_CELLS or
+    _CHECK_CELLS gives it raises ValueError naming the file and the line; a
+    check name outside ALL_CHECKS (it names an SVG file) raises naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -508,14 +511,15 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     missing = [c for c in CSV_BASE_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"{path} is not a records file: no column {', '.join(missing)}")
-    for (n, _), row in zip(lines if jsonl else lines[1:], rows):
-        for c, kind in _FIXED_CELLS.items():
-            if type(row[c]) is not kind:  # bool is an int subclass; an int is no bool
-                raise bad_line(n, f"{c} must be {kind.__name__}, got {row[c]!r}")
     checks = [c[: -len(":ratio")] for c in cols if c.endswith(":ratio")]
     unknown = [c for c in checks if c not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"{path}: unknown check {', '.join(map(repr, unknown))}")
+    kinds = {**_FIXED_CELLS, **{f"{c}:{x}": t for c in checks for x, t in _CHECK_CELLS.items()}}
+    for (n, _), row in zip(lines if jsonl else lines[1:], rows):
+        for c, (types, what) in kinds.items():
+            if type(row.get(c)) not in types:  # bool is an int subclass; an int is no bool
+                raise bad_line(n, f"{c} must be {what}, got {row.get(c)!r}")
     return rows, checks
 
 

@@ -12,8 +12,9 @@ Three exact size arguments skip counting altogether:
 - pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (zpsets.sumset);
 - complement: the shift profile of a set with more than p/2 elements is read
   from its smaller complement (shift_sizes);
-- multiset count: |6A| <= C(d + 5, 6), so 6A misses part of Z_p* when that
-  is below p - 1 (verifier.check_six_fold, SubgroupContext.covering_index).
+- multiset count: |kS| <= C(k + |S| - 1, k) (zpsets.multiset_count), so kS
+  misses part of Z_p* when that is below p - 1 (zpsets.first_cover, behind
+  both covering indices, and verifier.check_six_fold at k = 6).
 
 SubgroupContext holds every per-subgroup quantity built on them.
 """
@@ -28,7 +29,7 @@ import numpy as np
 from . import spectral
 from .numtheory import Subgroup
 from .spectral import convolve_counts, dft_magnitudes, phi_subgroup
-from .zpsets import ZpSet, sumset
+from .zpsets import ZpSet, first_cover
 
 # Heavy operations (sumset_ratio_sum takes one exact count A * A_s per coset)
 # stay off moduli above this unless explicitly forced.
@@ -87,8 +88,8 @@ def energy_moment(A: ZpSet, r: float) -> float:
 class SubgroupContext:
     """Per-subgroup quantities, each computed once, on first use.
 
-    A * A, 2A, the k-fold chain, the shift profiles of A and 2A, phi, the
-    energies and both ratio sums all come from A.layout.  E and E3
+    A * A, 2A, the shift profiles of A and 2A, phi, the energies and both
+    ratio sums all come from A.layout.  E and E3
     are read at the coset reps: the profile is d at 0 and l_j on the d
     shifts of coset j, so E_r = d^r + d sum_j l_j^r, exact in Python ints
     over the distinct l_j (at most min(m, d + 1)), each times its count.  The float sums (E_{3/2}, ssc) keep
@@ -124,37 +125,9 @@ class SubgroupContext:
     def twoA_size(self) -> int:
         return self.two_a.card
 
-    @cached_property
-    def _chain(self) -> list:
-        return [self.aset, self.two_a]
-
-    def fold(self, k: int) -> ZpSet:
-        """The k-fold sumset kA, k >= 1, extending the chain by kA + A steps."""
-        if k < 1:
-            raise ValueError(f"fold count must be >= 1, got {k}")
-        chain = self._chain
-        while len(chain) < k:
-            chain.append(sumset(chain[-1], self.aset))
-        return chain[k - 1]
-
     def covering_index(self, kmax: int):
-        """Smallest k <= kmax with kA containing all of Z_p*, or None.
-
-        Folds too small to cover by counting are not built; for d = 1,
-        kA = {k} never covers the p - 1 >= 2 nonzero residues.
-        """
-        if kmax < 1:
-            raise ValueError(f"kmax must be >= 1, got {kmax}")
-        if self.d == 1:
-            return None
-        k = 1
-        # |kA| is at most C(k + d - 1, k), the number of k-multisets from A
-        while k <= kmax and math.comb(k + self.d - 1, k) < self.p - 1:
-            k += 1
-        for k in range(k, kmax + 1):
-            if self.fold(k).covers_nonzero():
-                return k
-        return None
+        """Smallest k <= kmax with kA containing all of Z_p*, or None (from A and 2A)."""
+        return first_cover([self.aset, self.two_a], kmax)
 
     @cached_property
     def profile(self) -> np.ndarray:
@@ -219,13 +192,6 @@ class SubgroupContext:
             total += d * (li * li / float(np.count_nonzero(support)))
         return total
 
-    @cached_property
-    def li_pairs(self) -> tuple:
-        """(rep, |A ∩ (A + rep)|) by decreasing size, ties by ascending rep."""
-        reps, l = self.A.reps, self.rep_profile
-        order = np.lexsort((reps, -l))
-        return tuple(zip(reps[order].tolist(), l[order].tolist()))
-
 
 def ssc_ratio_sum(A: Subgroup) -> float:
     """Sum over shifts of |A_s|^2 / |(2A)_s| with A_s = A ∩ (A + s).
@@ -251,7 +217,9 @@ def coset_profile(A: Subgroup) -> tuple:
     Every shift in the coset of rep shares that size.  Ties are broken by
     ascending representative.
     """
-    return SubgroupContext(A).li_pairs
+    reps, l = A.reps, SubgroupContext(A).rep_profile
+    order = np.lexsort((reps, -l))
+    return tuple(zip(reps[order].tolist(), l[order].tolist()))
 
 
 def restricted_moment(counts: np.ndarray, M: ZpSet, r: float) -> float:

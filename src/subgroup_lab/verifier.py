@@ -20,7 +20,7 @@ import numpy as np
 from .energetics import HEAVY_LIMIT, SubgroupContext, restricted_moment, threshold_invariant_set
 from .numtheory import Subgroup, subgroup
 from .spectral import convolve_counts, cyclic_convolution_exact
-from .zpsets import ZpSet, sumset
+from .zpsets import ZpSet, first_cover, multiset_count, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
 # |A|^23 >= p^11 are the ones the covering statement targets.
@@ -217,10 +217,10 @@ def _chk_l3_moment(ctx: CheckContext):
 
 
 def _chk_li_decay(ctx: CheckContext):
+    # the nonzero coset profile values l_i by decreasing size
     best = 0.0
-    for i, (_, l) in enumerate(ctx.li_pairs, start=1):
-        if l == 0:
-            break
+    live = np.sort(ctx.rep_profile[ctx.rep_profile > 0])[::-1]
+    for i, l in enumerate(live.tolist(), start=1):
         best = max(best, l * i ** (2 / 3))
     rhs = ctx.twoA_size ** (2 / 3) * ctx.d ** (-1 / 3) * math.sqrt(ctx.lnd)
     return best, rhs, ctx._ll(ctx.d, math.sqrt(ctx.p))
@@ -289,28 +289,19 @@ def check_bound(
 
 
 def covering_index(S: ZpSet, kmax: int):
-    """Smallest k <= kmax with kS containing all of Z_p*, or None."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    cur = S
-    for k in range(1, kmax + 1):
-        if cur.covers_nonzero():
-            return k
-        if k < kmax:
-            cur = sumset(cur, S)
-    return None
+    """Smallest k <= kmax with kS containing all of Z_p*, or None (zpsets.first_cover)."""
+    return first_cover([S], kmax)
 
 
 def check_six_fold(A: Subgroup) -> bool:
     """True iff the six-fold sumset 6A covers every nonzero residue.
 
-    False without counting when C(d + 5, 6), the number of 6-multisets from
-    A and so a bound on |6A|, is below p - 1.  Otherwise computed through the
-    chain 2A, 3A, 3A + 3A of sumsets, each counted on A.layout (its sets
-    carry A): a different route from covering_index's one-step folds, built
-    without the subgroup's context.
+    False without counting when multiset_count(6, d), a bound on |6A|, is
+    below p - 1.  Otherwise computed through the chain 2A, 3A, 3A + 3A of
+    sumsets, each counted on A.layout (its sets carry A): a different route
+    from first_cover's one-step folds, built without the subgroup's context.
     """
-    if math.comb(A.d + 5, 6) < A.p - 1:
+    if multiset_count(6, A.d) < A.p - 1:
         return False
     aset = ZpSet._wrap(A.p, A.indicator.bits, A)
     two = sumset(aset, aset)

@@ -18,6 +18,8 @@ public constructor's included, carries None.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numtheory import Subgroup, validate_modulus
@@ -177,6 +179,33 @@ def fold_sumset(A: ZpSet, k: int) -> ZpSet:
     for _ in range(k - 1):
         out = sumset(out, A)
     return out
+
+
+def multiset_count(k: int, n: int) -> int:
+    """C(k + n - 1, k), the number of k-multisets from n elements: |kS| <= it for |S| = n."""
+    return math.comb(k + n - 1, k)
+
+
+def first_cover(folds: list, kmax: int):
+    """Smallest k <= kmax with kS containing all of Z_p*, or None.
+
+    folds holds the folds built so far, [1S, ..., jS] with j >= 1; the rest
+    are built as kS = (k - 1)S + S.  No fold below the first k whose
+    multiset_count reaches p - 1 is tested or built.
+    """
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    S, k, folds = folds[0], 1, list(folds)
+    if S.card <= 1:  # |kS| <= 1 < p - 1
+        return None
+    while k <= kmax and multiset_count(k, S.card) < S.p - 1:
+        k += 1
+    for k in range(k, kmax + 1):
+        while len(folds) < k:
+            folds.append(sumset(folds[-1], S))
+        if folds[k - 1].covers_nonzero():
+            return k
+    return None
 
 
 def shift_intersect(C: ZpSet, z: int) -> ZpSet:

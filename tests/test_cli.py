@@ -621,26 +621,51 @@ class TestMain:
             ("jsonl", "d", "3", "d must be int, got '3'"),
             ("jsonl", "p", 7.0, "p must be int, got 7.0"),
             ("jsonl", "sixA_covers", 7, "sixA_covers must be bool, got 7"),
+            ("jsonl", "hk_energy:ratio", "x", "hk_energy:ratio must be a number or empty, got 'x'"),
+            ("jsonl", "e3:lhs", [1], "e3:lhs must be a number or empty, got [1]"),
+            ("csv", "hk_energy:ratio", "true", "hk_energy:ratio must be a number or empty, got True"),
+            ("jsonl", "li_decay:hyp", 1, "li_decay:hyp must be bool or empty, got 1"),
         ],
     )
     def test_report_names_the_line_of_a_bad_cell(self, tmp_path, capsys, fmt, column, value, why):
-        # a wrong fixed cell would crash the summary (exit 1) or, as sixA_covers = 7,
-        # be counted as covering
+        # a wrong fixed or check cell would crash the summary (exit 1) or, as
+        # sixA_covers = 7, be counted as covering; the row p = 13, d = 12 has checks
+        records = tmp_path / "r.txt"
+        assert main(["sweep", "--pmax", "13", "--format", fmt, "--out", str(records)]) == 0
+        lines = records.read_text().splitlines()
+        n = len(lines) - 1
+        if fmt == "csv":
+            cells = lines[n].split(",")
+            cells[lines[0].split(",").index(column)] = value
+            lines[n] = ",".join(cells)
+        else:
+            row = json.loads(lines[n])
+            assert row["d"] == 12 and row["hk_energy:ratio"] is not None
+            row[column] = value
+            lines[n] = json.dumps(row)
+        records.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert capsys.readouterr().err == f"error: {records}, line {n + 1}: {why}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_report_reads_empty_and_infinite_check_cells(self, tmp_path, capsys, fmt):
+        # sumset_growth writes inf for an empty lhs; skipped checks leave empty cells
         records = tmp_path / "r.txt"
         assert main(["sweep", "--pmax", "13", "--format", fmt, "--out", str(records)]) == 0
         lines = records.read_text().splitlines()
         if fmt == "csv":
-            cells = lines[2].split(",")
-            cells[CSV_BASE_COLUMNS.index(column)] = value
-            lines[2] = ",".join(cells)
+            cells = lines[-1].split(",")
+            cells[lines[0].split(",").index("sumset_growth:ratio")] = "inf"
+            lines[-1] = ",".join(cells)
         else:
-            row = json.loads(lines[2])
-            row[column] = value
-            lines[2] = json.dumps(row)
+            row = json.loads(lines[-1])
+            row["sumset_growth:ratio"] = float("inf")
+            lines[-1] = json.dumps(row)
         records.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(["report", str(records)]) == 2
-        assert capsys.readouterr().err == f"error: {records}, line 3: {why}\n"
+        assert main(["report", str(records)]) == 0
+        assert "check sumset_growth: n=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["../escaped", "nested/name", "hk_energyx"])
     def test_report_rejects_unknown_check_names(self, tmp_path, capsys, name):

@@ -227,7 +227,9 @@ class TestCosetProfile:
             pairs = coset_profile(A)
             sizes = [l for _, l in pairs]
             assert sizes == sorted(sizes, reverse=True)
-            assert pairs == SubgroupContext(A).li_pairs
+            # the (rep, l) pairs of A.reps and the rep profile, ties by ascending rep
+            profile = zip(A.reps.tolist(), SubgroupContext(A).rep_profile.tolist())
+            assert pairs == tuple(sorted(profile, key=lambda rl: (-rl[1], rl[0])))
 
     def test_sizes_cover_all_nonzero_shifts(self):
         # d * sum of coset sizes counts every nonzero shift intersection

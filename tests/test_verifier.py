@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+import subgroup_lab.energetics as energetics
 import subgroup_lab.spectral as spectral
 import subgroup_lab.verifier as verifier
+import subgroup_lab.zpsets as zpsets
 from subgroup_lab.numtheory import divisors, subgroup
 from subgroup_lab.energetics import SubgroupContext, additive_energy, sumset_ratio_sum
 from subgroup_lab.spectral import convolve_counts
@@ -23,7 +25,7 @@ from subgroup_lab.verifier import (
     exponent_fit,
     positivity_condition,
 )
-from subgroup_lab.zpsets import ZpSet, fold_sumset
+from subgroup_lab.zpsets import ZpSet, first_cover, fold_sumset, multiset_count
 
 from oracles import brute_count_N, brute_covering_index, brute_phi, brute_sumset
 
@@ -312,6 +314,61 @@ class TestCovering:
     def test_rejects_bad_kmax(self):
         with pytest.raises(ValueError):
             covering_index(subgroup(7, 3).indicator, 0)
+
+    @pytest.fixture
+    def no_folds(self, monkeypatch):
+        def refuse(X, Y):
+            raise AssertionError("a fold was built")
+
+        monkeypatch.setattr(zpsets, "sumset", refuse)
+        monkeypatch.setattr(verifier, "sumset", refuse)
+
+    @pytest.mark.parametrize("elements", [[1], [5], []])
+    def test_at_most_one_point_answers_at_once(self, no_folds, elements):
+        # |kS| <= 1 < p - 1 whatever k: no fold is built, however large kmax
+        assert covering_index(ZpSet.from_elements(7, elements), 10**9) is None
+
+    def test_no_fold_below_the_multiset_count(self, no_folds):
+        # |k{1, 2}| <= multiset_count(k, 2) = k + 1 first reaches p - 1 = 100 at k = 99
+        assert multiset_count(98, 2) < 100 <= multiset_count(99, 2)
+        assert covering_index(ZpSet.from_elements(101, [1, 2]), 50) is None
+
+    def test_two_points_past_the_multiset_count(self):
+        # k{1, 2} = {k, ..., 2k}: 99{1, 2} holds 0 and misses 97, 98; 100{1, 2} is Z_101
+        S = ZpSet.from_elements(101, [1, 2])
+        assert covering_index(S, 99) is None
+        assert covering_index(S, 120) == 100 == brute_covering_index([1, 2], 101, 120)
+
+    def test_multiset_count(self):
+        assert [multiset_count(k, 1) for k in (1, 6, 10**6)] == [1, 1, 1]
+        assert [multiset_count(k, 3) for k in (1, 2, 3)] == [3, 6, 10]
+        assert all(multiset_count(6, d) == math.comb(d + 5, 6) for d in range(1, 50))
+
+    def test_given_folds_are_read_not_rebuilt(self):
+        # first_cover tests the folds it is given and extends the last one
+        for p, d in ((31, 5), (101, 10), (151, 3)):
+            A = subgroup(p, d)
+            folds = [A.indicator, fold_sumset(A.indicator, 2), fold_sumset(A.indicator, 3)]
+            want = brute_covering_index(list(map(int, A.elements)), p, 12)
+            assert first_cover(folds, 12) == first_cover(folds[:1], 12) == want, (p, d)
+            assert len(folds) == 3
+            with pytest.raises(ValueError):
+                first_cover(folds, 0)
+
+    def test_six_fold_needs_no_context(self, monkeypatch):
+        # check_six_fold's chain builds no SubgroupContext, so a sweep record's
+        # sixA_covers and covering_k come from two routes
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SubgroupContext was built")
+
+        monkeypatch.setattr(energetics, "SubgroupContext", refuse)
+        monkeypatch.setattr(verifier, "SubgroupContext", refuse)
+        for p in (7, 13, 31, 101, 151):
+            for d in divisors(p - 1):
+                A = subgroup(p, d)
+                k = first_cover([A.indicator], 6)
+                assert k == brute_covering_index(list(map(int, A.elements)), p, 6), (p, d)
+                assert check_six_fold(A) == (k is not None), (p, d)
 
     def test_matches_oracle(self):
         for p in (7, 13, 31, 61):

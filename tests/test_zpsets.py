@@ -154,7 +154,8 @@ class TestPackageResults:
         ctx = SubgroupContext(A)
         yield from (ZpSet.empty(p), ZpSet.full(p), S, T, sumset(S, T), sumset(S, ZpSet.empty(p)))
         yield from (sumset(S, ZpSet.full(p)), translate(S, 3), shift_intersect(S, 5), dilate(S, 3))
-        yield from (fold_sumset(T, 3), ctx.two_a, ctx.fold(3), sumset(ctx.two_a, ctx.two_a))
+        yield from (fold_sumset(T, 3), ctx.two_a, fold_sumset(ctx.aset, 3))
+        yield sumset(ctx.two_a, ctx.two_a)
         yield invariant_set(A, A.reps[:2], includes_zero=True)
         yield threshold_invariant_set(ctx.conv_aa, A, 1)
 
@@ -182,8 +183,9 @@ class TestPackageResults:
                 aset = ctx.aset
                 union = invariant_set(A, A.reps[::2], includes_zero=True)
                 empty = invariant_set(A, ())
-                tagged = [aset, ctx.two_a, ctx.fold(3), union, empty, sumset(union, ctx.two_a)]
-                tagged += [sumset(union, union), sumset(aset, empty), sumset(ctx.fold(3), ctx.fold(3))]
+                three = fold_sumset(aset, 3)
+                tagged = [aset, ctx.two_a, three, union, empty, sumset(union, ctx.two_a)]
+                tagged += [sumset(union, union), sumset(aset, empty), sumset(three, three)]
                 tagged += [threshold_invariant_set(ctx.conv_aa, A, k) for k in (1, 2)]
                 for S in tagged:
                     assert S.sym is A and is_invariant(S, A), (p, d, S)
