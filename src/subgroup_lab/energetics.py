@@ -126,7 +126,7 @@ class SubgroupContext:
         return self.two_a.card
 
     def covering_index(self, kmax: int):
-        """Smallest k <= kmax with kA containing all of Z_p*, or None (from A and 2A)."""
+        """Smallest k <= kmax with kA ⊇ Z_p*, or None: zpsets.first_cover on A and this 2A."""
         return first_cover([self.aset, self.two_a], kmax)
 
     @cached_property
