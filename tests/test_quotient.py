@@ -31,7 +31,7 @@ from subgroup_lab.numtheory import (
     subgroup,
 )
 from subgroup_lab.spectral import convolve_counts, cyclic_convolution_exact, phi_subgroup
-from subgroup_lab.verifier import check_six_fold, covering_index
+from subgroup_lab.verifier import check_six_fold
 from subgroup_lab.zpsets import (
     ZpSet,
     dilate,
@@ -91,19 +91,22 @@ def test_chain_and_six_fold_match_fold_sumset():
     for A in subgroups_upto_2000():
         plain = A.indicator
         want = [fold_sumset(plain, 1)]
-        for _ in range(5):  # fold_sumset's own recursion, one step at a time
+        for _ in range(7):  # fold_sumset's own recursion, one step at a time
             want.append(sumset(want[-1], plain))
-        k8 = covering_index(plain, 8)
+        # the first cover among folds built in full, without the multiset bound
+        k8 = next((k for k in range(1, 9) if want[k - 1].covers_nonzero()), None)
         for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
                 force_tier(mp, tier)
                 ctx = SubgroupContext(A)
+                got = ctx.aset
                 for k in range(1, 7):
-                    got = fold_sumset(ctx.aset, k)
+                    if k > 1:
+                        got = sumset(got, ctx.aset)
                     assert got == want[k - 1], (A.p, A.d, k, tier)
                     assert got.sym is A and want[k - 1].sym is None
                 assert ctx.covering_index(8) == k8, (A.p, A.d, tier)
-                assert check_six_fold(A) == (k8 is not None and k8 <= 6), (A.p, A.d, tier)
+                assert check_six_fold(A) == want[5].covers_nonzero(), (A.p, A.d, tier)
 
 
 def test_counts_and_profiles_match_convolution():

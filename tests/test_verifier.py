@@ -344,13 +344,29 @@ class TestCovering:
         assert [multiset_count(k, 3) for k in (1, 2, 3)] == [3, 6, 10]
         assert all(multiset_count(6, d) == math.comb(d + 5, 6) for d in range(1, 50))
 
-    def test_given_folds_are_read_not_rebuilt(self):
-        # first_cover tests the folds it is given and extends the last one
-        for p, d in ((31, 5), (101, 10), (151, 3)):
+    def test_given_folds_are_read_not_rebuilt(self, monkeypatch):
+        # first_cover tests the folds it is given and extends the last one:
+        # given 1S, 2S and 3S it builds two sumsets fewer than given 1S alone
+        built, real = [], zpsets.sumset
+
+        def counting(X, Y):
+            built.append(1)
+            return real(X, Y)
+
+        # indices 4, 6 and 11, and None with folds 9 to 12 tested
+        for p, d in ((31, 5), (101, 5), (61, 3), (181, 4)):
             A = subgroup(p, d)
             folds = [A.indicator, fold_sumset(A.indicator, 2), fold_sumset(A.indicator, 3)]
             want = brute_covering_index(list(map(int, A.elements)), p, 12)
-            assert first_cover(folds, 12) == first_cover(folds[:1], 12) == want, (p, d)
+            assert want is None or want > 3, (p, d)
+            with monkeypatch.context() as mp:
+                mp.setattr(zpsets, "sumset", counting)
+                built.clear()
+                assert first_cover(folds[:1], 12) == want, (p, d)
+                from_one = len(built)
+                built.clear()
+                assert first_cover(folds, 12) == want, (p, d)
+                assert len(built) == from_one - 2, (p, d, from_one, len(built))
             assert len(folds) == 3
             with pytest.raises(ValueError):
                 first_cover(folds, 0)
@@ -383,7 +399,8 @@ class TestCovering:
         for p in (7, 13, 31, 101, 151):
             for d in divisors(p - 1):
                 A = subgroup(p, d)
-                assert check_six_fold(A) == (covering_index(A.indicator, 6) is not None)
+                # 6A built in full, without the multiset bound check_six_fold reads
+                assert check_six_fold(A) == fold_sumset(A.indicator, 6).covers_nonzero(), (p, d)
 
     def test_six_fold_brute(self):
         # direct six-fold sum via python sets
