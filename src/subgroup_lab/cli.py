@@ -29,7 +29,7 @@ import numpy as np
 from . import energetics, numtheory, spectral
 from .energetics import SubgroupContext, shift_sizes
 from .numtheory import divisors, subgroup
-from .spectral import convolve_counts, dft_magnitudes, exact_supports, naive_dft_magnitudes, phi_subgroup
+from .spectral import convolve_counts, dft_magnitudes, exact_supports, phi_subgroup
 from .verifier import (
     ALL_CHECKS,
     HEAVY_CHECKS,
@@ -629,17 +629,20 @@ def _verify_coset_profile(A, rng):
 
 
 def _verify_spectral_identity(A, rng):
-    """|A| |Â(lam)|^2 equals sum_s |A_s| Re(sum_{y in A} e_p(lam y s))."""
-    p, d, els = A.p, A.d, A.elements
+    """|A| |Â(lam)|^2 equals sum_s |A_s| Re Â(lam s), Â(t) = sum_{y in A} e_p(t y).
+
+    Both sides read one table of Â: Â(0) = |A|, and Â is constant on the
+    cosets of A, so one np.exp sum at each point of row 0 of A.layout is
+    spread over its coset (not through phi_subgroup's unit roots).
+    """
+    p, d, layout = A.p, A.d, A.layout
     prof = shift_sizes(A.indicator).astype(np.float64)
     lams = np.arange(1, p) if p <= 101 else np.arange(1, p, max(1, p // 32))
-    t = np.arange(p)
-    re_sum = np.cos(2 * np.pi * ((t[:, None] * els) % p) / p).sum(axis=1)  # read at t = lam s
-    rhs = re_sum[(lams[:, None] * t) % p] @ prof
-    if p <= 101:
-        lhs = d * naive_dft_magnitudes(A.indicator)[lams] ** 2
-    else:
-        lhs = d * np.abs(np.exp(2j * np.pi * ((lams[:, None] * els) % p) / p).sum(axis=1)) ** 2
+    hat = np.empty(p, dtype=np.complex128)
+    hat[0] = d
+    hat[layout] = np.exp(2j * np.pi * ((layout[0][:, None] * A.elements) % p) / p).sum(axis=1)
+    lhs = d * np.abs(hat[lams]) ** 2
+    rhs = hat.real[(lams[:, None] * np.arange(p)) % p] @ prof
     bad = np.abs(lhs - rhs) > np.maximum(spectral.ABS_TOL, spectral.REL_TOL * np.abs(lhs))
     if bad.any():
         i = int(np.argmax(bad))  # the first failing lam

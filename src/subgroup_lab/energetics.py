@@ -113,9 +113,7 @@ class SubgroupContext:
     @cached_property
     def conv_aa(self) -> np.ndarray:
         """(A * A)(z) for every z, read-only."""
-        counts = spectral.exact_counts(self.aset.bits, self.A.elements, self.A.layout)
-        counts.flags.writeable = False
-        return counts
+        return convolve_counts(self.aset, self.aset)
 
     @cached_property
     def two_a(self) -> ZpSet:

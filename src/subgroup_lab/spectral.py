@@ -382,15 +382,6 @@ def dft_magnitudes(S: ZpSet) -> Spectrum:
     return Spectrum(p=S.p, mags=mags, phi=float(mags[lam]), argmax=lam)
 
 
-def naive_dft_magnitudes(S: ZpSet) -> np.ndarray:
-    """Direct O(p |S|) spectrum evaluation.  Test oracle only."""
-    members = S.members()
-    lam = np.arange(S.p, dtype=np.int64)
-    phases = (lam[:, None] * members[None, :]) % S.p
-    sums = np.exp(2j * np.pi * phases / S.p).sum(axis=1)
-    return np.abs(sums)
-
-
 @lru_cache(maxsize=4)
 def _unit_roots(p: int) -> np.ndarray:
     """e_p(t) = exp(2 pi i t / p) for t in Z_p, by the same expression as a

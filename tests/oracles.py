@@ -2,11 +2,15 @@
 
 Everything here is written in the most naive style available (python sets,
 explicit loops, cmath) so the library's vectorized and transform-based code
-is checked against arithmetic that cannot share its bugs.
+is checked against arithmetic that cannot share its bugs.  The one numpy
+routine, naive_dft_magnitudes, is a direct O(p |S|) sum, fast enough for the
+primes past the cmath loops' reach.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 
 def brute_sumset(xs, ys, p):
@@ -91,6 +95,15 @@ def brute_dft_mags(xs, p):
         z = sum(cmath.exp(2j * cmath.pi * lam * x / p) for x in xs)
         out.append(abs(z))
     return out
+
+
+def naive_dft_magnitudes(S) -> np.ndarray:
+    """Direct O(p |S|) spectrum evaluation.  Test oracle only."""
+    members = S.members()
+    lam = np.arange(S.p, dtype=np.int64)
+    phases = (lam[:, None] * members[None, :]) % S.p
+    sums = np.exp(2j * np.pi * phases / S.p).sum(axis=1)
+    return np.abs(sums)
 
 
 def brute_covering_index(xs, p, kmax):

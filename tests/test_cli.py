@@ -723,7 +723,8 @@ class TestVerifyAll:
     def test_golden_lines_p300(self, capsys):
         """The case count of every family at --pmax 300, captured at 7f2eba4
         (about 1.2 s).  --pmax 1100 would also pin the families capped at
-        p = 1024, but takes about 13 s, too slow for this suite."""
+        p = 1024, but takes 4-6 s, too slow for this suite; the
+        spectral-identity family is pinned there on its own below."""
         assert main(["verify", "--pmax", "300"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "ok convolution (514 cases)",
@@ -818,9 +819,23 @@ class TestVerifyAll:
         assert self._last_line(13).startswith("FAIL coset-constancy p=3 d=2")
 
     def test_detects_broken_spectral_identity(self, monkeypatch):
-        real = cli.naive_dft_magnitudes
-        monkeypatch.setattr(cli, "naive_dft_magnitudes", lambda S: 1.01 * real(S))
-        assert self._last_line(13).startswith("FAIL spectral-identity p=3")
+        # called directly: in verify_all the energy family reads the scaled
+        # profile first and fails first
+        real = cli.shift_sizes
+        monkeypatch.setattr(cli, "shift_sizes", lambda S: 1.01 * real(S))
+        cases, failure = cli._verify_spectral_identity(subgroup(13, 3), random.Random(0))
+        assert (cases, failure.split(":")[0]) == (0, "spectral-identity p=13 d=3 lam=1")
+
+    def test_spectral_identity_every_subgroup_to_1024(self):
+        # the family's whole range, where the frequencies are stepped
+        # (p > 101) and the exponential sums spread over long cosets
+        total = 0
+        for p in primes_between(3, 1024):
+            for d in divisors(p - 1):
+                cases, failure = cli._verify_spectral_identity(subgroup(p, d), random.Random(0))
+                assert failure is None, failure
+                total += cases
+        assert total == 66304
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_detects_corrupted_convolution(self, monkeypatch, tier):

@@ -13,12 +13,11 @@ from subgroup_lab.spectral import (
     convolve_counts,
     cyclic_convolution_exact,
     dft_magnitudes,
-    naive_dft_magnitudes,
     phi_subgroup,
 )
 from subgroup_lab.zpsets import ZpSet, invariant_set, sumset
 
-from oracles import brute_convolution, brute_dft_mags, brute_phi, naive_cyclic_convolution
+from oracles import brute_convolution, brute_dft_mags, brute_phi, naive_cyclic_convolution, naive_dft_magnitudes
 from routes import force_tier
 
 PRIMES = (3, 5, 7, 13, 31, 101)

@@ -56,6 +56,19 @@ class TestCatalogShape:
     def test_heavy_subset(self):
         assert HEAVY_CHECKS == {"ssc_lemma3"}
 
+    def test_heavy_subset_is_what_the_gate_stops(self):
+        # above HEAVY_LIMIT without --heavy, exactly the checks in HEAVY_CHECKS
+        # reach the gated sumset_ratio
+        ctx = CheckContext(subgroup(4099, 6))
+        assert not ctx.heavy_ok
+        stopped = set()
+        for name in ALL_CHECKS:
+            try:
+                check_bound(name, ctx.A, context=ctx)
+            except ValueError:
+                stopped.add(name)
+        assert stopped == HEAVY_CHECKS
+
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             check_bound("no_such_check", subgroup(7, 3))
