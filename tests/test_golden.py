@@ -2,8 +2,10 @@
 
 Each configuration runs `sweep` through cli.main and hashes (sha256) its
 records file, its summary, and the records lines of each prime, so that a
-mismatch names the first prime whose records differ.  The first
-configuration is written as CSV and as JSONL.
+mismatch names the first prime whose records differ.  Each configuration
+is written in the formats its entry in CONFIGS names: `pmax300` as CSV and
+JSONL, `p4090_checks` (a check subset out of catalog order, d < 3 rows, and
+heavy cells left empty above p = 4096) as JSONL, the others as CSV.
 
 The float columns (E32, phi, the ratio sums and every check's lhs, rhs and
 ratio) depend on numpy's summation order (np.sum and np.add.reduce add
@@ -37,6 +39,10 @@ CONFIGS = {
     "p100000": (["--pmin", "100000", "--pmax", "100150"], ("csv",)),
     "pmax2000_heavy": (["--pmax", "2000", "--heavy"], ("csv",)),
     "pmax300_k64": (["--pmax", "300", "--kmax", "64"], ("csv",)),
+    "p4090_checks": (
+        ["--pmin", "4090", "--pmax", "4250", "--checks", "li_decay,ssc_lemma3,e3"],
+        ("jsonl",),
+    ),
 }
 
 
