@@ -15,7 +15,6 @@ import argparse
 import concurrent.futures
 import json
 import math
-import operator
 import os
 import random
 import re
@@ -109,22 +108,6 @@ class SweepConfig:
         return self
 
 
-@dataclass
-class SweepRecord:
-    p: int
-    d: int
-    twoA_size: int
-    sixA_covers: bool
-    covering_k: int | None
-    E: int
-    E3: int
-    E32: float
-    phi: float
-    ssc_ratio: float
-    sumset_ratio: float | None
-    checks: dict
-
-
 def _parse_bool(val: str) -> bool:
     low = val.lower()
     if low in ("true", "1", "yes", "on"):
@@ -214,10 +197,21 @@ def _qualifying_orders(p: int, cfg: SweepConfig) -> list[int]:
     return out
 
 
-def _record_for(args) -> SweepRecord:
+@lru_cache(maxsize=None)  # _record_for asks for the same names once per record
+def _check_columns(name: str) -> tuple[str, ...]:
+    return tuple(f"{name}:{suffix}" for suffix in CHECK_SUFFIXES)
+
+
+def _columns(check_names) -> list[str]:
+    """The columns of a records file: CSV_BASE_COLUMNS, then four per check."""
+    return [*CSV_BASE_COLUMNS, *(c for name in check_names for c in _check_columns(name))]
+
+
+def _record_for(args) -> dict:
+    """The row of one (p, d); a check skipped (d < 3, or heavy and off) has None cells."""
     p, d, cfg = args
     A = subgroup(p, d)
-    checks: dict = {}
+    row = dict.fromkeys(_columns(cfg.checks))
     if d >= 3:
         ctx = CheckContext(
             A, hypothesis_constant=cfg.hypothesis_constant, allow_heavy=cfg.heavy_ops
@@ -225,27 +219,22 @@ def _record_for(args) -> SweepRecord:
         for name in cfg.checks:
             if name in HEAVY_CHECKS and not ctx.heavy_ok:
                 continue
-            checks[name] = check_bound(name, A, ctx)
+            chk = check_bound(name, A, ctx)
+            cells = (chk.lhs, chk.rhs_expr, chk.ratio, chk.hypothesis_ok)
+            row.update(zip(_check_columns(name), cells))
     else:  # too small for the catalog; the record reads the same memo
         ctx = SubgroupContext(A, allow_heavy=cfg.heavy_ops)
-    return SweepRecord(
-        p=p,
-        d=d,
-        twoA_size=ctx.twoA_size,
-        sixA_covers=check_six_fold(A),
-        covering_k=ctx.covering_index(cfg.kmax),
-        E=ctx.energy,
-        E3=ctx.energy3,
-        E32=ctx.energy32,
-        phi=ctx.phi,
-        ssc_ratio=ctx.ssc,
-        sumset_ratio=ctx.sumset_ratio if ctx.heavy_ok else None,
-        checks=checks,
+    fixed = (  # in CSV_BASE_COLUMNS order; A_size is d
+        p, d, d, ctx.twoA_size, check_six_fold(A), ctx.covering_index(cfg.kmax),
+        ctx.energy, ctx.energy3, ctx.energy32, ctx.phi, ctx.ssc,
+        ctx.sumset_ratio if ctx.heavy_ok else None,
     )
+    row.update(zip(CSV_BASE_COLUMNS, fixed, strict=True))
+    return row
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Compute one record per qualifying (p, d).  Output order is (p, d).
+def run_sweep(cfg: SweepConfig) -> list[dict]:
+    """Compute the row of each qualifying (p, d).  Output order is (p, d).
 
     The tasks are built in that order, and pool.map keeps it.
     """
@@ -275,42 +264,15 @@ def _fmt_cell(v) -> str:
     return repr(float(v))
 
 
-# Record attribute behind each base column; A_size is the one alias, of d.
-_base_cells = operator.attrgetter(*("d" if c == "A_size" else c for c in CSV_BASE_COLUMNS))
-
-
-@lru_cache(maxsize=None)  # record_row asks for the same names once per record
-def _check_columns(name: str) -> tuple[str, ...]:
-    return tuple(f"{name}:{suffix}" for suffix in CHECK_SUFFIXES)
-
-
-def record_row(rec: SweepRecord, check_names) -> dict:
-    """Flatten a record into the fixed column mapping used by csv and jsonl."""
-    row = dict(zip(CSV_BASE_COLUMNS, _base_cells(rec)))
-    for name in check_names:
-        chk = rec.checks.get(name)
-        cells = (chk.lhs, chk.rhs_expr, chk.ratio, chk.hypothesis_ok) if chk else (None,) * 4
-        row.update(zip(_check_columns(name), cells))
-    return row
-
-
-def _csv_text(rows: list[dict], check_names) -> str:
-    cols = [*CSV_BASE_COLUMNS, *(c for name in check_names for c in _check_columns(name))]
+def format_csv(rows: list[dict], check_names) -> str:
+    cols = _columns(check_names)
     lines = [",".join(cols)]
     lines += [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _jsonl_text(rows: list[dict]) -> str:
+def format_jsonl(rows: list[dict]) -> str:
     return "\n".join(json.dumps(row, separators=(",", ":")) for row in rows) + "\n"
-
-
-def format_csv(records, check_names) -> str:
-    return _csv_text([record_row(r, check_names) for r in records], check_names)
-
-
-def format_jsonl(records, check_names) -> str:
-    return _jsonl_text([record_row(r, check_names) for r in records])
 
 
 def summary_text(rows: list[dict], check_names) -> str:
@@ -442,11 +404,10 @@ def write_check_svgs(rows: list[dict], check_names, svg_dir: str) -> list[str]:
     return paths
 
 
-def emit_report(records: list[SweepRecord], cfg: SweepConfig) -> dict:
+def emit_report(rows: list[dict], cfg: SweepConfig) -> dict:
     """Write the records file, its summary, and optional SVG scatters."""
     check_names = list(cfg.checks)
-    rows = [record_row(r, check_names) for r in records]
-    text = _csv_text(rows, check_names) if cfg.format == "csv" else _jsonl_text(rows)
+    text = format_csv(rows, check_names) if cfg.format == "csv" else format_jsonl(rows)
     paths = {"records": cfg.out_path}
     with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -470,11 +431,11 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     """Load a records file written by emit_report.  Returns (rows, check names).
 
     JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
-    A line that is not JSON, a CSV cell that is not a number, a CSV row with
-    another cell count than the header, a JSONL row with other keys than
-    the first, or a fixed or check cell of another type than _FIXED_CELLS or
-    _CHECK_CELLS gives it raises ValueError naming the file and the line; a
-    check name outside ALL_CHECKS (it names an SVG file) raises naming the file.
+    A line that is not JSON, a CSV cell that is not a number, a CSV row with another
+    cell count than the header, a JSONL row with other keys than the first, a fixed
+    or check cell of another type than _FIXED_CELLS or _CHECK_CELLS gives it, or an
+    integer cell beyond the float range raises ValueError naming the file and the
+    line; a check name outside ALL_CHECKS (it names an SVG file) raises naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -493,6 +454,8 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
                 row = json.loads(ln)
             except json.JSONDecodeError as exc:
                 raise bad_line(n, f"not JSON ({exc.msg}, column {exc.colno})") from None
+            except ValueError as exc:  # an integer longer than int() reads
+                raise bad_line(n, str(exc)) from None
             if not isinstance(row, dict) or (rows and row.keys() != rows[0].keys()):
                 raise bad_line(n, off_columns)
             rows.append(row)
@@ -517,8 +480,11 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     kinds = {**_FIXED_CELLS, **{f"{c}:{x}": t for c in checks for x, t in _CHECK_CELLS.items()}}
     for (n, _), row in zip(lines if jsonl else lines[1:], rows):
         for c, (types, what) in kinds.items():
-            if type(row.get(c)) not in types:  # bool is an int subclass; an int is no bool
-                raise bad_line(n, f"{c} must be {what}, got {row.get(c)!r}")
+            v = row.get(c)
+            if type(v) not in types:  # bool is an int subclass; an int is no bool
+                raise bad_line(n, f"{c} must be {what}, got {v!r}")
+            if type(v) is int and abs(v) > sys.float_info.max:  # summary_text fits floats
+                raise bad_line(n, f"{c} is beyond the float range ({len(str(abs(v)))} digits)")
     return rows, checks
 
 
@@ -633,7 +599,8 @@ def _verify_spectral_identity(A, rng):
 
     Both sides read one table of Â: Â(0) = |A|, and Â is constant on the
     cosets of A, so one np.exp sum at each point of row 0 of A.layout is
-    spread over its coset (not through phi_subgroup's unit roots).
+    spread over its coset (not through phi_subgroup's unit roots).  The identity
+    holds for every dilate of Â, so a direct sum of Â(1) pins the orientation.
     """
     p, d, layout = A.p, A.d, A.layout
     prof = shift_sizes(A.indicator).astype(np.float64)
@@ -641,6 +608,9 @@ def _verify_spectral_identity(A, rng):
     hat = np.empty(p, dtype=np.complex128)
     hat[0] = d
     hat[layout] = np.exp(2j * np.pi * ((layout[0][:, None] * A.elements) % p) / p).sum(axis=1)
+    hat1 = np.exp(2j * np.pi * A.elements / p).sum()
+    if abs(hat[1] - hat1) > max(spectral.ABS_TOL, spectral.REL_TOL * abs(hat1)):
+        return 0, f"spectral-identity p={p} d={d} hat(1): {hat[1]} vs {hat1}"
     lhs = d * np.abs(hat[lams]) ** 2
     rhs = hat.real[(lams[:, None] * np.arange(p)) % p] @ prof
     bad = np.abs(lhs - rhs) > np.maximum(spectral.ABS_TOL, spectral.REL_TOL * np.abs(lhs))
@@ -779,13 +749,13 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        records = run_sweep(cfg)
+        rows = run_sweep(cfg)
         try:
-            paths = emit_report(records, cfg)
+            paths = emit_report(rows, cfg)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"wrote {len(records)} records to {paths['records']}")
+        print(f"wrote {len(rows)} records to {paths['records']}")
         print(f"summary: {paths['summary']}")
         return 0
     if args.command == "verify":

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from subgroup_lab.cli import SweepConfig, emit_report, format_csv, record_row, run_sweep, summary_text
+from subgroup_lab.cli import SweepConfig, emit_report, format_csv, run_sweep, summary_text
 from subgroup_lab.energetics import (
     additive_energy,
     additive_energy_spectral,
@@ -309,15 +309,16 @@ def test_criterion_9_sweep_ratios_finite(tmp_path):
     records = run_sweep(cfg)
     assert records, "sweep produced no records"
 
-    for rec in records:
-        assert set(rec.checks) == set(ALL_CHECKS), (rec.p, rec.d)
-        for name, chk in rec.checks.items():
-            assert math.isfinite(chk.lhs), (rec.p, rec.d, name)
-            assert math.isfinite(chk.rhs_expr) and chk.rhs_expr > 0, (rec.p, rec.d, name)
-            assert math.isfinite(chk.ratio), (rec.p, rec.d, name)
+    for row in records:
+        for name in ALL_CHECKS:
+            lhs, rhs, ratio, hyp = (row[f"{name}:{x}"] for x in ("lhs", "rhs", "ratio", "hyp"))
+            where = (row["p"], row["d"], name)
+            assert isinstance(hyp, bool), where
+            assert lhs is not None and math.isfinite(lhs), where
+            assert rhs is not None and math.isfinite(rhs) and rhs > 0, where
+            assert ratio is not None and math.isfinite(ratio), where
 
-    rows = [record_row(r, list(cfg.checks)) for r in records]
-    summary = summary_text(rows, list(cfg.checks))
+    summary = summary_text(records, list(cfg.checks))
     fits_ok = all(
         f"check {name}:" in summary for name in ALL_CHECKS
     ) and summary.count("envelope_slope=") == len(ALL_CHECKS)
@@ -326,12 +327,11 @@ def test_criterion_9_sweep_ratios_finite(tmp_path):
     # (outside it the ratio provably grows, so the stratification matters)
     def bucket_maxima(name):
         buckets: dict[int, float] = {}
-        for rec in records:
-            chk = rec.checks[name]
-            if not chk.hypothesis_ok:
+        for row in records:
+            if not row[f"{name}:hyp"]:
                 continue
-            j = int(math.floor(math.log2(rec.d)))
-            buckets[j] = max(buckets.get(j, 0.0), chk.ratio)
+            j = int(math.floor(math.log2(row["d"])))
+            buckets[j] = max(buckets.get(j, 0.0), row[f"{name}:ratio"])
         return [buckets[j] for j in sorted(buckets)]
 
     details = []

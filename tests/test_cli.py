@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -25,7 +26,6 @@ from subgroup_lab.cli import (
     parse_config_file,
     primes_between,
     read_rows,
-    record_row,
     run_sweep,
     summary_text,
     verify_all,
@@ -37,6 +37,11 @@ from subgroup_lab.zpsets import ZpSet
 
 from oracles import is_prime_slow
 from routes import TIERS, force_tier
+
+
+def _check_cells(row, names):
+    """The four cells of each named check, in column order."""
+    return [row[f"{name}:{x}"] for name in names for x in ("lhs", "rhs", "ratio", "hyp")]
 
 
 class TestConfigFile:
@@ -183,24 +188,15 @@ class TestOneSchema:
 
     def test_record_row_values_are_plain(self):
         # p = 4099 is above the heavy limit, so sumset_ratio is None there
-        recs = run_sweep(SweepConfig(p_max=101)) + run_sweep(
+        rows = run_sweep(SweepConfig(p_max=101)) + run_sweep(
             SweepConfig(p_min=4099, p_max=4099, max_size=6)
         )
         plain = (int, float, bool, str, type(None))
-        for rec in recs:
-            for key, v in record_row(rec, ALL_CHECKS).items():
-                assert type(v) in plain, (rec.p, rec.d, key, type(v))
-
-    def test_emit_report_builds_each_row_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = cli.record_row
-        monkeypatch.setattr(cli, "record_row", lambda *a: calls.append(1) or real(*a))
-        for fmt in ("csv", "jsonl"):
-            cfg = SweepConfig(p_max=31, format=fmt, out_path=str(tmp_path / f"r.{fmt}"))
-            recs = run_sweep(cfg)
-            calls.clear()
-            emit_report(recs, cfg)
-            assert len(calls) == len(recs)
+        columns = format_csv([], ALL_CHECKS).rstrip("\n").split(",")
+        for row in rows:
+            assert list(row) == columns, (row["p"], row["d"])
+            for key, v in row.items():
+                assert type(v) in plain, (row["p"], row["d"], key, type(v))
 
 
 class TestPrimesAndOrders:
@@ -236,8 +232,8 @@ class TestPrimesAndOrders:
 
 class TestRunSweep:
     def test_p7_has_one_record_per_divisor(self):
-        recs = run_sweep(SweepConfig(p_min=7, p_max=7))
-        assert [(r.p, r.d) for r in recs] == [(7, 1), (7, 2), (7, 3), (7, 6)]
+        rows = run_sweep(SweepConfig(p_min=7, p_max=7))
+        assert [(r["p"], r["d"]) for r in rows] == [(7, 1), (7, 2), (7, 3), (7, 6)]
 
     def test_record_count_matches_brute_scan(self):
         cfg = SweepConfig(p_min=3, p_max=101, min_size=3)
@@ -246,11 +242,11 @@ class TestRunSweep:
             sum(1 for d in divisors(p - 1) if d >= 3) for p in primes_between(3, 101)
         )
         assert len(recs) == want
-        assert all(r.d >= 3 for r in recs)
+        assert all(r["d"] >= 3 for r in recs)
 
     def test_sorted_by_p_then_d(self):
         recs = run_sweep(SweepConfig(p_min=3, p_max=31))
-        keys = [(r.p, r.d) for r in recs]
+        keys = [(r["p"], r["d"]) for r in recs]
         assert keys == sorted(keys)
 
     def test_threads_do_not_change_output(self):
@@ -261,15 +257,17 @@ class TestRunSweep:
         assert csv1 == csv4
 
     def test_small_orders_skip_checks(self):
-        recs = run_sweep(SweepConfig(p_min=7, p_max=7))
-        assert recs[0].checks == {}  # d = 1
-        assert recs[1].checks == {}  # d = 2
-        assert set(recs[2].checks) == set(ALL_CHECKS)
+        rows = run_sweep(SweepConfig(p_min=7, p_max=7))
+        assert _check_cells(rows[0], ALL_CHECKS) == [None] * 4 * len(ALL_CHECKS)  # d = 1
+        assert _check_cells(rows[1], ALL_CHECKS) == [None] * 4 * len(ALL_CHECKS)  # d = 2
+        assert None not in _check_cells(rows[2], ALL_CHECKS)
 
     def test_check_selection(self):
         cfg = SweepConfig(p_min=7, p_max=7, checks=("hk_energy",))
-        recs = run_sweep(cfg)
-        assert set(recs[2].checks) == {"hk_energy"}
+        row = run_sweep(cfg)[2]
+        checks = [c for c in row if c not in CSV_BASE_COLUMNS]
+        assert checks == ["hk_energy:lhs", "hk_energy:rhs", "hk_energy:ratio", "hk_energy:hyp"]
+        assert None not in _check_cells(row, ["hk_energy"])
 
     def test_alpha_window_count_matches_brute_scan(self):
         cfg = SweepConfig(p_min=3, p_max=101, alpha_lo=0.4, alpha_hi=0.7)
@@ -281,7 +279,7 @@ class TestRunSweep:
             if d >= 2 and 0.4 <= math.log(d) / math.log(p) <= 0.7
         )
         assert len(recs) == want
-        assert all(0.4 <= math.log(r.d) / math.log(r.p) <= 0.7 for r in recs)
+        assert all(0.4 <= math.log(r["d"]) / math.log(r["p"]) <= 0.7 for r in recs)
 
     def test_empty_prime_range_yields_no_records(self):
         # 90..96 holds no primes at all.
@@ -313,47 +311,38 @@ class TestFormatting:
 
     def test_none_and_bool_cells(self):
         recs = run_sweep(SweepConfig(p_min=7, p_max=7))
-        row = record_row(recs[0], [])
-        assert row["covering_k"] is None  # 6-fold of {1} never covers
+        assert recs[0]["covering_k"] is None  # 6-fold of {1} never covers
         text = format_csv(recs[:1], [])
         cells = text.splitlines()[1].split(",")
         assert cells[CSV_BASE_COLUMNS.index("covering_k")] == ""
         assert cells[CSV_BASE_COLUMNS.index("sixA_covers")] == "false"
 
-    def test_csv_roundtrip(self, tmp_path):
+    @staticmethod
+    def _reads_back(tmp_path, fmt):
+        """A sweep's rows are exactly what read_rows returns from its file: d < 3
+        rows, a heavy check and sumset_ratio empty above p = 4096 (4099) and set
+        below it (4091), and a check subset out of catalog order."""
         cfg = SweepConfig(
-            p_min=3, p_max=31, out_path=str(tmp_path / "r.csv"), checks=("e3", "phi_hk")
+            p_min=4090,
+            p_max=4100,
+            checks=("ssc_lemma3", "phi_hk", "e3"),
+            out_path=str(tmp_path / f"r.{fmt}"),
+            format=fmt,
         )
-        recs = run_sweep(cfg)
-        emit_report(recs, cfg)
-        rows, checks = read_rows(cfg.out_path)
-        assert checks == ["e3", "phi_hk"]
-        assert len(rows) == len(recs)
-        for rec, row in zip(recs, rows):
-            assert row["p"] == rec.p and row["d"] == rec.d
-            assert row["E"] == rec.E
-            assert row["sixA_covers"] == rec.sixA_covers
-            if rec.checks:
-                assert row["e3:ratio"] == pytest.approx(rec.checks["e3"].ratio)
-            else:
-                assert row["e3:ratio"] is None
+        rows = run_sweep(cfg)
+        assert [r["p"] for r in rows if r["d"] < 3] == [4091, 4091, 4093, 4093, 4099, 4099]
+        assert {r["p"] for r in rows if r["sumset_ratio"] is None} == {4099}
+        assert {r["p"] for r in rows if r["ssc_lemma3:lhs"] is None and r["d"] >= 3} == {4099}
+        emit_report(rows, cfg)
+        got = read_rows(cfg.out_path)
+        assert got == (rows, list(cfg.checks))
+        assert [list(r) for r in got[0]] == [list(r) for r in rows]  # the same column order
+
+    def test_csv_roundtrip(self, tmp_path):
+        self._reads_back(tmp_path, "csv")
 
     def test_jsonl_roundtrip(self, tmp_path):
-        cfg = SweepConfig(
-            p_min=3,
-            p_max=31,
-            out_path=str(tmp_path / "r.jsonl"),
-            format="jsonl",
-            checks=("hk_energy",),
-        )
-        recs = run_sweep(cfg)
-        emit_report(recs, cfg)
-        rows, checks = read_rows(cfg.out_path)
-        assert checks == ["hk_energy"]
-        assert rows == [
-            json.loads(line)
-            for line in format_jsonl(recs, ["hk_energy"]).splitlines()
-        ]
+        self._reads_back(tmp_path, "jsonl")
 
     def test_csv_and_jsonl_agree(self, tmp_path):
         base = SweepConfig(p_min=3, p_max=13, checks=("e32",))
@@ -367,23 +356,15 @@ class TestFormatting:
                 p_min=3, p_max=13, checks=("e32",), out_path=str(j), format="jsonl"
             ),
         )
-        rows_c, _ = read_rows(str(c))
-        rows_j, _ = read_rows(str(j))
-        for rc_, rj in zip(rows_c, rows_j):
-            for key in rc_:
-                if isinstance(rc_[key], float):
-                    assert rc_[key] == pytest.approx(rj[key])
-                else:
-                    assert rc_[key] == rj[key]
+        assert read_rows(str(c)) == read_rows(str(j)) == (recs, ["e32"])
 
 
 class TestSummaryAndSvg:
     def test_summary_lines(self):
         cfg = SweepConfig(p_min=3, p_max=101, min_size=3)
-        recs = run_sweep(cfg)
-        rows = [record_row(r, list(cfg.checks)) for r in recs]
+        rows = run_sweep(cfg)
         text = summary_text(rows, list(cfg.checks))
-        assert text.startswith(f"records: {len(recs)}\n")
+        assert text.startswith(f"records: {len(rows)}\n")
         assert "six-fold coverage at |A| >= p^(11/23):" in text
         for name in cfg.checks:
             assert f"check {name}:" in text
@@ -625,6 +606,25 @@ class TestMain:
             ("jsonl", "e3:lhs", [1], "e3:lhs must be a number or empty, got [1]"),
             ("csv", "hk_energy:ratio", "true", "hk_energy:ratio must be a number or empty, got True"),
             ("jsonl", "li_decay:hyp", 1, "li_decay:hyp must be bool or empty, got 1"),
+            # integers the summary cannot take as floats, and one json.loads cannot read
+            pytest.param(
+                "csv", "A_size", "1" + "0" * 400, "A_size is beyond the float range (401 digits)",
+                id="csv-A_size-1e400",
+            ),
+            pytest.param(
+                "jsonl", "A_size", 10**400, "A_size is beyond the float range (401 digits)",
+                id="jsonl-A_size-1e400",
+            ),
+            pytest.param(
+                "jsonl", "hk_energy:lhs", 10**400, "hk_energy:lhs is beyond the float range (401 digits)",
+                id="jsonl-hk_energy:lhs-1e400",
+            ),
+            pytest.param(
+                "jsonl", "E", 10**4999,
+                "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+                " use sys.set_int_max_str_digits() to increase the limit",
+                id="jsonl-E-5000-digits",
+            ),
         ],
     )
     def test_report_names_the_line_of_a_bad_cell(self, tmp_path, capsys, fmt, column, value, why):
@@ -642,7 +642,12 @@ class TestMain:
             row = json.loads(lines[n])
             assert row["d"] == 12 and row["hk_energy:ratio"] is not None
             row[column] = value
-            lines[n] = json.dumps(row)
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)  # json.dumps writes the 5,000-digit integer
+            try:
+                lines[n] = json.dumps(row)
+            finally:
+                sys.set_int_max_str_digits(limit)
         records.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["report", str(records)]) == 2
@@ -825,6 +830,21 @@ class TestVerifyAll:
         monkeypatch.setattr(cli, "shift_sizes", lambda S: 1.01 * real(S))
         cases, failure = cli._verify_spectral_identity(subgroup(13, 3), random.Random(0))
         assert (cases, failure.split(":")[0]) == (0, "spectral-identity p=13 d=3 lam=1")
+
+    def test_detects_dilated_spectral_table(self, monkeypatch):
+        # the coset sums spread one column off give Â(t / g) for the primitive
+        # root g, a dilate for which both sides of the identity still agree;
+        # only the direct sum of Â(1) sees it
+        class RolledExp:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x):
+                return np.exp(np.roll(x, 1, axis=0) if np.ndim(x) == 2 else x)
+
+        monkeypatch.setattr(cli, "np", RolledExp())
+        assert self._last_line(13).startswith("FAIL spectral-identity p=3 d=1 hat(1): ")
 
     def test_spectral_identity_every_subgroup_to_1024(self):
         # the family's whole range, where the frequencies are stepped
