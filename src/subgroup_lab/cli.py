@@ -483,7 +483,7 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
             v = row.get(c)
             if type(v) not in types:  # bool is an int subclass; an int is no bool
                 raise bad_line(n, f"{c} must be {what}, got {v!r}")
-            if type(v) is int and abs(v) > sys.float_info.max:  # summary_text fits floats
+            if type(v) is int and abs(v) > sys.float_info.max:  # the fits take float(v)
                 raise bad_line(n, f"{c} is beyond the float range ({len(str(abs(v)))} digits)")
     return rows, checks
 
