@@ -8,9 +8,9 @@ import subgroup_lab.energetics as energetics
 import subgroup_lab.spectral as spectral
 import subgroup_lab.verifier as verifier
 import subgroup_lab.zpsets as zpsets
-from subgroup_lab.numtheory import divisors, subgroup
+from subgroup_lab.numtheory import divisors, is_prime, subgroup
 from subgroup_lab.energetics import SubgroupContext, additive_energy, sumset_ratio_sum
-from subgroup_lab.spectral import convolve_counts
+from subgroup_lab.spectral import convolve_counts, cyclic_convolution_exact
 from subgroup_lab.verifier import (
     ALL_CHECKS,
     HEAVY_CHECKS,
@@ -473,6 +473,21 @@ class TestSolutionCounts:
             two = sorted(map(int, fold_sumset(A.indicator, 2).members()))
             for a in range(1, p):
                 assert count_solutions_N(A, a) == brute_count_N(two, els, a, p), (p, d, a)
+
+    def test_matches_product_of_count_vectors(self):
+        # N(a) = |A| ((2A * 2A) * (A * A))(a): the counts taken on their own,
+        # then multiplied by the exact cyclic convolution
+        queries = 0
+        for p in filter(is_prime, range(3, 301)):
+            for d in divisors(p - 1):
+                A = subgroup(p, d)
+                one = convolve_counts(A.indicator, A.indicator)
+                two = ZpSet.from_elements(p, np.flatnonzero(one))
+                table = cyclic_convolution_exact(convolve_counts(two, two), one, p)
+                for a in range(1, p):
+                    assert count_solutions_N(A, a) == d * int(table[a]), (p, d, a)
+                queries += p - 1
+        assert queries == 77916
 
     def test_positivity_and_counts_share_one_a_star_a(self, monkeypatch):
         # every exact count on a coset layout, as (d, |Y|)
