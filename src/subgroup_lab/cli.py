@@ -433,9 +433,10 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     JSONL if the first non-blank line opens an object, else CSV, whatever the suffix.
     A line that is not JSON, a CSV cell that is not a number, a CSV row with another
     cell count than the header, a JSONL row with other keys than the first, a fixed
-    or check cell of another type than _FIXED_CELLS or _CHECK_CELLS gives it, or an
-    integer cell beyond the float range raises ValueError naming the file and the
-    line; a check name outside ALL_CHECKS (it names an SVG file) raises naming the file.
+    or check cell of another type than _FIXED_CELLS or _CHECK_CELLS gives it, a NaN,
+    or an integer cell beyond the float range or longer than int() reads raises
+    ValueError naming the file and the line; a check name outside ALL_CHECKS (it
+    names an SVG file) raises naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -481,7 +482,7 @@ def read_rows(path: str) -> tuple[list[dict], list[str]]:
     for (n, _), row in zip(lines if jsonl else lines[1:], rows):
         for c, (types, what) in kinds.items():
             v = row.get(c)
-            if type(v) not in types:  # bool is an int subclass; an int is no bool
+            if type(v) not in types or v != v:  # bool is an int subclass; NaN != NaN
                 raise bad_line(n, f"{c} must be {what}, got {v!r}")
             if type(v) is int and abs(v) > sys.float_info.max:  # the fits take float(v)
                 raise bad_line(n, f"{c} is beyond the float range ({len(str(abs(v)))} digits)")
@@ -495,12 +496,15 @@ def _parse_cell(v: str):
         return True
     if v == "false":
         return False
-    for kind in (int, float):
-        try:
-            return kind(v)
-        except ValueError:
-            pass
-    raise ValueError(f"not a number: {v!r}")
+    try:
+        return int(v)
+    except ValueError:
+        if v.lstrip("+-").isdecimal():  # longer than int() reads
+            raise
+    try:
+        return float(v)
+    except ValueError:
+        raise ValueError(f"not a number: {v!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def energy_moment(A: ZpSet, r: float) -> float:
 class SubgroupContext:
     """Per-subgroup quantities, each computed once, on first use.
 
-    A * A, 2A, the shift profiles of A and 2A, phi, the energies and both
+    A * A, 2A, 2A * 2A, the shift profiles of A and 2A, phi, the energies and both
     ratio sums all come from A.layout.  E and E3
     are read at the coset reps: the profile is d at 0 and l_j on the d
     shifts of coset j, so E_r = d^r + d sum_j l_j^r, exact in Python ints
@@ -118,6 +118,11 @@ class SubgroupContext:
     @cached_property
     def two_a(self) -> ZpSet:
         return ZpSet._wrap(self.p, self.conv_aa > 0, self.A)
+
+    @cached_property
+    def conv_2a2a(self) -> np.ndarray:
+        """(2A * 2A)(z) for every z, read-only."""
+        return convolve_counts(self.two_a, self.two_a)
 
     @cached_property
     def twoA_size(self) -> int:

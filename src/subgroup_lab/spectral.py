@@ -1,15 +1,16 @@
 """Exact cyclic convolution over Z_p and complex exponential-sum spectra.
 
-Convolution of nonnegative integers is exact at every size, in three tiers:
+Convolution of nonnegative integers is exact at every size, in two tiers:
 1. numpy's real FFT at the power-of-two length n >= 2p - 1, rounded to
    integers.  Used only when Percival's a-priori bound (Math. Comp. 72, 2003)
    ||u|| ||v|| ((1+e)^{3L} (1+e sqrt5)^{3L+1} (1+b)^{3L} - 1), e = 2^-53,
    L = log2(n) + 1 (one stage for real-input packing), certifies every error
    below 1/4.  It assumes pocketfft's twiddles are accurate to b = 2^-52; a
    rounded value further than 1/4 from an integer raises ArithmeticError.
-2. Otherwise, if outputs fit in int64, the operand with the larger entries is
-   split into limbs narrow enough to certify, recombined exactly in int64.
-3. Otherwise big-integer Kronecker packing (object dtype from 2^63 up).
+   The bound certifies two 0/1 vectors at every p up to MODULUS_LIMIT.
+2. Otherwise big-integer Kronecker packing (int64 below 2^63, object dtype
+   from there up).  It is much slower at large p; only a caller passing
+   large entries reaches it, never the package's own counts.
 
 Every exact count X * Y of two sets in the package (shift profiles, A * A,
 sumsets, convolve_counts) goes through exact_counts, which prices a
@@ -18,9 +19,9 @@ cheapest; two sets that carry one subgroup A (zpsets) are counted on
 A.layout.  exact_supports takes the supports of X * Y_k for a block of sets
 Y_k at once (verify's containment family, one call per block of shifts); it
 prices each row with the same helper, shares one gather among the rows it
-would gather and hands the others to exact_counts.  Besides its FFT tier,
-only the verifier's solution table, a product of two count vectors, calls
-the convolution directly.
+would gather and hands the others to exact_counts.  The FFT tier of
+exact_counts, on two indicators, is the package's one caller of the
+convolution.
 
 Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
 """
@@ -89,25 +90,14 @@ def _rounded(fu: np.ndarray, fv: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _fft_linear(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray | None:
-    """Terms 0..m-1 of u * v by tiers 1 and 2, or None; max(u) >= max(v), outputs < 2^63."""
+    """Terms 0..m-1 of u * v by tier 1, or None if uncertified; outputs < 2^63."""
     n = _next_pow2(m)
     same = np.array_equal(u, v)
     u2 = _norm2(u)
-    v2 = u2 if same else _norm2(v)
-    fv = np.fft.rfft(v, n)
-    if _certified(u2 * v2, n):
-        return _rounded(fv if same else np.fft.rfft(u, n), fv, n, m)
-    # limb entries are below 2^b, so ||limb||^2 <= (2^b - 1)^2 nnz(u)
-    nnz, b = int(np.count_nonzero(u)), 0
-    while b < 62 and _certified(((2 << b) - 1) ** 2 * nnz * v2, n):
-        b += 1
-    if b == 0:
+    if not _certified(u2 * (u2 if same else _norm2(v)), n):
         return None
-    out = np.zeros(m, dtype=np.int64)
-    for shift in range(0, int(u.max()).bit_length(), b):
-        limb = (u >> shift) & ((1 << b) - 1)
-        out += _rounded(np.fft.rfft(limb, n), fv, n, m) << shift
-    return out
+    fv = np.fft.rfft(v, n)
+    return _rounded(fv if same else np.fft.rfft(u, n), fv, n, m)
 
 
 def _fold_cyclic(lin, p: int):
@@ -178,7 +168,7 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
     # every output value is at most min(max(u)*sum(v), max(v)*sum(u))
     bound = min(mu * sv, mv * su)
     if bound < _INT64_LIMIT:  # then u and v are int64 too
-        lin = _fft_linear(u, v, 2 * p - 1) if mu >= mv else _fft_linear(v, u, 2 * p - 1)
+        lin = _fft_linear(u, v, 2 * p - 1)
         if lin is not None:
             return _fold_cyclic(lin, p)
     lin = _kronecker_linear(u, v, bound)

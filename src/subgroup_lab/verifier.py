@@ -17,9 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .energetics import HEAVY_LIMIT, SubgroupContext, restricted_moment, threshold_invariant_set
+from .energetics import SubgroupContext, restricted_moment, threshold_invariant_set
 from .numtheory import Subgroup, subgroup
-from .spectral import convolve_counts, cyclic_convolution_exact
 from .zpsets import ZpSet, first_cover, multiset_count, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
@@ -316,34 +315,25 @@ def clears_cover_threshold(p: int, d: int) -> bool:
 
 @lru_cache(maxsize=2)
 def _context(p: int, d: int) -> SubgroupContext:
-    """The one context per (p, d) that positivity and the solution table share."""
+    """The one context per (p, d) that positivity and the solution counts share."""
     return SubgroupContext(subgroup(p, d))
 
 
-@lru_cache(maxsize=8)
-def _solution_table(p: int, d: int) -> np.ndarray:
-    """(2A * 2A) * (A * A) at every z, exact.
+def count_solutions_N(A: Subgroup, a: int) -> int:
+    """Number of solutions of x1 + x2 + y1 + y2 = a*y3, x in 2A, y in A, exact.
 
-    2A carries A, so 2A * 2A is counted on A.layout; the product of the two
-    count vectors is one exact convolution.
+    Every set here carries A, so the count T(z) of x1 + x2 + y1 + y2 = z is
+    constant on cosets of A, and N(a), its sum over z in aA, is |A| T(a):
+    N(a) = |A| sum_z (2A * 2A)(z) (A * A)(a - z), one dot product of the
+    context's two count vectors.  Its terms are below p^2 <= 2^52, so blocks
+    of 2^11 terms sum exactly in int64 and the blocks in Python ints.
     """
-    ctx = _context(p, d)
-    return cyclic_convolution_exact(convolve_counts(ctx.two_a, ctx.two_a), ctx.conv_aa, p)
-
-
-def count_solutions_N(A: Subgroup, a: int, *, allow_large: bool = False) -> int:
-    """Number of solutions of x1 + x2 + y1 + y2 = a*y3, x in 2A, y in A."""
-    if A.p > HEAVY_LIMIT and not allow_large:
-        raise ValueError(
-            f"count_solutions_N is heavy; p={A.p} exceeds {HEAVY_LIMIT}"
-            " (pass allow_large=True to force)"
-        )
     a = a % A.p
     if a == 0:
         raise ValueError("the dilation parameter a must be nonzero mod p")
-    table = _solution_table(A.p, A.d)
-    idx = (a * A.elements) % A.p
-    return int(table[idx].sum())
+    ctx = _context(A.p, A.d)
+    terms = ctx.conv_2a2a * ctx.conv_aa[(a - np.arange(A.p)) % A.p]
+    return A.d * sum(np.add.reduceat(terms, np.arange(0, A.p, 1 << 11)).tolist())
 
 
 def positivity_condition(A: Subgroup) -> bool:

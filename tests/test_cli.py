@@ -620,6 +620,15 @@ class TestMain:
                 id="jsonl-hk_energy:lhs-1e400",
             ),
             pytest.param(
+                "csv", "hk_energy:lhs", "1" * 5000,
+                "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+                " use sys.set_int_max_str_digits() to increase the limit",
+                id="csv-hk_energy:lhs-5000-digits",
+            ),
+            # a NaN ratio would drop out of the summary's maximum
+            ("csv", "hk_energy:ratio", "nan", "hk_energy:ratio must be a number or empty, got nan"),
+            ("jsonl", "hk_energy:ratio", math.nan, "hk_energy:ratio must be a number or empty, got nan"),
+            pytest.param(
                 "jsonl", "E", 10**4999,
                 "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
                 " use sys.set_int_max_str_digits() to increase the limit",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import shift_sizes
-from subgroup_lab.numtheory import is_prime, subgroup
+from subgroup_lab.numtheory import MODULUS_LIMIT, is_prime, subgroup
 from subgroup_lab.spectral import (
     Spectrum,
     convolve_counts,
@@ -38,16 +38,21 @@ class TestExactConvolution:
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want)
 
-    def test_crt_path(self):
-        # bound max*sum exceeds one transform modulus but fits in two
+    def test_uncertified_products(self, monkeypatch):
+        # past Percival's bound an int64-range product goes to the packing
+        # (no rounded FFT product) and comes back exact and int64
         rng = random.Random(12)
         p = 101
-        u = rand_vec(p, rng, 40) * 10_000_000
-        v = rand_vec(p, rng, 40) * 50
-        got = cyclic_convolution_exact(u, v, p)
-        want = naive_cyclic_convolution(u, v, p)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
+        cases = (
+            (rand_vec(p, rng, 40) * 10_000_000, rand_vec(p, rng, 40) * 50),
+            ((1 << 40) - rand_vec(p, rng, 1000), rand_vec(p, rng, 4)),
+        )
+        for u, v in cases:
+            calls = _count_calls(monkeypatch, "_rounded")
+            got = cyclic_convolution_exact(u, v, p)
+            assert not calls
+            assert got.dtype == np.int64
+            assert np.array_equal(got, naive_cyclic_convolution(u, v, p))
 
     def test_kronecker_path(self):
         rng = random.Random(13)
@@ -141,7 +146,7 @@ def _count_calls(monkeypatch, name):
 class TestCertifiedFft:
     def test_either_side_of_certificate(self, monkeypatch):
         # u = c * w against fixed v: find the largest c that tier 1 certifies,
-        # then check c (one rounded product) and c + 1 (limb split) exactly
+        # then check c (one rounded product) and c + 1 (none: the packing) exactly
         rng = random.Random(31)
         p = 101
         n = spectral._next_pow2(2 * p - 1)
@@ -152,23 +157,18 @@ class TestCertifiedFft:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if spectral._certified(mid * mid * w2 * v2, n) else (lo, mid)
-        for c, products in ((lo, 1), (lo + 1, 2)):
+        for c, products in ((lo, 1), (lo + 1, 0)):
             calls = _count_calls(monkeypatch, "_rounded")
             got = cyclic_convolution_exact(c * w, v, p)
             assert len(calls) == products
             assert got.dtype == np.int64
             assert np.array_equal(got, naive_cyclic_convolution(c * w, v, p))
 
-    def test_limb_split(self, monkeypatch):
-        rng = random.Random(32)
-        p = 101
-        u = (1 << 40) - rand_vec(p, rng, 1000)
-        v = rand_vec(p, rng, 4)
-        calls = _count_calls(monkeypatch, "_rounded")
-        got = cyclic_convolution_exact(v, u, p)
-        assert len(calls) >= 2
-        assert got.dtype == np.int64
-        assert np.array_equal(got, naive_cyclic_convolution(u, v, p))
+    def test_indicators_certify_at_every_modulus(self):
+        # the worst product of two 0/1 vectors, ||u||^2 ||v||^2 = p^2, takes
+        # the FFT at every p the package accepts, so no count needs another tier
+        n = spectral._next_pow2(2 * MODULUS_LIMIT - 1)
+        assert spectral._certified(MODULUS_LIMIT**2, n)
 
     def test_equal_operands_transform_once(self, monkeypatch):
         A = subgroup(101, 20).indicator.bits

@@ -460,11 +460,15 @@ class TestSolutionCounts:
         with pytest.raises(ValueError):
             count_solutions_N(subgroup(7, 3), 14)
 
-    def test_gate_above_limit(self):
-        A = subgroup(4099, 3)
-        with pytest.raises(ValueError):
-            count_solutions_N(A, 1)
-        assert count_solutions_N(A, 1, allow_large=True) >= 0
+    def test_exact_past_int64(self):
+        # N(1) = |A| T(1) passes 2^63; an int64 sum of the d terms T(a y3) wraps
+        A = subgroup(92693, 46346)
+        one = convolve_counts(A.indicator, A.indicator)
+        two_a = ZpSet.from_elements(A.p, np.flatnonzero(one))
+        two, one = convolve_counts(two_a, two_a).tolist(), one.tolist()
+        want = A.d * sum(two[z] * one[(1 - z) % A.p] for z in range(A.p))
+        assert want == 9227492697504919048 > 1 << 63
+        assert count_solutions_N(A, 1) == want
 
     def test_matches_five_fold_loop(self):
         for p, d in ((7, 3), (11, 5), (13, 4), (13, 6)):
@@ -501,7 +505,6 @@ class TestSolutionCounts:
 
         monkeypatch.setattr(spectral, "exact_counts", counted)
         verifier._context.cache_clear()
-        verifier._solution_table.cache_clear()
         A = subgroup(1009, 504)
         assert positivity_condition(A)
         assert all(count_solutions_N(A, a) > 0 for a in (1, 2, 3))
