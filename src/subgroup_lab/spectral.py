@@ -89,17 +89,6 @@ def _rounded(fu: np.ndarray, fv: np.ndarray, n: int, m: int) -> np.ndarray:
     return r.astype(np.int64)
 
 
-def _fft_linear(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray | None:
-    """Terms 0..m-1 of u * v by tier 1, or None if uncertified; outputs < 2^63."""
-    n = _next_pow2(m)
-    same = np.array_equal(u, v)
-    u2 = _norm2(u)
-    if not _certified(u2 * (u2 if same else _norm2(v)), n):
-        return None
-    fv = np.fft.rfft(v, n)
-    return _rounded(fv if same else np.fft.rfft(u, n), fv, n, m)
-
-
 def _fold_cyclic(lin, p: int):
     """Reduce a linear convolution (length >= 2p-1, zero-padded) mod p."""
     lin = lin[: 2 * p - 1]
@@ -168,8 +157,12 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
     # every output value is at most min(max(u)*sum(v), max(v)*sum(u))
     bound = min(mu * sv, mv * su)
     if bound < _INT64_LIMIT:  # then u and v are int64 too
-        lin = _fft_linear(u, v, 2 * p - 1)
-        if lin is not None:
+        n = _next_pow2(2 * p - 1)
+        same = np.array_equal(u, v)
+        u2 = _norm2(u)
+        if _certified(u2 * (u2 if same else _norm2(v)), n):
+            fv = np.fft.rfft(v, n)
+            lin = _rounded(fv if same else np.fft.rfft(u, n), fv, n, 2 * p - 1)
             return _fold_cyclic(lin, p)
     lin = _kronecker_linear(u, v, bound)
     return _fold_cyclic(np.asarray(lin, dtype=np.int64 if bound < _INT64_LIMIT else object), p)
