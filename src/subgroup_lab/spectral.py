@@ -8,9 +8,10 @@ Convolution of nonnegative integers is exact at every size, in two tiers:
    below 1/4.  It assumes pocketfft's twiddles are accurate to b = 2^-52; a
    rounded value further than 1/4 from an integer raises ArithmeticError.
    The bound certifies two 0/1 vectors at every p up to MODULUS_LIMIT.
-2. Otherwise big-integer Kronecker packing (int64 below 2^63, object dtype
-   from there up).  It is much slower at large p; only a caller passing
-   large entries reaches it, never the package's own counts.
+2. Otherwise big-integer Kronecker packing (int64 when every output is
+   provably below 2^63, object dtype otherwise).  It is much slower at
+   large p; only a caller passing large entries reaches it, never the
+   package's own counts.
 
 Every exact count X * Y of two sets in the package (shift profiles, A * A,
 sumsets, convolve_counts) goes through exact_counts, which prices a
