@@ -82,14 +82,16 @@ def energy_moment(A: ZpSet, r: float) -> float:
         raise ValueError(f"moment order must be finite and >= 1, got {r}")
     sizes = shift_sizes(A)
     nz = sizes[sizes > 0].astype(np.float64)
-    return float(np.sum(nz**r))
+    nz **= r
+    return float(np.sum(nz))
 
 
 class SubgroupContext:
     """Per-subgroup quantities, each computed once, on first use.
 
-    A * A, 2A, 2A * 2A, the shift profiles of A and 2A, phi, the energies and both
-    ratio sums all come from A.layout.  E and E3
+    A * A, 2A, 2A * 2A, the shift profile of A, phi, the energies and both
+    ratio sums all come from A.layout; ssc counts the shift profile of 2A
+    itself, its one reader, and keeps no copy.  E and E3
     are read at the coset reps: the profile is d at 0 and l_j on the d
     shifts of coset j, so E_r = d^r + d sum_j l_j^r, exact in Python ints
     over the distinct l_j (at most min(m, d + 1)), each times its count.  The float sums (E_{3/2}, ssc) keep
@@ -138,10 +140,6 @@ class SubgroupContext:
         return shift_sizes(self.aset)
 
     @cached_property
-    def two_a_profile(self) -> np.ndarray:
-        return shift_sizes(self.two_a)
-
-    @cached_property
     def rep_profile(self) -> np.ndarray:
         """|A ∩ (A + r)| at each coset rep r, in ascending rep order."""
         return self.profile[self.A.reps]
@@ -162,7 +160,8 @@ class SubgroupContext:
     @cached_property
     def energy32(self) -> float:
         nz = self.profile[self.profile > 0].astype(np.float64)
-        return float(np.sum(nz**1.5))
+        nz **= 1.5
+        return float(np.sum(nz))
 
     @cached_property
     def phi(self) -> float:
@@ -170,12 +169,15 @@ class SubgroupContext:
 
     @cached_property
     def ssc(self) -> float:
-        prof, denom = self.profile, self.two_a_profile
+        prof = self.profile
         mask = prof > 0
-        if (denom[mask] == 0).any():
+        denom = shift_sizes(self.two_a)[mask]
+        if (denom == 0).any():
             raise InvarianceViolation("shifted 2A intersection vanished under a live shift")
         num = prof[mask].astype(np.float64)
-        return float(np.sum(num * num / denom[mask]))
+        num *= num
+        num /= denom
+        return float(np.sum(num))
 
     @cached_property
     def sumset_ratio(self) -> float:
@@ -230,7 +232,8 @@ def restricted_moment(counts: np.ndarray, M: ZpSet, r: float) -> float:
     if len(counts) != M.p:
         raise ValueError(f"modulus mismatch: {len(counts)} vs {M.p}")
     vals = counts[M.members()].astype(np.float64)
-    return float(np.sum(vals**r))
+    vals **= r  # in place, by the ufunc that ** picks (square at 2, sqrt at 0.5)
+    return float(np.sum(vals))
 
 
 def invariant_convolution_sum(S1: ZpSet, S2: ZpSet, S3: ZpSet) -> int:

@@ -13,8 +13,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# Largest modulus the dense representations downstream are sized for.
-MODULUS_LIMIT = 1 << 26
+# Largest modulus the dense representations downstream are sized for: a
+# mid-range record below 2^25 peaks at 3.3 GB, and one below 2^26 ran out of
+# a 6 GB address space in its FFT (README, "Memory envelope").
+MODULUS_LIMIT = 1 << 25
 
 # Witness set proven sufficient for deterministic Miller-Rabin below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -73,29 +73,35 @@ def _max_sum(a: np.ndarray) -> tuple[int, int]:
 
 
 def _norm2(a: np.ndarray) -> int:
-    """Exact squared Euclidean norm of an int64 vector."""
+    """Exact squared Euclidean norm of a bool or int64 vector."""
+    if a.dtype == bool:
+        return int(np.count_nonzero(a))
     if int(a.max()) ** 2 * a.size < _INT64_LIMIT:
         return int(np.dot(a, a))
     return sum(x * x for x in a.tolist())
 
 
-def _rounded(fu: np.ndarray, fv: np.ndarray, n: int, m: int) -> np.ndarray:
-    """First m terms of irfft(fu * fv) as int64; the caller certified them."""
-    x = np.fft.irfft(fu * fv, n)[:m]
-    r = np.rint(x)
-    x -= r
-    err = max(float(x.max()), -float(x.min()))
+def _rounded(x: np.ndarray, n: int) -> np.ndarray:
+    """Round x, a product at FFT length n, to integers in place,
+    _GATHER_BLOCK entries at a time; the caller certified that every entry
+    is within 1/4 of one."""
+    err = 0.0
+    for i in range(0, len(x), _GATHER_BLOCK):
+        block = x[i : i + _GATHER_BLOCK]
+        r = np.rint(block)
+        block -= r
+        err = max(err, float(block.max()), -float(block.min()))
+        block[...] = r
     if err > 0.25:
         raise ArithmeticError(f"certified FFT product is {err:.3g} off an integer (n={n})")
-    return r.astype(np.int64)
+    return x
 
 
-def _fold_cyclic(lin, p: int):
-    """Reduce a linear convolution (length >= 2p-1, zero-padded) mod p."""
-    lin = lin[: 2 * p - 1]
-    out = lin[:p].copy()
-    out[: p - 1] += lin[p:]
-    return out
+def _fold_cyclic(lin: np.ndarray, p: int) -> np.ndarray:
+    """Reduce a linear convolution (length >= 2p-1, zero-padded) mod p in
+    place; the result is a view of lin's first p entries."""
+    lin[: p - 1] += lin[p : 2 * p - 1]
+    return lin[:p]
 
 
 def _kronecker_linear(u: np.ndarray, v: np.ndarray, bound: int) -> list[int]:
@@ -130,12 +136,14 @@ def all_integral(a: np.ndarray) -> bool:
 
 
 def _integer_operand(a, p: int) -> np.ndarray:
-    """Length-p nonnegative integers as int64 (object from 2^63 up)."""
+    """Length-p nonnegative integers: bool as given, else int64 (object from 2^63 up)."""
     a = np.asarray(a)
     if a.shape != (p,):
         raise ValueError("operands must be vectors of length p")
     if not all_integral(a):
         raise ValueError("convolution operands must be finite integers")
+    if a.dtype == bool:
+        return a
     if (a < 0).any():
         raise ValueError("convolution operands must be nonnegative")
     if int(a.max()) < _INT64_LIMIT:
@@ -157,16 +165,23 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
         return np.zeros(p, dtype=np.int64)
     # every output value is at most min(max(u)*sum(v), max(v)*sum(u))
     bound = min(mu * sv, mv * su)
-    if bound < _INT64_LIMIT:  # then u and v are int64 too
+    if bound < _INT64_LIMIT:  # then u and v are bool or int64 too
         n = _next_pow2(2 * p - 1)
         same = np.array_equal(u, v)
         u2 = _norm2(u)
         if _certified(u2 * (u2 if same else _norm2(v)), n):
+            # rfft casts each operand to float64 itself (a bool one with no
+            # int64 copy); the spectra are multiplied, and the product
+            # rounded and folded, in place
             fv = np.fft.rfft(v, n)
-            lin = _rounded(fv if same else np.fft.rfft(u, n), fv, n, 2 * p - 1)
-            return _fold_cyclic(lin, p)
+            fu = fv if same else np.fft.rfft(u, n)
+            fu *= fv
+            del fv
+            lin = np.fft.irfft(fu, n)
+            del fu
+            return _fold_cyclic(_rounded(lin[: 2 * p - 1], n), p).astype(np.int64)
     lin = _kronecker_linear(u, v, bound)
-    return _fold_cyclic(np.asarray(lin, dtype=np.int64 if bound < _INT64_LIMIT else object), p)
+    return _fold_cyclic(np.asarray(lin, dtype=np.int64 if bound < _INT64_LIMIT else object), p).copy()
 
 
 # Cost model of the exact-count kernels, in gathered elements (2.3-5.5 ns each,
@@ -366,12 +381,18 @@ def dft_magnitudes(S: ZpSet) -> Spectrum:
     return Spectrum(p=S.p, mags=mags, phi=float(mags[lam]), argmax=lam)
 
 
+_PHASE_BLOCK = 1 << 14  # phases per gather of unit roots in phi_subgroup
+
+
 @lru_cache(maxsize=4)
 def _unit_roots(p: int) -> np.ndarray:
-    """e_p(t) = exp(2 pi i t / p) for t in Z_p, by the same expression as a
-    direct evaluation at phase t, so a gather from it is bit-identical."""
-    t = np.arange(p, dtype=np.int64)
-    roots = np.exp(2j * np.pi * t / p)
+    """e_p(t) = exp(2 pi i t / p) for t in Z_p, by the same ufuncs on the same
+    values as a direct evaluation at phase t, so a gather from it is
+    bit-identical; each step runs in place in the one complex table."""
+    roots = np.arange(p, dtype=np.complex128)
+    roots *= 2j * np.pi
+    roots /= p
+    np.exp(roots, out=roots)
     roots.flags.writeable = False
     return roots
 
@@ -380,12 +401,17 @@ def phi_subgroup(A) -> tuple[float, int]:
     """Exponential-sum maximum of a subgroup via one evaluation per coset.
 
     The subgroup sum at lambda depends only on the coset of lambda, so p-1
-    frequencies collapse to (p-1)/d representative evaluations: one gather
-    of O(p) phases from a per-prime table of unit roots.
+    frequencies collapse to (p-1)/d representative evaluations, gathered from
+    a per-prime table of unit roots for _PHASE_BLOCK phases (or one row of d)
+    at a time; each row is summed whole, so the bits do not depend on the block.
     """
-    reps = A.reps
-    phases = (reps[:, None] * A.elements[None, :]) % A.p
-    sums = _unit_roots(A.p)[phases].sum(axis=1)
-    mags = np.abs(sums)
+    p, reps, el = A.p, A.reps, A.elements
+    roots = _unit_roots(p)
+    mags = np.empty(len(reps))
+    step = max(1, _PHASE_BLOCK // len(el))
+    for i in range(0, len(reps), step):
+        phases = reps[i : i + step, None] * el
+        phases %= p
+        np.abs(roots[phases].sum(axis=1), out=mags[i : i + step])
     i = int(np.argmax(mags))
     return float(mags[i]), int(reps[i])

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -512,6 +513,21 @@ class TestMain:
         out = capsys.readouterr().out
         assert "ok convolution (0 cases)" in out
         assert "ok coverage (0 cases)" in out
+
+    def test_envelope_script(self):
+        # tests/envelope.py runs one record in a child process: one JSON line
+        script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "envelope.py")
+        done = subprocess.run(
+            [sys.executable, script, "95287", "6"], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert list(rec) == ["p", "d", "wall_s", "peak_rss_mb"]
+        assert (rec["p"], rec["d"]) == (95287, 6) and rec["wall_s"] >= 0 and rec["peak_rss_mb"] > 0
+        bad = subprocess.run([sys.executable, script, "95287", "7"], capture_output=True, text=True, timeout=60)
+        assert bad.returncode == 2 and not bad.stdout
 
     def test_verify_pmax_above_limit(self, capsys):
         assert main(["verify", "--pmax", str(2**26 + 1)]) == 2

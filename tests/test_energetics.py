@@ -266,6 +266,24 @@ class TestRatioSums:
         # only s = 0 contributes: 1^2 / |{1}+{1}| = 1
         assert ssc_ratio_sum(subgroup(7, 1)) == 1.0
 
+    def test_ssc_guard_catches_a_vanished_2a_intersection(self, monkeypatch):
+        # zero the 2A profile on one live coset: ssc must refuse to divide
+        p, d = 101, 20
+        ctx = SubgroupContext(subgroup(p, d))
+        r = int(ctx.A.reps[ctx.rep_profile > 0][0])
+        coset = (r * ctx.A.elements) % p
+        real = energetics.shift_sizes
+
+        def zeroed(X):
+            sizes = real(X)
+            if X is ctx.two_a:
+                sizes[coset] = 0
+            return sizes
+
+        monkeypatch.setattr(energetics, "shift_sizes", zeroed)
+        with pytest.raises(InvarianceViolation, match="vanished under a live shift"):
+            ctx.ssc
+
     def test_sumset_ratio_golden_7_3(self):
         assert abs(sumset_ratio_sum(subgroup(7, 3)) - 3.5) <= 1e-12
 

@@ -86,6 +86,13 @@ class TestValidateModulus:
             with pytest.raises(ValueError):
                 validate_modulus(bad)
 
+    def test_limit_is_two_to_the_25(self):
+        # the largest prime below 2^25 ran a mid-range record in 3.3 GB; the
+        # one below 2^26 did not fit in 6 GB (README, "Memory envelope")
+        assert validate_modulus(33554393) == 33554393
+        with pytest.raises(ValueError):
+            validate_modulus(33554467)
+
     def test_rejects_above_limit(self):
         big = MODULUS_LIMIT + 3
         while not is_prime(big):

@@ -179,6 +179,27 @@ class TestCertifiedFft:
         assert len(ffts) == 1
         assert np.array_equal(got, naive_cyclic_convolution(A, A, 101))
 
+    def test_peak_per_fft_point(self):
+        # two indicators at p = 1048573, n = 2^21: the peak is the two
+        # spectra and the float64 cast rfft makes of the second operand,
+        # 8 + 8 + 4 bytes per FFT point.  With int64 copies of both operands,
+        # a third spectrum for the product and copies to round and fold it
+        # the peak was 48.1 bytes per point.
+        p = 1048573
+        n = spectral._next_pow2(2 * p - 1)
+        rng = np.random.default_rng(3)
+        x, y = rng.random(p) < 0.3, rng.random(p) < 0.3
+        tracemalloc.start()
+        try:
+            got = cyclic_convolution_exact(x, y, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21 * n, peak / n
+        assert got.dtype == np.int64 and int(got.sum()) == np.count_nonzero(x) * np.count_nonzero(y)
+        for z in (0, 1, p // 2, p - 1):
+            assert got[z] == np.count_nonzero(x & y[(z - np.arange(p)) % p]), z
+
     def test_tripwire_raises(self, monkeypatch):
         real = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a: real(*a) + 0.3)
@@ -439,6 +460,43 @@ class TestPhiSubgroup:
                 assert abs(fast - spec.phi) <= 1e-9 * max(fast, spec.phi, 1.0)
                 # the reported frequency attains the max
                 assert abs(spec.mags[rep] - fast) <= 1e-9 * max(fast, 1.0)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_blocks_match_direct_evaluation(self, monkeypatch, block):
+        # a block of one row, of rows that do not divide m, and the default
+        # (several blocks at p = 95287): each row is summed whole, so the
+        # bits equal one direct m x d evaluation
+        monkeypatch.setattr(spectral, "_PHASE_BLOCK", block)
+        for p, d in ((101, 4), (101, 20), (2003, 7), (95287, 6), (95287, 15881)):
+            A = subgroup(p, d)
+            phases = (A.reps[:, None] * A.elements[None, :]) % p
+            mags = np.abs(np.exp(2j * np.pi * phases / p).sum(axis=1))
+            i = int(np.argmax(mags))
+            assert phi_subgroup(A) == (float(mags[i]), int(A.reps[i])), (p, d, block)
+
+    def test_peak_beyond_the_roots_table(self):
+        # p = 95287, d = 6: the table is built in place, and phi gathers
+        # _PHASE_BLOCK phases at a time, so beyond the finished table the
+        # peak is the m magnitudes and one block (0.37 of a p-long complex
+        # array).  The int64 arange and two complex temporaries of the old
+        # table took 1.50 such arrays beyond it, and one m x d phase matrix
+        # with its complex gather 1.67.
+        p, d = 95287, 6
+        A = subgroup(p, d)
+        A.reps  # cached on A, outside the trace
+        complex_p = 16 * p
+        spectral._unit_roots.cache_clear()
+        tracemalloc.start()
+        try:
+            roots = spectral._unit_roots(p)
+            table_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            phi_subgroup(A)
+            phi_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_peak - roots.nbytes < complex_p // 8, table_peak
+        assert phi_peak - roots.nbytes < complex_p // 2, phi_peak
 
     def test_gauss_sum_order_two(self):
         # quadratic residues: |2 phi + 1| should be sqrt(p) for p = 1 mod 4
