@@ -5,8 +5,11 @@ including s = 0, terms with an empty shifted intersection are omitted, and
 logarithms downstream are natural.  For a subgroup A the shift profile
 |A ∩ (A + s)| is constant on cosets of A, and so is every sum, count or
 profile of sets that carry A (zpsets module docstring).  Every count of two
-sets goes through spectral.exact_counts, on A.layout for such sets, and the
-exact moments E and E3 are read off the profile at the coset reps.
+sets goes through spectral.exact_counts, at the m + 1 quotient points
+A.points for such sets.  SubgroupContext keeps its counts there: |2A|, E and
+E3 are read off those values, and each float sum over shifts takes its terms
+once per quotient point and gathers them at the live shifts in ascending
+order, so its bits are those of the sum over Z_p.
 
 Three exact size arguments skip counting altogether:
 - pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (zpsets.sumset);
@@ -40,21 +43,37 @@ class InvarianceViolation(ValueError):
     """A count profile expected to be constant on cosets is not."""
 
 
-def shift_sizes(X: ZpSet) -> np.ndarray:
-    """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers: X * (-X).
+def _shift_operands(X: ZpSet) -> tuple:
+    """(bits, y, base) with |X ∩ (X + s)| = (bits * y)(s) + base for every s.
 
-    Counted on the layout of the subgroup X carries, if it carries one.  When
-    |X| > p/2 it is read from the complement C = Z_p minus X (which carries
-    the same subgroup): X ∩ (X + s) misses exactly C ∪ (C + s), so the size
-    is p - 2|C| + |C ∩ (C + s)|.
+    bits is X, y = -X and base 0 when 2|X| <= p.  Otherwise bits is the
+    complement C = Z_p minus X (which carries the same subgroup), y = -C and
+    base p - 2|C|: X ∩ (X + s) misses exactly C ∪ (C + s).
     """
     p = X.p
     bits = X.bits if 2 * X.card <= p else ~X.bits
     y = (-np.flatnonzero(bits)) % p
-    sizes = spectral.exact_counts(bits, y, X._layout())
-    if bits is not X.bits:
-        sizes += p - 2 * len(y)
+    return bits, y, 0 if bits is X.bits else p - 2 * len(y)
+
+
+def shift_sizes(X: ZpSet) -> np.ndarray:
+    """Vector of |X ∩ (X + s)| for every s in Z_p, exact integers: X * (-X).
+
+    Counted at the quotient points of the subgroup X carries, if it carries
+    one (spectral.zp_counts), and from the complement when |X| > p/2
+    (_shift_operands).
+    """
+    bits, y, base = _shift_operands(X)
+    sizes = spectral.zp_counts(bits, y, X._sym_with())
+    if base:
+        sizes += base
     return sizes
+
+
+def _shift_sizes_at(X: ZpSet, points: np.ndarray) -> np.ndarray:
+    """|X ∩ (X + s)| at each s in points, in their order (shift_sizes)."""
+    bits, y, base = _shift_operands(X)
+    return spectral.exact_counts(bits, y, points).at + base
 
 
 def additive_energy(A: ZpSet, B: ZpSet) -> int:
@@ -89,16 +108,22 @@ def energy_moment(A: ZpSet, r: float) -> float:
 class SubgroupContext:
     """Per-subgroup quantities, each computed once, on first use.
 
-    A * A, 2A, 2A * 2A, the shift profile of A, phi, the energies and both
-    ratio sums all come from A.layout; ssc counts the shift profile of 2A
-    itself, its one reader, and keeps no copy.  E and E3
-    are read at the coset reps: the profile is d at 0 and l_j on the d
-    shifts of coset j, so E_r = d^r + d sum_j l_j^r, exact in Python ints
-    over the distinct l_j (at most min(m, d + 1)), each times its count.  The float sums (E_{3/2}, ssc) keep
-    their O(p) order of terms, so their bits do not change.  The catalog's
-    CheckContext extends this class with its |A| >= 3 guard and knobs.
-    heavy_ok says whether the heavy sumset_ratio may run: always up to
-    HEAVY_LIMIT, above it only with allow_heavy.
+    Every count here is of sets that carry A, so it is constant on the
+    cosets of A and held as its m + 1 values at A.points (the quotient),
+    with the counts over Z_p as well where the pair or convolution tier
+    made them (spectral.PointCounts).  A * A is aa; the shift profile
+    |A ∩ (A + s)| is shifts, which is aa itself for even d (-1 in A, so
+    -A = A).  2A, its size, E and E3 are read off the quotient: the profile
+    is d at 0 and l_j on the d shifts of coset j, so E_r = d^r + d sum_j l_j^r,
+    exact in Python ints over the distinct l_j, each times its count.
+    The float sums (E_{3/2}, ssc, threshold_moment) take each term once per
+    live quotient point and spread the terms to the live shifts in ascending
+    order (_spread_sum), so they add the floats of the O(p) sum over Z_p in
+    its order, and their bits do not change.  conv_aa and profile, over Z_p, are
+    spread on first use only.  The catalog's CheckContext extends this class
+    with its |A| >= 3 guard and knobs.  heavy_ok says whether the heavy
+    sumset_ratio may run: always up to HEAVY_LIMIT, above it only with
+    allow_heavy.
     """
 
     def __init__(self, A: Subgroup, *, allow_heavy: bool = False):
@@ -113,13 +138,34 @@ class SubgroupContext:
         return ZpSet._wrap(self.p, self.A.indicator.bits, self.A)
 
     @cached_property
+    def aa(self) -> spectral.PointCounts:
+        """A * A at A.points, as spectral.exact_counts counts it there."""
+        return spectral.exact_counts(self.aset.bits, self.A.elements, self.A.points)
+
+    @cached_property
+    def shifts(self) -> spectral.PointCounts:
+        """|A ∩ (A + s)| at A.points: A * (-A), which is aa itself for even d.
+
+        For odd d, 2d < p, so shift_sizes would take no complement.
+        """
+        if self.d % 2 == 0:
+            return self.aa
+        return spectral.exact_counts(self.aset.bits, -self.A.elements % self.p, self.A.points)
+
+    def _over_zp(self, counts: spectral.PointCounts) -> np.ndarray:
+        out = counts.over_zp(self.A)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def conv_aa(self) -> np.ndarray:
         """(A * A)(z) for every z, read-only."""
-        return convolve_counts(self.aset, self.aset)
+        return self._over_zp(self.aa)
 
     @cached_property
     def two_a(self) -> ZpSet:
-        return ZpSet._wrap(self.p, self.conv_aa > 0, self.A)
+        at, full = self.aa
+        return ZpSet._wrap(self.p, self.A.spread(at > 0) if full is None else full > 0, self.A)
 
     @cached_property
     def conv_2a2a(self) -> np.ndarray:
@@ -128,7 +174,8 @@ class SubgroupContext:
 
     @cached_property
     def twoA_size(self) -> int:
-        return self.two_a.card
+        at = self.aa.at
+        return int(at[0] > 0) + self.d * int(np.count_nonzero(at[1:]))
 
     def covering_index(self, kmax: int):
         """Smallest k <= kmax with kA ⊇ Z_p*, or None: zpsets.first_cover on A and this 2A."""
@@ -136,16 +183,18 @@ class SubgroupContext:
 
     @cached_property
     def profile(self) -> np.ndarray:
-        """|A ∩ (A + s)| for every s: the counts of A * (-A)."""
-        return shift_sizes(self.aset)
+        """|A ∩ (A + s)| for every s, read-only: conv_aa itself for even d."""
+        return self.conv_aa if self.d % 2 == 0 else self._over_zp(self.shifts)
 
     @cached_property
     def rep_profile(self) -> np.ndarray:
         """|A ∩ (A + r)| at each coset rep r, in ascending rep order."""
-        return self.profile[self.A.reps]
+        at, full = self.shifts
+        reps = self.A.reps
+        return at[self.A.coset_index[reps]] if full is None else full[reps]
 
     def _moment(self, r: int) -> int:
-        mult = np.bincount(self.rep_profile)  # mult[l] cosets have profile value l
+        mult = np.bincount(self.shifts.at[1:])  # mult[l] cosets have profile value l
         ls = np.flatnonzero(mult)
         return self.d**r + self.d * sum(l**r * k for l, k in zip(ls.tolist(), mult[ls].tolist()))
 
@@ -157,11 +206,18 @@ class SubgroupContext:
     def energy3(self) -> int:
         return self._moment(3)
 
+    def _spread_sum(self, terms: np.ndarray, live: np.ndarray) -> float:
+        """Sum over the z in Z_p whose point is live, in ascending z, of the
+        term at that point; terms holds one per live point (Subgroup.spread)."""
+        return float(np.sum(self.A.spread(terms, live)))
+
     @cached_property
     def energy32(self) -> float:
-        nz = self.profile[self.profile > 0].astype(np.float64)
-        nz **= 1.5
-        return float(np.sum(nz))
+        at = self.shifts.at
+        live = at > 0
+        t = at[live].astype(np.float64)
+        t **= 1.5
+        return self._spread_sum(t, live)
 
     @cached_property
     def phi(self) -> float:
@@ -169,15 +225,31 @@ class SubgroupContext:
 
     @cached_property
     def ssc(self) -> float:
-        prof = self.profile
-        mask = prof > 0
-        denom = shift_sizes(self.two_a)[mask]
+        """Sum over shifts s with |A_s| > 0 of |A_s|^2 / |(2A)_s|; the 2A
+        profile is counted at the live points only."""
+        at = self.shifts.at
+        live = at > 0
+        denom = _shift_sizes_at(self.two_a, self.A.points[live])
         if (denom == 0).any():
             raise InvarianceViolation("shifted 2A intersection vanished under a live shift")
-        num = prof[mask].astype(np.float64)
+        num = at[live].astype(np.float64)
         num *= num
         num /= denom
-        return float(np.sum(num))
+        return self._spread_sum(num, live)
+
+    def threshold_moment(self, k: float, r: float) -> tuple[float, int]:
+        """(sum over z in M of (A * A)(z)^r in ascending z, |M|), where
+        M = threshold_invariant_set(conv_aa, A, k).
+
+        M is read off aa at the points, with no check that A * A is constant
+        on cosets: it is, by construction.
+        """
+        at = self.aa.at
+        live = at.astype(np.float64) >= k
+        live[0] = False
+        t = at[live].astype(np.float64)
+        t **= r
+        return self._spread_sum(t, live), self.d * int(np.count_nonzero(live))
 
     @cached_property
     def sumset_ratio(self) -> float:
@@ -265,7 +337,6 @@ def threshold_invariant_set(
     if broken.any():
         rep = int(layout[:, broken].min())  # a coset's least element is its rep
         raise InvarianceViolation(f"profile is not constant on the coset of {rep}")
-    bits = np.zeros(A.p, dtype=bool)
-    bits[layout[:, vals[0].astype(np.float64) >= k]] = True
+    bits = A.spread(np.concatenate(([False], vals[0].astype(np.float64) >= k)))
     bits[0] = include_zero and float(counts[0]) >= k
     return ZpSet._wrap(A.p, bits, A)

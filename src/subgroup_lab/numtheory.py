@@ -23,6 +23,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 1_000_000
 
+# Entries of a coset index read per step when Subgroup.spread gathers at
+# part of Z_p: 128 KB of intp, so the result is the one array over Z_p.
+_SPREAD_BLOCK = 1 << 14
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all n < 2^64."""
@@ -204,6 +208,61 @@ class Subgroup:
     def reps(self) -> np.ndarray:
         """The least element of each coset, ascending (coset_reps)."""
         return coset_reps(self)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The quotient points: 0, then layout[0], one point g^j of each coset.
+
+        A count that is constant on the cosets is held as its m + 1 values
+        here, m = (p - 1)/d; spread puts them back on Z_p.
+        """
+        pts = np.concatenate(([0], power_table(self.p)[: (self.p - 1) // self.d]))
+        pts.flags.writeable = False
+        return pts
+
+    @cached_property
+    def coset_index(self) -> np.ndarray:
+        """c[z] = i where points[i] lies in the coset of z (c[0] = 0), intp.
+
+        Built by one scatter through the layout; each spread is then one gather.
+        """
+        c = np.empty(self.p, dtype=np.intp)
+        c[0] = 0
+        c[self.layout] = np.arange(1, (self.p - 1) // self.d + 1)
+        c.flags.writeable = False
+        return c
+
+    def spread(self, vals: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+        """Values over Z_p from values at the points, in ascending z: the
+        value of the point of z's coset (of 0 at z = 0) at each z.
+
+        vals holds one value per point, or, given a bool live over the
+        points, one per live point, in their order; then only the z whose
+        point is live are read.  When those are few, n of them with n log2 n
+        below p, they are sorted out of the live columns of the layout, with
+        no array over Z_p and no coset_index; otherwise they are gathered
+        through coset_index, _SPREAD_BLOCK entries of it at a time.
+        """
+        if live is None or live.all():
+            return vals[self.coset_index]
+        cols = live[1:].nonzero()[0]
+        zero = int(live[0])
+        n = zero + self.d * len(cols)
+        if n * n.bit_length() < self.p:
+            order = np.argsort(self.layout[:, cols], axis=None)
+            order %= max(1, len(cols))  # the column's place among the live ones
+            order += zero
+            return vals[np.concatenate(([0], order)) if zero else order]
+        at_points = np.zeros(len(live), dtype=vals.dtype)
+        at_points[live] = vals
+        out = np.empty(n, dtype=vals.dtype)
+        k = 0
+        for i in range(0, self.p, _SPREAD_BLOCK):
+            block = self.coset_index[i : i + _SPREAD_BLOCK]
+            block = block[live[block]]
+            np.take(at_points, block, out=out[k : k + len(block)])
+            k += len(block)
+        return out
 
 
 @lru_cache(maxsize=4)

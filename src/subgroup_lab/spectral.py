@@ -16,13 +16,17 @@ Convolution of nonnegative integers is exact at every size, in two tiers:
 Every exact count X * Y of two sets in the package (shift profiles, A * A,
 sumsets, convolve_counts) goes through exact_counts, which prices a
 pair bincount, a gather and the exact convolution above, and runs the
-cheapest; two sets that carry one subgroup A (zpsets) are counted on
-A.layout.  exact_supports takes the supports of X * Y_k for a block of sets
-Y_k at once (verify's containment family, one call per block of shifts); it
-prices each row with the same helper, shares one gather among the rows it
-would gather and hands the others to exact_counts.  The FFT tier of
-exact_counts, on two indicators, is the package's one caller of the
-convolution.
+cheapest.  It counts over Z_p or at a given set of points, where the gather
+reads only those points and the pair and convolution tiers read their counts
+over Z_p, which they hand back too (PointCounts).  Two sets that carry one
+subgroup A (zpsets) are counted at A.points, 0 and one point per coset, and
+zp_counts spreads the m + 1 values to Z_p (numtheory.Subgroup.spread) only
+when no tier made them there.  exact_supports takes the supports of
+X * Y_k for a block of sets Y_k at once (verify's containment family, one
+call per block of shifts); it prices each row with the same helper, shares
+one gather among the rows it would gather and hands the others to
+exact_counts.  The FFT tier of exact_counts, on two indicators, is the
+package's one caller of the convolution.
 
 Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
 """
@@ -33,7 +37,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -225,33 +229,32 @@ def _rotations(x_bits: np.ndarray) -> np.ndarray:
     return np.ndarray((p + 1, p), doubled.dtype, buffer=doubled, strides=(s, s))
 
 
-def gather_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np.ndarray:
-    """#{y in Y : z - y in X} for every z in Z_p: int64, or > 0 into a bool out.
+def gather_counts(x_bits: np.ndarray, y: np.ndarray, points=None, out=None) -> np.ndarray:
+    """#{y in Y : z - y in X} at each z in points (default: every z in Z_p):
+    int64, or > 0 into a bool out.
 
     X is given by its indicator and Y by its members, residues in [0, p).
-    Without a layout the counts are the sum of the rotations of X by each y,
-    copied as rows of the doubled indicator, _GATHER_BLOCK // p at a time.
-    With one (see exact_counts) they are read at 0 and the layout's first
-    row, in row blocks of at most _GATHER_BLOCK elements (or one |Y|).
+    Over Z_p the counts are the sum of the rotations of X by each y, copied
+    as rows of the doubled indicator, _GATHER_BLOCK // p at a time.  At
+    points they are read there, in row blocks of at most _GATHER_BLOCK
+    elements (or one |Y|), and returned in the order of points.
     """
-    p = len(x_bits)
-    if out is None:
-        out = np.empty(p, dtype=np.int64)
-    if layout is None:
+    if points is None:
+        p = len(x_bits)
+        if out is None:
+            out = np.empty(p, dtype=np.int64)
         rows = _rotations(x_bits)
         step = max(1, _GATHER_BLOCK // p)
         np.add.reduce(rows[p - y[:step]], axis=0, dtype=out.dtype, out=out)
         for i in range(step, len(y), step):
             out += np.add.reduce(rows[p - y[i : i + step]], axis=0, dtype=out.dtype)
         return out
-    z = np.concatenate(([0], layout[0]))
-    vals = np.empty(len(z), dtype=out.dtype)
+    if out is None:
+        out = np.empty(len(points), dtype=np.int64)
     step = max(1, _GATHER_BLOCK // max(1, len(y)))
-    for i in range(0, len(z), step):
+    for i in range(0, len(points), step):
         # z - y lies in (-p, p); a negative index wraps
-        np.add.reduce(x_bits[z[i : i + step, None] - y], axis=1, dtype=out.dtype, out=vals[i : i + step])
-    out[0] = vals[0]
-    out[layout] = vals[1:]
+        np.add.reduce(x_bits[points[i : i + step, None] - y], axis=1, dtype=out.dtype, out=out[i : i + step])
     return out
 
 
@@ -276,7 +279,20 @@ def pair_counts(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return counts
 
 
-def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np.ndarray:
+class PointCounts(NamedTuple):
+    """Exact counts at given points, in their order, and the counts over Z_p
+    when the tier that made them counted all of it (else None)."""
+
+    at: np.ndarray
+    full: np.ndarray | None
+
+    def over_zp(self, A) -> np.ndarray:
+        """The counts over Z_p: those the tier made, else the values at
+        A.points spread by A (numtheory.Subgroup.spread)."""
+        return A.spread(self.at) if self.full is None else self.full
+
+
+def exact_counts(x_bits: np.ndarray, y: np.ndarray, points=None, out=None):
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
     X is given by its indicator and Y by its distinct members, residues in
@@ -285,21 +301,27 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, layout=None, out=None) -> np
     shares, gather_counts at |Y| per point read and one exact convolution at
     _conv_cost(p); the pairs run only when strictly cheapest, the gather when
     no dearer than the convolution.
-    A subgroup's layout (numtheory.Subgroup.layout) says X * Y is constant on
-    its columns, the cosets g^j A, so the gather reads 0 and its first row only.
-    A bool out receives count > 0 and rules out the pairs, whose int64
-    counts span Z_p.
+    Given points (such as a subgroup's quotient points, numtheory.Subgroup),
+    the gather reads only there, and the result is a PointCounts, so that a
+    caller may keep the counts over Z_p that the pairs or the convolution made.
+    A bool out, with no points, receives count > 0 over Z_p and rules out
+    the pairs, whose int64 counts span Z_p.
     """
     p = len(x_bits)
-    gather, conv = _gather_and_conv_costs(len(y), p if layout is None else layout.shape[1] + 1, p)
+    gather, conv = _gather_and_conv_costs(len(y), p if points is None else len(points), p)
     if out is None and SCATTER_COST * int(np.count_nonzero(x_bits)) * len(y) < min(gather, conv):
-        return pair_counts(np.flatnonzero(x_bits), y, p)
-    if gather > conv:
+        counts = pair_counts(np.flatnonzero(x_bits), y, p)
+    elif gather > conv:
         y_bits = np.zeros(p, dtype=bool)
         y_bits[y] = True
         counts = cyclic_convolution_exact(x_bits, y_bits, p)
-        return counts if out is None else np.greater(counts, 0, out=out)
-    return gather_counts(x_bits, y, layout, out)
+        if out is not None:
+            return np.greater(counts, 0, out=out)
+    elif points is None:
+        return gather_counts(x_bits, y, out=out)
+    else:
+        return PointCounts(gather_counts(x_bits, y, points), None)
+    return counts if points is None else PointCounts(counts[points], counts)
 
 
 def exact_supports(x_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -338,14 +360,24 @@ def exact_supports(x_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def zp_counts(x_bits: np.ndarray, y: np.ndarray, A=None) -> np.ndarray:
+    """exact_counts over Z_p.  Two sets that carry the subgroup A (zpsets)
+    are counted at A.points and spread by A.spread, unless the tier counted
+    all of Z_p itself."""
+    if A is None:
+        return exact_counts(x_bits, y)
+    return exact_counts(x_bits, y, A.points).over_zp(A)
+
+
 def convolve_counts(X: ZpSet, Y: ZpSet) -> np.ndarray:
     """Counts of pair representations z = x + y with x in X, y in Y (read-only).
 
-    Counted on the layout of the subgroup both sets carry, if they carry one.
+    Counted at the quotient points of the subgroup both sets carry, if they
+    carry one (zp_counts).
     """
     if X.p != Y.p:
         raise ValueError(f"modulus mismatch: {X.p} vs {Y.p}")
-    counts = exact_counts(X.bits, Y.members(), X._layout(Y))
+    counts = zp_counts(X.bits, Y.members(), X._sym_with(Y))
     counts.flags.writeable = False
     return counts
 

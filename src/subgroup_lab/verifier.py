@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .energetics import SubgroupContext, restricted_moment, threshold_invariant_set
+from .energetics import SubgroupContext
 from .numtheory import Subgroup, subgroup
 from .zpsets import ZpSet, first_cover, multiset_count, sumset
 
@@ -189,8 +189,9 @@ def _chk_phi_expA(ctx: CheckContext):
 
 
 def _chk_sv_convolution(ctx: CheckContext):
-    # instantiated with S1 = S2 = S3 = A, the subgroup as an invariant set
-    lhs = float(ctx.conv_aa[ctx.A.elements].sum())
+    # instantiated with S1 = S2 = S3 = A, the subgroup as an invariant set:
+    # A * A is constant on A, the coset of points[1] = 1
+    lhs = float(ctx.d * int(ctx.aa.at[1]))
     rhs = ctx.d ** (-1 / 3) * (ctx.d**3) ** (2 / 3)
     hyp = ctx._ll(ctx.d**3, min(float(ctx.d) ** 5, ctx.p**3 / ctx.d))
     return lhs, rhs, hyp
@@ -199,8 +200,7 @@ def _chk_sv_convolution(ctx: CheckContext):
 def _chk_l3_moment(ctx: CheckContext):
     r = ctx.l3_moment_order
     k = ctx.l3_threshold
-    M = threshold_invariant_set(ctx.conv_aa, ctx.A, k)
-    lhs = restricted_moment(ctx.conv_aa, M, r)
+    lhs, m_card = ctx.threshold_moment(k, r)
     s1 = s2 = float(ctx.d)
     base = s1**2 * s2**2 / ctx.d
     if r == 3.0:
@@ -208,7 +208,7 @@ def _chk_l3_moment(ctx: CheckContext):
         rhs = base * max(math.log(arg), 1.0) if arg > 0 else base
     else:
         rhs = base * k ** (r - 3)
-    m_size = float(M.card)
+    m_size = float(m_card)
     hyp = ctx._gg(k, 1.0) and ctx._ll(
         s1 * s2 * m_size * ctx.d, min(float(ctx.d) ** 6, float(ctx.p) ** 3)
     )
@@ -297,7 +297,7 @@ def check_six_fold(A: Subgroup) -> bool:
 
     False without counting when multiset_count(6, d), a bound on |6A|, is
     below p - 1.  Otherwise computed through the chain 2A, 3A, 3A + 3A of
-    sumsets, each counted on A.layout (its sets carry A): a different route
+    sumsets, each counted at A.points (its sets carry A): a different route
     from first_cover's one-step folds, built without the subgroup's context.
     """
     if multiset_count(6, A.d) < A.p - 1:

@@ -11,9 +11,11 @@ nonzero part.  Only the package sets it, where the invariance holds by
 construction: invariant_set, threshold_invariant_set, A and 2A in
 energetics.SubgroupContext, and a sumset of two sets that carry the same A
 (a dilate of X + Y by u in A is uX + uY).  Counts of such sets are constant
-on the cosets of A, so sumset, shift_sizes and convolve_counts count them on
-A.layout (ZpSet._layout decides).  Every other set, A.indicator and the
-public constructor's included, carries None.
+on the cosets of A, so sumset, shift_sizes and convolve_counts count them
+only at A.points, 0 and one point per coset (ZpSet._sym_with decides), and
+spread the m + 1 values to Z_p by A.spread, one gather, unless the pair or
+convolution tier counted all of Z_p anyway.  Every other set, A.indicator
+and the public constructor's included, carries None.
 """
 
 from __future__ import annotations
@@ -57,16 +59,17 @@ class ZpSet:
         s.p, s.bits, s.card, s.sym = p, bits, int(np.count_nonzero(bits)), sym
         return s
 
-    def _layout(self, other: "ZpSet | None" = None) -> np.ndarray | None:
-        """A.layout if this set and other (default: this set) carry one A, else None.
+    def _sym_with(self, other: "ZpSet | None" = None) -> Subgroup | None:
+        """The subgroup A if this set and other (default: this set) carry it, else None.
 
-        The one rule for when a count may be read on the cosets of A: sumset,
-        shift_sizes and convolve_counts pass what it returns to exact_counts.
+        The one rule for when a count may be read at the quotient points of
+        A: sumset, shift_sizes and convolve_counts count at A.points when it
+        returns A.
         """
         A = self.sym
         if A is None or (other is not None and other.sym != A):
             return None
-        return A.layout
+        return A
 
     @classmethod
     def from_elements(cls, p: int, elements) -> "ZpSet":
@@ -157,18 +160,22 @@ def translate(C: ZpSet, z: int) -> ZpSet:
 def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
     """X + Y = {x + y mod p}, exact on every route (module docstring).
 
-    Counted on the layout of the subgroup both carry, and then carries it.
+    Counted at the quotient points of the subgroup both carry, and then
+    carries it.
     """
     p = _require_same_modulus(X, Y)
-    layout = X._layout(Y)
-    sym = None if layout is None else X.sym
+    sym = X._sym_with(Y)
     small, big = (X, Y) if X.card <= Y.card else (Y, X)
     if small.card == 0:
         return ZpSet._wrap(p, np.zeros(p, dtype=bool), sym)
     if small.card + big.card > p:  # X meets z - Y for every z
         return ZpSet._wrap(p, np.ones(p, dtype=bool), sym)
-    support = np.empty(p, dtype=bool)
-    return ZpSet._wrap(p, exact_counts(big.bits, small.members(), layout, support), sym)
+    if sym is None:
+        support = exact_counts(big.bits, small.members(), out=np.empty(p, dtype=bool))
+    else:
+        at, full = exact_counts(big.bits, small.members(), sym.points)
+        support = sym.spread(at > 0) if full is None else full > 0
+    return ZpSet._wrap(p, support, sym)
 
 
 def fold_sumset(A: ZpSet, k: int) -> ZpSet:

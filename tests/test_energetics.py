@@ -267,22 +267,25 @@ class TestRatioSums:
         assert ssc_ratio_sum(subgroup(7, 1)) == 1.0
 
     def test_ssc_guard_catches_a_vanished_2a_intersection(self, monkeypatch):
-        # zero the 2A profile on one live coset: ssc must refuse to divide
+        # zero the 2A profile at one live coset's point: ssc must refuse to divide
         p, d = 101, 20
         ctx = SubgroupContext(subgroup(p, d))
-        r = int(ctx.A.reps[ctx.rep_profile > 0][0])
-        coset = (r * ctx.A.elements) % p
-        real = energetics.shift_sizes
+        j = int(np.flatnonzero(ctx.shifts.at[1:])[0]) + 1
+        point = int(ctx.A.points[j])
+        real = energetics._shift_sizes_at
+        seen = []
 
-        def zeroed(X):
-            sizes = real(X)
+        def zeroed(X, points):
+            sizes = real(X, points)
             if X is ctx.two_a:
-                sizes[coset] = 0
+                seen.append(points.tolist())
+                sizes[points == point] = 0
             return sizes
 
-        monkeypatch.setattr(energetics, "shift_sizes", zeroed)
+        monkeypatch.setattr(energetics, "_shift_sizes_at", zeroed)
         with pytest.raises(InvarianceViolation, match="vanished under a live shift"):
             ctx.ssc
+        assert len(seen) == 1 and point in seen[0]
 
     def test_sumset_ratio_golden_7_3(self):
         assert abs(sumset_ratio_sum(subgroup(7, 3)) - 3.5) <= 1e-12

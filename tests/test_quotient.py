@@ -3,9 +3,12 @@
 Every subgroup with p <= 2000 is checked exhaustively: its construction from
 the power table, the k-fold chain, A * A, both shift profiles and the
 six-fold verdict, with the coset kernel forced onto each of its three tiers
-in turn; each result, counted on A.layout because its sets carry A, is
+in turn; each result, counted at A.points because its sets carry A, is
 compared with the same call on sets that carry no subgroup (A.indicator and
-untagged copies), which count at every point.
+untagged copies), which count at every point.  The context's reads off the
+quotient points (|2A|, the rep profile, the energies and the float sums) are
+compared with plain sums over Z_p bit for bit, and Subgroup.spread with a
+coset map built by brute force.
 A Hypothesis property pits the kernel against brute sumsets on random unions
 of cosets, on every tier; the size shortcuts (pigeonhole, complement,
 multiset count) are checked on both sides of their conditions.
@@ -31,7 +34,7 @@ from subgroup_lab.numtheory import (
     subgroup,
 )
 from subgroup_lab.spectral import convolve_counts, cyclic_convolution_exact, phi_subgroup
-from subgroup_lab.verifier import check_six_fold
+from subgroup_lab.verifier import CheckContext, check_bound, check_six_fold
 from subgroup_lab.zpsets import (
     ZpSet,
     dilate,
@@ -133,6 +136,128 @@ def test_counts_and_profiles_match_convolution():
                 assert ctx.two_a == two_a
                 assert np.array_equal(ctx.profile, profile), (A.p, A.d, tier)
                 assert np.array_equal(shift_sizes(ctx.two_a), two_a_profile), (A.p, A.d, tier)
+
+
+L3_KNOBS = ((1.0, 1.5), (3.0, 3.0))  # (threshold k, order r) beside the defaults
+
+
+def reference_record(A: Subgroup) -> dict:
+    """The quotient-read quantities of a record by plain formulas over Z_p on
+    A.indicator, which carries no subgroup; each float is the O(p) sum over
+    the live shifts in ascending order."""
+    p, plain = A.p, A.indicator
+    conv = convolve_counts(plain, plain)
+    prof = shift_sizes(plain)
+    live = prof > 0
+    e32 = prof[live].astype(np.float64)
+    e32 **= 1.5
+    num = prof[live].astype(np.float64)
+    num *= num
+    num /= shift_sizes(ZpSet(p, conv > 0))[live]
+    moments = {}
+    for k, r in ((2.0, 2.0),) + L3_KNOBS:
+        M = conv.astype(np.float64) >= k
+        M[0] = False
+        vals = conv[M].astype(np.float64)
+        vals **= r
+        moments[k, r] = (float(np.sum(vals)), int(np.count_nonzero(M)))
+    return {
+        "twoA_size": int(np.count_nonzero(conv)),
+        "rep_profile": prof[A.reps].tolist(),
+        "E": sum(x * x for x in prof.tolist()),
+        "E3": sum(x**3 for x in prof.tolist()),
+        "E32": float(np.sum(e32)),
+        "ssc": float(np.sum(num)),
+        "moments": moments,
+        "sv_convolution": float(conv[A.elements].sum()),
+    }
+
+
+def context_record(A: Subgroup) -> dict:
+    """The same quantities from a fresh context; the l3_moment and
+    sv_convolution lhs come from their catalog checks when d >= 3."""
+    ctx = CheckContext(A) if A.d >= 3 else SubgroupContext(A)
+    got = {
+        "twoA_size": ctx.twoA_size,
+        "rep_profile": ctx.rep_profile.tolist(),
+        "E": ctx.energy,
+        "E3": ctx.energy3,
+        "E32": ctx.energy32,
+        "ssc": ctx.ssc,
+        "moments": {(k, r): ctx.threshold_moment(k, r) for k, r in ((2.0, 2.0),) + L3_KNOBS},
+        "sv_convolution": float(ctx.d * int(ctx.aa.at[1])),
+    }
+    if A.d >= 3:
+        got["moments"][2.0, 2.0] = (check_bound("l3_moment", A, ctx).lhs, got["moments"][2.0, 2.0][1])
+        got["sv_convolution"] = check_bound("sv_convolution", A, ctx).lhs
+    return got
+
+
+def test_quotient_reads_match_sums_over_zp_bit_for_bit():
+    # every float compared with ==: the context adds the same terms in the
+    # same order, whichever tier counted A * A and the profiles
+    for A in subgroups_upto_2000():
+        want = reference_record(A)
+        for tier in TIERS:
+            with pytest.MonkeyPatch.context() as mp:
+                force_tier(mp, tier)
+                assert context_record(A) == want, (A.p, A.d, tier)
+
+
+@pytest.mark.parametrize("d", [6, 15881])
+def test_quotient_reads_match_sums_over_zp_near_1e5(d):
+    # the benchmark's record pair: d = 6 on the pair tier, d = 15881 on the
+    # gather at m + 1 = 7 points
+    A = subgroup(95287, d)
+    assert context_record(A) == reference_record(A)
+
+
+def test_spread_matches_a_coset_scan():
+    # both routes of Subgroup.spread, the sort of a few live layout columns
+    # and the gather through coset_index, against a coset map built from
+    # brute_cosets
+    rng = np.random.default_rng(6)
+    routes = set()
+    for p in (q for q in PRIMES_2000 if q <= 400):
+        for d in divisors(p - 1):
+            A, m = subgroup(p, d), (p - 1) // d
+            els, _ = brute_cosets(p, d)
+            pts = A.points.tolist()
+            assert pts[0] == 0 and len(pts) == m + 1
+            c = [0] * p
+            for i, pt in enumerate(pts[1:], start=1):
+                for a in els:
+                    c[pt * a % p] = i
+            assert sorted(c[1:]) == sorted(list(range(1, m + 1)) * d), (p, d)
+            assert A.coset_index.tolist() == c
+            vals = rng.random(m + 1)
+            some = rng.random(m + 1) < 0.5
+            for live in (None, np.ones(m + 1, bool), np.zeros(m + 1, bool), np.eye(1, m + 1, 0, bool)[0], np.eye(1, m + 1, 1, bool)[0], some):
+                want = [vals[c[z]] for z in range(p) if live is None or live[c[z]]]
+                given = vals if live is None else vals[live]  # one value per live point
+                assert A.spread(given, live).tolist() == want, (p, d)
+                if live is not None:
+                    n = int(live[0]) + d * int(np.count_nonzero(live[1:]))
+                    routes.add(n * n.bit_length() < p)
+    assert routes == {True, False}
+
+
+def test_float_sums_hold_no_counts_over_zp():
+    # energy32, ssc and the l3_moment check read A * A and the profiles at the
+    # m + 1 = 7 quotient points, and the terms gathered at the live shifts are
+    # the one float array over Z_p they build; the routes that spread every
+    # count to Z_p first peaked at 3,145,636 bytes (4.1 such arrays) here
+    p, d = 95287, 15881
+    A = subgroup(p, d)
+    ctx = CheckContext(A)
+    assert ctx.twoA_size and ctx.two_a.card  # what a record reads before them
+    tracemalloc.start()
+    try:
+        ctx.energy32, ctx.ssc, check_bound("l3_moment", A, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * p, peak
 
 
 def test_phi_matches_direct_evaluation():
@@ -279,10 +404,11 @@ def test_pair_tier_memory_is_bounded_by_blocks():
     assert spectral.SCATTER_COST * X.card * len(y) < min((m + 1) * len(y), spectral._conv_cost(p))
     tracemalloc.start()
     try:
-        got = spectral.exact_counts(X.bits, y, A.layout)
+        at, full = spectral.exact_counts(X.bits, y, A.points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     y_bits = ZpSet.from_elements(p, y).bits
-    assert np.array_equal(got, cyclic_convolution_exact(X.bits, y_bits, p))
+    want = cyclic_convolution_exact(X.bits, y_bits, p)
+    assert np.array_equal(full, want) and np.array_equal(at, want[A.points])
     assert peak < 48 * 2**20, peak

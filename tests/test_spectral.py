@@ -243,13 +243,15 @@ class TestGatherCounts:
         Y = invariant_set(A, rng.sample(reps, 3))
         y = Y.members()
         want = brute_convolution(X.members().tolist(), y.tolist(), p)
-        for lay in (None, A.layout):
-            got = spectral.gather_counts(X.bits, y, lay)
+        assert want == spectral.pair_counts(X.members(), y, p).tolist()
+        for pts in (None, A.points):
+            at = np.arange(p) if pts is None else pts
+            got = spectral.gather_counts(X.bits, y, pts)
             assert got.dtype == np.int64
-            assert got.tolist() == want == spectral.pair_counts(X.members(), y, p).tolist()
-            out = np.empty(p, dtype=bool)
-            assert spectral.gather_counts(X.bits, y, lay, out) is out
-            assert out.tolist() == [c > 0 for c in want]
+            assert got.tolist() == [want[z] for z in at.tolist()]
+            out = np.empty(len(at), dtype=bool)
+            assert spectral.gather_counts(X.bits, y, pts, out) is out
+            assert out.tolist() == [want[z] > 0 for z in at.tolist()]
 
     def test_empty_y_gives_zeros(self):
         x_bits = ZpSet.from_elements(13, [1, 5]).bits

@@ -494,14 +494,14 @@ class TestSolutionCounts:
         assert queries == 77916
 
     def test_positivity_and_counts_share_one_a_star_a(self, monkeypatch):
-        # every exact count on a coset layout, as (d, |Y|)
+        # every exact count at quotient points, as (m + 1, |Y|)
         calls = []
         real = spectral.exact_counts
 
-        def counted(x_bits, y, layout=None, out=None):
-            if layout is not None:
-                calls.append((layout.shape[0], len(y)))
-            return real(x_bits, y, layout, out)
+        def counted(x_bits, y, points=None, out=None):
+            if points is not None:
+                calls.append((len(points), len(y)))
+            return real(x_bits, y, points, out)
 
         monkeypatch.setattr(spectral, "exact_counts", counted)
         verifier._context.cache_clear()
@@ -509,7 +509,7 @@ class TestSolutionCounts:
         assert positivity_condition(A)
         assert all(count_solutions_N(A, a) > 0 for a in (1, 2, 3))
         two_a = fold_sumset(A.indicator, 2).card
-        assert calls == [(504, 504), (504, two_a)]  # A * A once, then 2A * 2A
+        assert calls == [(3, 504), (3, two_a)]  # A * A once, then 2A * 2A
 
     def test_mass_identity(self):
         # summing N over nonzero a counts |A| copies of the nonzero conv mass
