@@ -206,11 +206,17 @@ def _columns(check_names) -> list[str]:
     return [*CSV_BASE_COLUMNS, *(c for name in check_names for c in _check_columns(name))]
 
 
+@lru_cache(maxsize=8)
+def _empty_row(check_names: tuple[str, ...]) -> dict:
+    """The all-None row of these checks' columns, copied for each record."""
+    return dict.fromkeys(_columns(check_names))
+
+
 def _record_for(args) -> dict:
     """The row of one (p, d); a check skipped (d < 3, or heavy and off) has None cells."""
     p, d, cfg = args
     A = subgroup(p, d)
-    row = dict.fromkeys(_columns(cfg.checks))
+    row = _empty_row(tuple(cfg.checks)).copy()
     if d >= 3:
         ctx = CheckContext(
             A, hypothesis_constant=cfg.hypothesis_constant, allow_heavy=cfg.heavy_ops

@@ -12,7 +12,8 @@ once per quotient point and gathers them at the live shifts in ascending
 order, so its bits are those of the sum over Z_p.
 
 Three exact size arguments skip counting altogether:
-- pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (zpsets.sumset);
+- pigeonhole: X + Y is all of Z_p when |X| + |Y| > p (zpsets.sumset, and
+  each |A + A_r| of SubgroupContext.sumset_ratio);
 - complement: the shift profile of a set with more than p/2 elements is read
   from its smaller complement (shift_sizes);
 - multiset count: |kS| <= C(k + |S| - 1, k) (zpsets.multiset_count), so kS
@@ -193,10 +194,16 @@ class SubgroupContext:
         reps = self.A.reps
         return at[self.A.coset_index[reps]] if full is None else full[reps]
 
-    def _moment(self, r: int) -> int:
-        mult = np.bincount(self.shifts.at[1:])  # mult[l] cosets have profile value l
+    @cached_property
+    def _profile_mult(self) -> tuple[list, list]:
+        """(values l, counts k): k cosets have profile value l; E and E3 share it."""
+        mult = np.bincount(self.shifts.at[1:])
         ls = np.flatnonzero(mult)
-        return self.d**r + self.d * sum(l**r * k for l, k in zip(ls.tolist(), mult[ls].tolist()))
+        return ls.tolist(), mult[ls].tolist()
+
+    def _moment(self, r: int) -> int:
+        ls, ks = self._profile_mult
+        return self.d**r + self.d * sum(l**r * k for l, k in zip(ls, ks))
 
     @cached_property
     def energy(self) -> int:
@@ -259,14 +266,19 @@ class SubgroupContext:
                 f" {HEAVY_LIMIT} (pass allow_heavy=True to force)"
             )
         # s = 0 term, then one term per coset, added in ascending rep order;
-        # |A + A_r| is the support of A * A_r, A_r = A ∩ (A + r)
-        d, el, bits = self.d, self.A.elements, self.aset.bits
+        # |A + A_r| is the support of A * A_r, A_r = A ∩ (A + r), or all of
+        # Z_p, uncounted, when d + |A_r| > p (pigeonhole)
+        p, d, el, bits = self.p, self.d, self.A.elements, self.aset.bits
         live = self.rep_profile > 0
-        support = np.empty(self.p, dtype=bool)
+        support = np.empty(p, dtype=bool)
         total = d * d / float(self.twoA_size)
         for r, li in zip(self.A.reps[live].tolist(), self.rep_profile[live].tolist()):
-            spectral.exact_counts(bits, el[bits[el - r]], out=support)
-            total += d * (li * li / float(np.count_nonzero(support)))
+            if d + li > p:
+                size = p
+            else:
+                spectral.exact_counts(bits, el[bits[el - r]], out=support)
+                size = np.count_nonzero(support)
+            total += d * (li * li / float(size))
         return total
 
 

@@ -190,9 +190,13 @@ class Subgroup:
 
     @cached_property
     def indicator(self):
+        """A as a ZpSet (carrying no subgroup); its bits are set directly,
+        since elements are residues this module built."""
         from .zpsets import ZpSet
 
-        return ZpSet.from_elements(self.p, self.elements)
+        bits = np.zeros(self.p, dtype=bool)
+        bits[self.elements] = True
+        return ZpSet._wrap(self.p, bits)
 
     @property
     def layout(self) -> np.ndarray:

@@ -416,11 +416,15 @@ def dft_magnitudes(S: ZpSet) -> Spectrum:
 _PHASE_BLOCK = 1 << 14  # phases per gather of unit roots in phi_subgroup
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _unit_roots(p: int) -> np.ndarray:
     """e_p(t) = exp(2 pi i t / p) for t in Z_p, by the same ufuncs on the same
     values as a direct evaluation at phase t, so a gather from it is
-    bit-identical; each step runs in place in the one complex table."""
+    bit-identical; each step runs in place in the one complex table.
+
+    Only the last prime's table is kept (16 bytes per residue): a sweep
+    takes the primes in ascending order, so one table serves all the d of
+    a prime, and none outlives the next prime."""
     roots = np.arange(p, dtype=np.complex128)
     roots *= 2j * np.pi
     roots /= p

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,14 @@ COVER_THRESHOLD_NUM = 11
 COVER_THRESHOLD_DEN = 23
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One measured-vs-bound comparison for a single subgroup."""
+class BoundCheck(NamedTuple):
+    """One measured-vs-bound comparison for a single subgroup.
+
+    Immutable, and a named tuple rather than a frozen dataclass because it
+    is built once per check and record, and at small p the dataclass cost
+    more than most catalog bodies.  Its cells are plain Python floats and a
+    bool, as the CSV's repr formatting expects.
+    """
 
     name: str
     p: int
@@ -267,7 +273,7 @@ def check_bound(
         raise ValueError(f"unknown check name: {name!r} (have {', '.join(ALL_CHECKS)})")
     if context is None:
         context = CheckContext(A, **knobs)
-    elif context.A != A:
+    elif context.A is not A and context.A != A:
         raise ValueError(f"context is for {context.A!r}, not {A!r}")
     elif knobs:
         raise ValueError(f"knobs {', '.join(sorted(knobs))} come with a context that has its own")
@@ -276,15 +282,7 @@ def check_bound(
         ratio = rhs / lhs if lhs > 0 else float("inf")
     else:
         ratio = lhs / rhs
-    return BoundCheck(
-        name=name,
-        p=context.p,
-        d=context.d,
-        lhs=float(lhs),
-        rhs_expr=float(rhs),
-        ratio=float(ratio),
-        hypothesis_ok=bool(hyp),
-    )
+    return BoundCheck(name, context.p, context.d, float(lhs), float(rhs), float(ratio), bool(hyp))
 
 
 def covering_index(S: ZpSet, kmax: int):

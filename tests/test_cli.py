@@ -198,6 +198,9 @@ class TestOneSchema:
             assert list(row) == columns, (row["p"], row["d"])
             for key, v in row.items():
                 assert type(v) in plain, (row["p"], row["d"], key, type(v))
+        # every row starts from a copy of one all-None template, which the
+        # earlier rows' ssc_lemma3 cells must not have reached
+        assert [rows[-1][c] for c in cli._check_columns("ssc_lemma3")] == [None] * 4
 
 
 class TestPrimesAndOrders:

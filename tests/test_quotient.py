@@ -283,13 +283,55 @@ def test_sumset_ratio_matches_ordered_sumset_sum():
             assert SubgroupContext(A).sumset_ratio == want, (p, d)
 
 
+def _watch(mp, name: str) -> list:
+    """Replace spectral.<name> by a wrapper that logs each call's second
+    argument into the returned list."""
+    real, calls = getattr(spectral, name), []
+
+    def watched(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    mp.setattr(spectral, name, watched)
+    return calls
+
+
+# the kernel behind each forced tier when a support is asked for: a bool out
+# rules out the pair tier, so "pairs" gathers too
+_SUPPORT_KERNEL = {"pairs": "gather_counts", "gather": "gather_counts", "fft": "cyclic_convolution_exact"}
+
+
 @pytest.mark.parametrize("p, d", [(13, 4), (31, 6), (61, 12), (101, 20), (101, 100)])
 def test_sumset_ratio_on_both_sides_of_crossover(p, d, monkeypatch):
+    # (101, 100) is Z_p*: every rep passes the pigeonhole and nothing is counted
     want = brute_sumset_ratio(subgroup(p, d).elements.tolist(), p)
+    l = SubgroupContext(subgroup(p, d)).rep_profile
+    counted = int(np.count_nonzero((l > 0) & (d + l <= p)))
+    assert (counted == 0) == (d == p - 1), (p, d)
     for tier in TIERS:
-        force_tier(monkeypatch, tier, block=7)
-        got = SubgroupContext(subgroup(p, d)).sumset_ratio
+        with monkeypatch.context() as mp:
+            force_tier(mp, tier, block=7)
+            ctx = SubgroupContext(subgroup(p, d))
+            ctx.rep_profile, ctx.twoA_size  # counted before the kernel is watched
+            calls = _watch(mp, _SUPPORT_KERNEL[tier])
+            got = ctx.sumset_ratio
         assert abs(got - want) <= 1e-9 * max(1.0, want), (p, d, tier)
+        assert len(calls) == counted, (p, d, tier)
+
+
+def test_sumset_ratio_counts_no_rep_past_the_pigeonhole(monkeypatch):
+    # d + |A_r| > p makes A + A_r all of Z_p, taken without a count; that
+    # happens only for A = Z_p* (p >= 5), where |A_r| = p - 2 on every rep
+    sizes = _watch(monkeypatch, "exact_counts")
+    for p in (q for q in PRIMES_2000 if q <= 300):
+        for d in divisors(p - 1):
+            ctx = SubgroupContext(subgroup(p, d))
+            live = [l for l in ctx.rep_profile.tolist() if l > 0]
+            ctx.twoA_size
+            sizes.clear()
+            ctx.sumset_ratio
+            assert [len(y) for y in sizes] == [l for l in live if d + l <= p], (p, d)
+            assert (len(sizes) < len(live)) == (d == p - 1 and p >= 5), (p, d)
 
 
 @st.composite

@@ -500,6 +500,14 @@ class TestPhiSubgroup:
         assert table_peak - roots.nbytes < complex_p // 8, table_peak
         assert phi_peak - roots.nbytes < complex_p // 2, phi_peak
 
+    def test_roots_table_kept_for_one_prime_only(self):
+        spectral._unit_roots.cache_clear()
+        phi_subgroup(subgroup(101, 10))
+        phi_subgroup(subgroup(101, 20))
+        phi_subgroup(subgroup(103, 6))
+        info = spectral._unit_roots.cache_info()
+        assert (info.misses, info.currsize) == (2, 1), info
+
     def test_gauss_sum_order_two(self):
         # quadratic residues: |2 phi + 1| should be sqrt(p) for p = 1 mod 4
         p = 13

@@ -144,6 +144,23 @@ class TestCatalogShape:
     def test_context_of_another_subgroup_raises(self):
         with pytest.raises(ValueError, match="context is for Subgroup\\(p=13, d=3\\)"):
             check_bound("e3", subgroup(7, 3), CheckContext(subgroup(13, 3)))
+        # an equal subgroup built apart is the same subgroup
+        assert check_bound("e3", subgroup(13, 3), CheckContext(subgroup(13, 3))).p == 13
+
+    def test_bound_check_is_an_immutable_record_of_plain_cells(self):
+        # the CSV writes each float by repr and each bool as true/false, so
+        # numpy scalars must not reach the cells
+        assert BoundCheck._fields == (
+            "name", "p", "d", "lhs", "rhs_expr", "ratio", "hypothesis_ok"
+        )
+        for p, d in ((7, 3), (101, 20), (211, 210)):
+            A = subgroup(p, d)
+            ctx = CheckContext(A)
+            for name in ALL_CHECKS:
+                res = check_bound(name, A, ctx)
+                assert [type(v) for v in res] == [str, int, int, float, float, float, bool]
+                with pytest.raises(AttributeError):
+                    res.ratio = 0.0
 
     def test_knobs_beside_a_context_raise(self):
         # the knobs would be ignored: the context carries the default constant
