@@ -47,7 +47,6 @@ from .energetics import (
 from .verifier import (
     ALL_CHECKS,
     BoundCheck,
-    CheckContext,
     FitResult,
     check_bound,
     check_six_fold,

@@ -31,7 +31,6 @@ from .spectral import convolve_counts, dft_magnitudes, exact_supports, phi_subgr
 from .verifier import (
     ALL_CHECKS,
     HEAVY_CHECKS,
-    CheckContext,
     check_bound,
     check_six_fold,
     clears_cover_threshold,
@@ -146,10 +145,11 @@ def parse_config_file(path: str) -> dict:
     """Flat key = value lines; keys are SweepConfig fields.
 
     '#' starts a comment at the start of a line or after whitespace, so a
-    value may hold '#' (out_path = run#2.csv).
+    value may hold '#' (out_path = run#2.csv).  A key set twice raises.
     """
     types = {f.name: f.type for f in fields(SweepConfig)}
     out: dict = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = _COMMENT.sub("", raw).strip()
@@ -161,6 +161,11 @@ def parse_config_file(path: str) -> dict:
             key = key.strip()
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} set again (first at line {first_line[key]})"
+                )
+            first_line[key] = lineno
             try:
                 out[key] = _PARSERS[types[key]](val.strip())
             except ValueError as exc:
@@ -216,19 +221,15 @@ def _record_for(args) -> dict:
     """The row of one (p, d); a check skipped (d < 3, or heavy and off) has None cells."""
     p, d, cfg = args
     A = subgroup(p, d)
+    ctx = SubgroupContext(A, allow_heavy=cfg.heavy_ops)
     row = _empty_row(tuple(cfg.checks)).copy()
-    if d >= 3:
-        ctx = CheckContext(
-            A, hypothesis_constant=cfg.hypothesis_constant, allow_heavy=cfg.heavy_ops
-        )
+    if d >= 3:  # the catalog's logs need |A| >= 3
         for name in cfg.checks:
             if name in HEAVY_CHECKS and not ctx.heavy_ok:
                 continue
-            chk = check_bound(name, A, ctx)
+            chk = check_bound(name, A, ctx, hypothesis_constant=cfg.hypothesis_constant)
             cells = (chk.lhs, chk.rhs_expr, chk.ratio, chk.hypothesis_ok)
             row.update(zip(_check_columns(name), cells))
-    else:  # too small for the catalog; the record reads the same memo
-        ctx = SubgroupContext(A, allow_heavy=cfg.heavy_ops)
     fixed = (  # in CSV_BASE_COLUMNS order; A_size is d
         p, d, d, ctx.twoA_size, check_six_fold(A), ctx.covering_index(cfg.kmax),
         ctx.energy, ctx.energy3, ctx.energy32, ctx.phi, ctx.ssc,

@@ -26,12 +26,11 @@ SubgroupContext holds every per-subgroup quantity built on them.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from . import spectral
-from .numtheory import Subgroup
+from .numtheory import Subgroup, cached_property
 from .spectral import convolve_counts, dft_magnitudes, phi_subgroup
 from .zpsets import ZpSet, first_cover
 
@@ -120,9 +119,9 @@ class SubgroupContext:
     The float sums (E_{3/2}, ssc, threshold_moment) take each term once per
     live quotient point and spread the terms to the live shifts in ascending
     order (_spread_sum), so they add the floats of the O(p) sum over Z_p in
-    its order, and their bits do not change.  conv_aa and profile, over Z_p, are
-    spread on first use only.  The catalog's CheckContext extends this class
-    with its |A| >= 3 guard and knobs.  heavy_ok says whether the heavy
+    its order, and their bits do not change.  conv_aa, over Z_p, is spread
+    on first use only.  The catalog (verifier.check_bound) reads this class
+    as it is, with lnd for its logs.  heavy_ok says whether the heavy
     sumset_ratio may run: always up to HEAVY_LIMIT, above it only with
     allow_heavy.
     """
@@ -153,15 +152,12 @@ class SubgroupContext:
             return self.aa
         return spectral.exact_counts(self.aset.bits, -self.A.elements % self.p, self.A.points)
 
-    def _over_zp(self, counts: spectral.PointCounts) -> np.ndarray:
-        out = counts.over_zp(self.A)
-        out.flags.writeable = False
-        return out
-
     @cached_property
     def conv_aa(self) -> np.ndarray:
         """(A * A)(z) for every z, read-only."""
-        return self._over_zp(self.aa)
+        out = self.aa.over_zp(self.A)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def two_a(self) -> ZpSet:
@@ -174,6 +170,11 @@ class SubgroupContext:
         return convolve_counts(self.two_a, self.two_a)
 
     @cached_property
+    def lnd(self) -> float:
+        """log |A|, natural, as the catalog's bounds take it."""
+        return math.log(self.d)
+
+    @cached_property
     def twoA_size(self) -> int:
         at = self.aa.at
         return int(at[0] > 0) + self.d * int(np.count_nonzero(at[1:]))
@@ -181,11 +182,6 @@ class SubgroupContext:
     def covering_index(self, kmax: int):
         """Smallest k <= kmax with kA ⊇ Z_p*, or None: zpsets.first_cover on A and this 2A."""
         return first_cover([self.aset, self.two_a], kmax)
-
-    @cached_property
-    def profile(self) -> np.ndarray:
-        """|A ∩ (A + s)| for every s, read-only: conv_aa itself for even d."""
-        return self.conv_aa if self.d % 2 == 0 else self._over_zp(self.shifts)
 
     @cached_property
     def rep_profile(self) -> np.ndarray:

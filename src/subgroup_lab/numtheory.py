@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +26,31 @@ _TRIAL_LIMIT = 1_000_000
 # Entries of a coset index read per step when Subgroup.spread gathers at
 # part of Z_p: 128 KB of intp, so the result is the one array over Z_p.
 _SPREAD_BLOCK = 1 << 14
+
+
+class cached_property:
+    """functools.cached_property as Python 3.12 has it: no lock.
+
+    Python 3.11's takes an RLock on every first read, about 0.8 us each, and
+    a sweep record makes some 17.  Each sweep task builds its own objects, and
+    a race could only compute one value twice, with the same result.  The value
+    goes into the instance's __dict__, which later reads find before this
+    non-data descriptor; a call that raises stores nothing.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.attrname = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        val = self.func(instance)
+        instance.__dict__[self.attrname] = val
+        return val
 
 
 def is_prime(n: int) -> bool:

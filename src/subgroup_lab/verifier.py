@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,132 +56,109 @@ class FitResult:
     residual: float
 
 
-class CheckContext(SubgroupContext):
-    """The per-subgroup memo with the catalog's guard and knobs."""
-
-    def __init__(
-        self,
-        A: Subgroup,
-        *,
-        hypothesis_constant: float = 1.0,
-        l3_moment_order: float = 2.0,
-        l3_threshold: float = 2.0,
-        allow_heavy: bool = False,
-    ):
-        if A.d < 3:
-            raise ValueError(f"catalog checks need |A| >= 3, got {A.d}")
-        positive = {"hypothesis constant": hypothesis_constant, "l3 threshold": l3_threshold}
-        for name, val in positive.items():
-            if not 0 < val < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {val}")
-        if not math.isfinite(l3_moment_order):
-            raise ValueError(f"l3 moment order must be finite, got {l3_moment_order}")
-        super().__init__(A, allow_heavy=allow_heavy)
-        self.c = float(hypothesis_constant)
-        self.l3_moment_order = float(l3_moment_order)
-        self.l3_threshold = float(l3_threshold)
-
-    @cached_property
-    def lnd(self) -> float:
-        return math.log(self.d)
-
-    # hypothesis-range comparators with the tunable constant
-    def _ll(self, a: float, b: float) -> bool:
-        return a <= self.c * b
-
-    def _gg(self, a: float, b: float) -> bool:
-        return a * self.c >= b
+# The l3_moment check's threshold k and moment order r.
+L3_THRESHOLD = 2.0
+L3_ORDER = 2.0
 
 
-def _chk_hk_energy(ctx: CheckContext):
+# hypothesis-range comparators with the constant c
+def _ll(c: float, a: float, b: float) -> bool:
+    return a <= c * b
+
+
+def _gg(c: float, a: float, b: float) -> bool:
+    return a * c >= b
+
+
+def _chk_hk_energy(ctx: SubgroupContext, c: float):
     lhs = float(ctx.energy)
     rhs = ctx.d**2.5
-    return lhs, rhs, ctx._ll(ctx.d, ctx.p ** (2 / 3))
+    return lhs, rhs, _ll(c, ctx.d, ctx.p ** (2 / 3))
 
 
-def _chk_e3(ctx: CheckContext):
+def _chk_e3(ctx: SubgroupContext, c: float):
     lhs = float(ctx.energy3)
     rhs = ctx.d**3 * ctx.lnd
-    return lhs, rhs, ctx._ll(ctx.d, ctx.p ** (2 / 3))
+    return lhs, rhs, _ll(c, ctx.d, ctx.p ** (2 / 3))
 
 
-def _chk_ssc2(ctx: CheckContext):
+def _chk_ssc2(ctx: SubgroupContext, c: float):
     lhs = ctx.ssc
     rhs = ctx.d * ctx.lnd
-    return lhs, rhs, ctx._ll(ctx.d, ctx.p ** (2 / 3))
+    return lhs, rhs, _ll(c, ctx.d, ctx.p ** (2 / 3))
 
 
-def _chk_ssc_lemma3(ctx: CheckContext):
+def _chk_ssc_lemma3(ctx: SubgroupContext, c: float):
     # unconditional in any abelian group
     lhs = ctx.sumset_ratio
     rhs = float(ctx.energy3) / ctx.d**2
     return lhs, rhs, True
 
 
-def _chk_energy1_shkredov(ctx: CheckContext):
+def _chk_energy1_shkredov(ctx: SubgroupContext, c: float):
     lhs = float(ctx.energy)
     rhs = ctx.d ** (4 / 3) * ctx.twoA_size ** (2 / 3) * ctx.lnd
-    hyp = ctx._ll(ctx.d, ctx.p ** (2 / 3)) and ctx._ll(
-        float(ctx.energy), ctx.d**1.5 * math.sqrt(ctx.p) * ctx.lnd
+    hyp = _ll(c, ctx.d, ctx.p ** (2 / 3)) and _ll(
+        c, float(ctx.energy), ctx.d**1.5 * math.sqrt(ctx.p) * ctx.lnd
     )
     return lhs, rhs, hyp
 
 
-def _chk_energy2_shkredov(ctx: CheckContext):
+def _chk_energy2_shkredov(ctx: SubgroupContext, c: float):
     lhs = float(ctx.energy)
     rhs = max(
         ctx.d ** (22 / 9) * ctx.lnd,
         ctx.d**3 * ctx.p ** (-1 / 3) * ctx.lnd ** (4 / 3),
     )
-    return lhs, rhs, ctx._ll(ctx.d, ctx.p ** (2 / 3))
+    return lhs, rhs, _ll(c, ctx.d, ctx.p ** (2 / 3))
 
 
-def _chk_energy_extension(ctx: CheckContext):
+def _chk_energy_extension(ctx: SubgroupContext, c: float):
     lhs = float(ctx.energy)
     rhs = max(
         ctx.d ** (4 / 3) * ctx.twoA_size ** (2 / 3) * math.sqrt(ctx.lnd),
         ctx.d * ctx.twoA_size**2 / ctx.p * ctx.lnd,
     )
-    return lhs, rhs, ctx._ll(ctx.d, ctx.p ** (2 / 3))
+    return lhs, rhs, _ll(c, ctx.d, ctx.p ** (2 / 3))
 
 
-def _chk_sumset_growth(ctx: CheckContext):
+def _chk_sumset_growth(ctx: SubgroupContext, c: float):
     # lower bound on |2A|; the ratio is inverted so small still means consistent
-    if ctx._ll(ctx.d, ctx.p ** (5 / 9) * ctx.lnd ** (-1 / 18)):
+    if _ll(c, ctx.d, ctx.p ** (5 / 9) * ctx.lnd ** (-1 / 18)):
         bound = ctx.d ** (8 / 5) * ctx.lnd ** (-3 / 10)
     else:
         bound = ctx.d * ctx.p ** (1 / 3) * ctx.lnd ** (-1 / 3)
-    return float(ctx.twoA_size), bound, ctx._ll(ctx.d, ctx.p ** (2 / 3))
+    return float(ctx.twoA_size), bound, _ll(c, ctx.d, ctx.p ** (2 / 3))
 
 
-def _chk_phi_hk(ctx: CheckContext):
+def _chk_phi_hk(ctx: SubgroupContext, c: float):
     e4 = float(ctx.energy) ** 0.25
-    if ctx._gg(ctx.d, ctx.p ** (2 / 3)):
+    if _gg(c, ctx.d, ctx.p ** (2 / 3)):
         rhs = math.sqrt(ctx.p)
         hyp = True
-    elif ctx._gg(ctx.d, math.sqrt(ctx.p)):
+    elif _gg(c, ctx.d, math.sqrt(ctx.p)):
         rhs = ctx.p**0.25 * ctx.d**-0.25 * e4
         hyp = True
     else:
         rhs = ctx.p**0.125 * e4
-        hyp = ctx._gg(ctx.d, ctx.p ** (1 / 3))
+        hyp = _gg(c, ctx.d, ctx.p ** (1 / 3))
     return ctx.phi, rhs, hyp
 
 
-def _chk_phi_shparlinski(ctx: CheckContext):
+def _chk_phi_shparlinski(ctx: SubgroupContext, c: float):
     lhs = ctx.phi
     rhs = ctx.d ** (7 / 12) * ctx.p ** (1 / 6)
-    hyp = ctx._gg(ctx.d, ctx.p ** (2 / 5)) and ctx._ll(ctx.d, ctx.p ** (4 / 7))
+    hyp = _gg(c, ctx.d, ctx.p ** (2 / 5)) and _ll(c, ctx.d, ctx.p ** (4 / 7))
     return lhs, rhs, hyp
 
 
-def _chk_e32(ctx: CheckContext):
+def _chk_e32(ctx: SubgroupContext, c: float):
     lhs = ctx.energy32
     rhs = math.sqrt(ctx.d) * ctx.twoA_size * ctx.lnd ** (7 / 4)
-    return lhs, rhs, ctx._ll(ctx.d, math.sqrt(ctx.p))
+    return lhs, rhs, _ll(c, ctx.d, math.sqrt(ctx.p))
 
 
-def _chk_phi_expA(ctx: CheckContext):
+def _chk_phi_expA(ctx: SubgroupContext, c: float):
     # two equivalent-strength forms are both claimed; compare with the tighter
     form1 = (
         ctx.p**0.125
@@ -191,44 +168,39 @@ def _chk_phi_expA(ctx: CheckContext):
         * ctx.lnd ** (7 / 16)
     )
     form2 = ctx.p**0.125 * ctx.d ** (1 / 24) * ctx.twoA_size ** (1 / 3) * ctx.lnd ** (5 / 8)
-    return ctx.phi, min(form1, form2), ctx._ll(ctx.d, math.sqrt(ctx.p))
+    return ctx.phi, min(form1, form2), _ll(c, ctx.d, math.sqrt(ctx.p))
 
 
-def _chk_sv_convolution(ctx: CheckContext):
+def _chk_sv_convolution(ctx: SubgroupContext, c: float):
     # instantiated with S1 = S2 = S3 = A, the subgroup as an invariant set:
     # A * A is constant on A, the coset of points[1] = 1
     lhs = float(ctx.d * int(ctx.aa.at[1]))
     rhs = ctx.d ** (-1 / 3) * (ctx.d**3) ** (2 / 3)
-    hyp = ctx._ll(ctx.d**3, min(float(ctx.d) ** 5, ctx.p**3 / ctx.d))
+    hyp = _ll(c, ctx.d**3, min(float(ctx.d) ** 5, ctx.p**3 / ctx.d))
     return lhs, rhs, hyp
 
 
-def _chk_l3_moment(ctx: CheckContext):
-    r = ctx.l3_moment_order
-    k = ctx.l3_threshold
+def _chk_l3_moment(ctx: SubgroupContext, c: float):
+    r, k = L3_ORDER, L3_THRESHOLD
     lhs, m_card = ctx.threshold_moment(k, r)
     s1 = s2 = float(ctx.d)
     base = s1**2 * s2**2 / ctx.d
-    if r == 3.0:
-        arg = s1**2 * s2**2 / (ctx.d**2 * k**3)
-        rhs = base * max(math.log(arg), 1.0) if arg > 0 else base
-    else:
-        rhs = base * k ** (r - 3)
+    rhs = base * k ** (r - 3)
     m_size = float(m_card)
-    hyp = ctx._gg(k, 1.0) and ctx._ll(
-        s1 * s2 * m_size * ctx.d, min(float(ctx.d) ** 6, float(ctx.p) ** 3)
+    hyp = _gg(c, k, 1.0) and _ll(
+        c, s1 * s2 * m_size * ctx.d, min(float(ctx.d) ** 6, float(ctx.p) ** 3)
     )
     return lhs, rhs, hyp
 
 
-def _chk_li_decay(ctx: CheckContext):
+def _chk_li_decay(ctx: SubgroupContext, c: float):
     # the nonzero coset profile values l_i by decreasing size
     best = 0.0
     live = np.sort(ctx.rep_profile[ctx.rep_profile > 0])[::-1]
     for i, l in enumerate(live.tolist(), start=1):
         best = max(best, l * i ** (2 / 3))
     rhs = ctx.twoA_size ** (2 / 3) * ctx.d ** (-1 / 3) * math.sqrt(ctx.lnd)
-    return best, rhs, ctx._ll(ctx.d, math.sqrt(ctx.p))
+    return best, rhs, _ll(c, ctx.d, math.sqrt(ctx.p))
 
 
 _CATALOG = {
@@ -261,23 +233,28 @@ _INVERTED = frozenset({"sumset_growth"})
 def check_bound(
     name: str,
     A: Subgroup,
-    context: CheckContext | None = None,
-    **knobs,
+    context: SubgroupContext | None = None,
+    *,
+    hypothesis_constant: float = 1.0,
 ) -> BoundCheck:
-    """Evaluate one named bound on A, in a CheckContext built from the knobs.
+    """Evaluate one named bound on A, its hypothesis range at the constant.
 
-    A given context must be A's and carries its own knobs.  Unknown names,
-    another subgroup's context, or knobs beside a context raise ValueError.
+    A given context must be A's; one context serves every check and
+    constant.  Unknown names, |A| < 3 (the logs must be positive), a
+    constant that is not positive and finite, or another subgroup's context
+    raise ValueError.
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown check name: {name!r} (have {', '.join(ALL_CHECKS)})")
+    if A.d < 3:
+        raise ValueError(f"catalog checks need |A| >= 3, got {A.d}")
+    if not 0 < hypothesis_constant < math.inf:
+        raise ValueError(f"hypothesis constant must be positive and finite, got {hypothesis_constant}")
     if context is None:
-        context = CheckContext(A, **knobs)
+        context = SubgroupContext(A)
     elif context.A is not A and context.A != A:
         raise ValueError(f"context is for {context.A!r}, not {A!r}")
-    elif knobs:
-        raise ValueError(f"knobs {', '.join(sorted(knobs))} come with a context that has its own")
-    lhs, rhs, hyp = _CATALOG[name](context)
+    lhs, rhs, hyp = _CATALOG[name](context, float(hypothesis_constant))
     if name in _INVERTED:
         ratio = rhs / lhs if lhs > 0 else float("inf")
     else:

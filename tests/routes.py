@@ -1,4 +1,5 @@
-"""Route forcing for the tests: pin spectral.exact_counts to one tier.
+"""Route forcing for the tests: pin spectral.exact_counts to one tier, and
+count the per-subgroup contexts a call builds.
 
 exact_counts and the batched spectral.exact_supports price their tiers from
 spectral's cost constants, so setting them to 0 or +-inf leaves exactly one
@@ -10,6 +11,7 @@ name.
 import math
 
 import subgroup_lab.spectral as spectral
+from subgroup_lab.energetics import SubgroupContext
 
 TIERS = ("pairs", "gather", "fft")
 
@@ -25,3 +27,17 @@ def force_tier(mp, tier: str, block: int | None = None) -> None:
     mp.setattr(spectral, "CONV_COST_PER_N", -math.inf if tier == "fft" else math.inf)
     if block is not None:
         mp.setattr(spectral, "_GATHER_BLOCK", block)
+
+
+def count_contexts(mp) -> list:
+    """Record the subgroup of every SubgroupContext built from now on, by
+    whichever module builds it; returns the list they are appended to."""
+    built = []
+    init = SubgroupContext.__init__
+
+    def counting_init(self, A, **kwargs):
+        built.append(A)
+        init(self, A, **kwargs)
+
+    mp.setattr(SubgroupContext, "__init__", counting_init)
+    return built

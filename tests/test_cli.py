@@ -37,7 +37,7 @@ from subgroup_lab.verifier import ALL_CHECKS
 from subgroup_lab.zpsets import ZpSet
 
 from oracles import is_prime_slow
-from routes import TIERS, force_tier
+from routes import TIERS, count_contexts, force_tier
 
 
 def _check_cells(row, names):
@@ -92,6 +92,17 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("checks = all\n")
         assert parse_config_file(str(cfg))["checks"] == ALL_CHECKS
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # the last value used to win silently: p_max read 13 here
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("p_max = 31\n# narrower\np_min = 5\np_max = 13\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:4: p_max set again \\(first at line 1\\)$"):
+            parse_config_file(str(cfg))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "p_max set again (first at line 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hash_inside_value_kept(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -265,6 +276,15 @@ class TestRunSweep:
         assert _check_cells(rows[0], ALL_CHECKS) == [None] * 4 * len(ALL_CHECKS)  # d = 1
         assert _check_cells(rows[1], ALL_CHECKS) == [None] * 4 * len(ALL_CHECKS)  # d = 2
         assert None not in _check_cells(rows[2], ALL_CHECKS)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 12])
+    def test_record_builds_one_context(self, monkeypatch, d):
+        # every d: the record and, from d = 3 on, all 15 checks read one context
+        cfg = SweepConfig(p_min=13, p_max=13)
+        built = count_contexts(monkeypatch)
+        row = cli._record_for((13, d, cfg))
+        assert built == [subgroup(13, d)]
+        assert (None in _check_cells(row, ALL_CHECKS)) == (d < 3)
 
     def test_check_selection(self):
         cfg = SweepConfig(p_min=7, p_max=7, checks=("hk_energy",))

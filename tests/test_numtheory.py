@@ -4,6 +4,7 @@ import pytest
 from subgroup_lab.numtheory import (
     MODULUS_LIMIT,
     Subgroup,
+    cached_property,
     coset_reps,
     divisors,
     factorize,
@@ -14,6 +15,47 @@ from subgroup_lab.numtheory import (
 )
 
 from oracles import brute_subgroup, is_prime_slow
+
+
+class TestCachedProperty:
+    class Probe:
+        def __init__(self, x):
+            self.x = x
+            self.calls = 0
+
+        @cached_property
+        def twice(self):
+            """x doubled, once per instance."""
+            self.calls += 1
+            if self.x is None:
+                raise ValueError("no x")
+            return 2 * self.x
+
+    def test_each_instance_computes_once(self):
+        a = self.Probe(3)
+        assert (a.twice, a.twice, a.calls) == (6, 6, 1)
+        assert a.__dict__["twice"] == 6
+        assert self.Probe.twice.__doc__ == "x doubled, once per instance."
+
+    def test_instances_never_share_values(self):
+        a, b = self.Probe(3), self.Probe(5)
+        assert (a.twice, b.twice) == (6, 10)
+        assert (a.calls, b.calls) == (1, 1)
+
+    def test_a_raise_caches_nothing(self):
+        a = self.Probe(None)
+        for calls in (1, 2):
+            with pytest.raises(ValueError, match="no x"):
+                a.twice
+            assert a.calls == calls and "twice" not in a.__dict__
+        a.x = 4
+        assert (a.twice, a.calls) == (8, 3)
+
+    def test_subgroup_and_context_use_it(self):
+        from subgroup_lab.energetics import SubgroupContext
+
+        assert isinstance(Subgroup.__dict__["reps"], cached_property)
+        assert isinstance(SubgroupContext.__dict__["energy"], cached_property)
 
 
 class TestIsPrime:

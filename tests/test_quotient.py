@@ -34,7 +34,7 @@ from subgroup_lab.numtheory import (
     subgroup,
 )
 from subgroup_lab.spectral import convolve_counts, cyclic_convolution_exact, phi_subgroup
-from subgroup_lab.verifier import CheckContext, check_bound, check_six_fold
+from subgroup_lab.verifier import check_bound, check_six_fold
 from subgroup_lab.zpsets import (
     ZpSet,
     dilate,
@@ -134,7 +134,7 @@ def test_counts_and_profiles_match_convolution():
                 assert np.array_equal(ctx.conv_aa, want), (A.p, A.d, tier)
                 assert ctx.conv_aa.sum() == A.d * A.d and not ctx.conv_aa.flags.writeable
                 assert ctx.two_a == two_a
-                assert np.array_equal(ctx.profile, profile), (A.p, A.d, tier)
+                assert np.array_equal(ctx.shifts.over_zp(ctx.A), profile), (A.p, A.d, tier)
                 assert np.array_equal(shift_sizes(ctx.two_a), two_a_profile), (A.p, A.d, tier)
 
 
@@ -176,7 +176,7 @@ def reference_record(A: Subgroup) -> dict:
 def context_record(A: Subgroup) -> dict:
     """The same quantities from a fresh context; the l3_moment and
     sv_convolution lhs come from their catalog checks when d >= 3."""
-    ctx = CheckContext(A) if A.d >= 3 else SubgroupContext(A)
+    ctx = SubgroupContext(A)
     got = {
         "twoA_size": ctx.twoA_size,
         "rep_profile": ctx.rep_profile.tolist(),
@@ -249,7 +249,7 @@ def test_float_sums_hold_no_counts_over_zp():
     # count to Z_p first peaked at 3,145,636 bytes (4.1 such arrays) here
     p, d = 95287, 15881
     A = subgroup(p, d)
-    ctx = CheckContext(A)
+    ctx = SubgroupContext(A)
     assert ctx.twoA_size and ctx.two_a.card  # what a record reads before them
     tracemalloc.start()
     try:

@@ -15,7 +15,6 @@ from subgroup_lab.verifier import (
     ALL_CHECKS,
     HEAVY_CHECKS,
     BoundCheck,
-    CheckContext,
     FitResult,
     check_bound,
     check_six_fold,
@@ -28,6 +27,7 @@ from subgroup_lab.verifier import (
 from subgroup_lab.zpsets import ZpSet, first_cover, fold_sumset, multiset_count
 
 from oracles import brute_count_N, brute_covering_index, brute_phi, brute_sumset
+from routes import count_contexts
 
 EXPECTED_NAMES = {
     "hk_energy",
@@ -59,7 +59,7 @@ class TestCatalogShape:
     def test_heavy_subset_is_what_the_gate_stops(self):
         # above HEAVY_LIMIT without --heavy, exactly the checks in HEAVY_CHECKS
         # reach the gated sumset_ratio
-        ctx = CheckContext(subgroup(4099, 6))
+        ctx = SubgroupContext(subgroup(4099, 6))
         assert not ctx.heavy_ok
         stopped = set()
         for name in ALL_CHECKS:
@@ -74,37 +74,42 @@ class TestCatalogShape:
             check_bound("no_such_check", subgroup(7, 3))
 
     def test_context_rejects_tiny_subgroups(self):
+        # with or without a context: the catalog's logs need |A| >= 3
         for d in (1, 2):
-            with pytest.raises(ValueError):
-                CheckContext(subgroup(7, d))
+            A = subgroup(7, d)
+            for ctx in (None, SubgroupContext(A)):
+                with pytest.raises(ValueError, match="need \\|A\\| >= 3"):
+                    check_bound("e3", A, ctx)
 
     def test_context_rejects_bad_constant(self):
         with pytest.raises(ValueError):
-            CheckContext(subgroup(7, 3), hypothesis_constant=0)
+            check_bound("hk_energy", subgroup(7, 3), hypothesis_constant=0)
 
     @pytest.mark.parametrize(
         "knobs",
         [
             dict(hypothesis_constant=math.nan),
             dict(hypothesis_constant=math.inf),
-            dict(l3_threshold=0.0),
-            dict(l3_threshold=-1.0),
-            dict(l3_threshold=math.nan),
-            dict(l3_threshold=math.inf),
-            dict(l3_moment_order=math.nan),
-            dict(l3_moment_order=math.inf),
+            dict(hypothesis_constant=-math.inf),
+            dict(hypothesis_constant=-1.0),
+            dict(hypothesis_constant=0.0),
+            dict(hypothesis_constant=math.nan, shared=True),
+            dict(hypothesis_constant=math.inf, shared=True),
+            dict(hypothesis_constant=0.0, shared=True),
         ],
     )
     def test_context_rejects_non_finite_knobs(self, knobs):
-        # l3_threshold = 0 used to divide by zero inside the l3_moment check
-        with pytest.raises(ValueError):
-            check_bound("l3_moment", subgroup(13, 3), **knobs)
+        # refused whether check_bound builds the context or is given one
+        A = subgroup(13, 3)
+        ctx = SubgroupContext(A) if knobs.pop("shared", False) else None
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_bound("l3_moment", A, ctx, **knobs)
 
     def test_one_heavy_gate_for_every_route(self):
         A = subgroup(4099, 3)
         routes = (
             lambda force: SubgroupContext(A, allow_heavy=force).sumset_ratio,
-            lambda force: CheckContext(A, allow_heavy=force).sumset_ratio,
+            lambda force: check_bound("ssc_lemma3", A, SubgroupContext(A, allow_heavy=force)).lhs,
             lambda force: sumset_ratio_sum(A, allow_large=force),
         )
         for route in routes:
@@ -115,7 +120,7 @@ class TestCatalogShape:
 
     def test_every_check_runs_and_is_coherent(self):
         for p, d in ((7, 3), (31, 6), (101, 20), (211, 30)):
-            ctx = CheckContext(subgroup(p, d))
+            ctx = SubgroupContext(subgroup(p, d))
             for name in ALL_CHECKS:
                 res = check_bound(name, ctx.A, context=ctx)
                 assert isinstance(res, BoundCheck)
@@ -129,23 +134,25 @@ class TestCatalogShape:
                     assert res.ratio == pytest.approx(res.lhs / res.rhs_expr)
 
     def test_shared_context_matches_fresh(self):
-        A = subgroup(61, 12)
-        ctx = CheckContext(A)
-        for name in ALL_CHECKS:
-            a = check_bound(name, A, context=ctx)
-            b = check_bound(name, A)
-            assert (a.lhs, a.rhs_expr, a.ratio, a.hypothesis_ok) == (
-                b.lhs,
-                b.rhs_expr,
-                b.ratio,
-                b.hypothesis_ok,
-            )
+        # the constant is an argument of the check, not of the context: one
+        # shared context gives what a fresh one gives at each constant
+        flags = {}
+        for p, d in ((7, 3), (61, 12), (101, 25), (211, 30)):
+            A = subgroup(p, d)
+            ctx = SubgroupContext(A)
+            for c in (0.5, 1.0, 2.0):
+                for name in ALL_CHECKS:
+                    shared = check_bound(name, A, ctx, hypothesis_constant=c)
+                    assert shared == check_bound(name, A, hypothesis_constant=c), (p, d, c, name)
+                    flags.setdefault((p, d, name), set()).add(shared.hypothesis_ok)
+        # and the constant moves some flag through the shared context
+        assert any(len(seen) == 2 for seen in flags.values())
 
     def test_context_of_another_subgroup_raises(self):
         with pytest.raises(ValueError, match="context is for Subgroup\\(p=13, d=3\\)"):
-            check_bound("e3", subgroup(7, 3), CheckContext(subgroup(13, 3)))
+            check_bound("e3", subgroup(7, 3), SubgroupContext(subgroup(13, 3)))
         # an equal subgroup built apart is the same subgroup
-        assert check_bound("e3", subgroup(13, 3), CheckContext(subgroup(13, 3))).p == 13
+        assert check_bound("e3", subgroup(13, 3), SubgroupContext(subgroup(13, 3))).p == 13
 
     def test_bound_check_is_an_immutable_record_of_plain_cells(self):
         # the CSV writes each float by repr and each bool as true/false, so
@@ -155,7 +162,7 @@ class TestCatalogShape:
         )
         for p, d in ((7, 3), (101, 20), (211, 210)):
             A = subgroup(p, d)
-            ctx = CheckContext(A)
+            ctx = SubgroupContext(A)
             for name in ALL_CHECKS:
                 res = check_bound(name, A, ctx)
                 assert [type(v) for v in res] == [str, int, int, float, float, float, bool]
@@ -163,19 +170,35 @@ class TestCatalogShape:
                     res.ratio = 0.0
 
     def test_knobs_beside_a_context_raise(self):
-        # the knobs would be ignored: the context carries the default constant
+        # no knob beside a context is silently ignored: the constant is
+        # honoured, a bad constant and the retired l3 knobs are refused
         A = subgroup(61, 12)
-        assert check_bound("hk_energy", A, CheckContext(A)).hypothesis_ok
-        assert not check_bound("hk_energy", A, hypothesis_constant=1e-9).hypothesis_ok
-        with pytest.raises(ValueError, match="hypothesis_constant"):
-            check_bound("hk_energy", A, CheckContext(A), hypothesis_constant=1e-9)
+        ctx = SubgroupContext(A)
+        assert check_bound("hk_energy", A, ctx).hypothesis_ok
+        assert not check_bound("hk_energy", A, ctx, hypothesis_constant=1e-9).hypothesis_ok
+        with pytest.raises(ValueError, match="hypothesis constant"):
+            check_bound("hk_energy", A, ctx, hypothesis_constant=-1.0)
+        for knob in ("l3_moment_order", "l3_threshold"):
+            for context in (ctx, None):
+                with pytest.raises(TypeError, match=knob):
+                    check_bound("l3_moment", A, context, **{knob: 3.0})
+
+    def test_check_bound_builds_no_context_beside_a_given_one(self, monkeypatch):
+        A = subgroup(61, 12)
+        ctx = SubgroupContext(A)
+        built = count_contexts(monkeypatch)
+        for name in ALL_CHECKS:
+            check_bound(name, A, ctx, hypothesis_constant=2.0)
+        assert built == []
+        check_bound("e3", A)
+        assert built == [A]
 
 
 class TestContextStatistics:
     """The per-subgroup statistics a sweep record reads off the context."""
 
     def test_fields_golden_7_3(self):
-        ctx = CheckContext(subgroup(7, 3))
+        ctx = SubgroupContext(subgroup(7, 3))
         assert (ctx.p, ctx.d) == (7, 3)
         assert ctx.twoA_size == 6
         assert ctx.energy == 15
@@ -186,14 +209,14 @@ class TestContextStatistics:
 
     def test_energy_matches_additive_energy(self):
         A = subgroup(101, 20)
-        assert CheckContext(A).energy == additive_energy(A.indicator, A.indicator)
+        assert SubgroupContext(A).energy == additive_energy(A.indicator, A.indicator)
 
 
 class TestGoldenValues73:
     """Hand-derived values for the cubes mod 7: E = 15, |2A| = 6, phi = sqrt 2."""
 
     def ctx(self):
-        return CheckContext(subgroup(7, 3))
+        return SubgroupContext(subgroup(7, 3))
 
     def test_hk_energy(self):
         r = check_bound("hk_energy", subgroup(7, 3))
@@ -301,30 +324,14 @@ class TestHypothesisKnobs:
     def test_phi_hk_bottom_branch_flags_hypothesis(self):
         # d = 3 < sqrt 101 and 3 < 101^(1/3): formula evaluated, range not met
         r = check_bound("phi_hk", subgroup(101, 4))
-        ctx = CheckContext(subgroup(101, 4))
+        ctx = SubgroupContext(subgroup(101, 4))
         assert r.rhs_expr == pytest.approx(101**0.125 * ctx.energy**0.25)
         assert not r.hypothesis_ok
 
-    def test_l3_moment_cubic_log_branch(self):
-        A = subgroup(31, 6)
-        r = check_bound("l3_moment", A, l3_moment_order=3.0)
-        counts = convolve_counts(A.indicator, A.indicator)
-        members = [z for z in range(1, 31) if counts[z] >= 2]
-        want_lhs = float(sum(int(counts[z]) ** 3 for z in members))
-        assert r.lhs == want_lhs
-        want_rhs = (6**4 / 6) * max(math.log(6**4 / (6**2 * 8)), 1.0)
-        assert r.rhs_expr == pytest.approx(want_rhs)
-
-    def test_l3_moment_cubic_log_clamped(self):
-        # d = 3, k = 2: log argument 81/(9*8) is close to 1, clamp applies
-        r = check_bound("l3_moment", subgroup(7, 3), l3_moment_order=3.0)
-        assert r.lhs == pytest.approx(24.0)  # three cosets of count 2, cubed
-        assert r.rhs_expr == pytest.approx(27.0 * 1.0)
-
     def test_l3_threshold_knob(self):
-        r = check_bound("l3_moment", subgroup(7, 3), l3_threshold=3.0)
+        # the l3_moment lhs at threshold k = 3 in place of the check's 2:
         # no coset reaches count 3, so the restricted moment is empty
-        assert r.lhs == 0.0
+        assert SubgroupContext(subgroup(7, 3)).threshold_moment(3.0, 2.0) == (0.0, 0)
 
 
 class TestCovering:
