@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -30,8 +31,7 @@ from .numtheory import divisors, subgroup
 from .spectral import convolve_counts, dft_magnitudes, exact_supports, phi_subgroup
 from .verifier import (
     ALL_CHECKS,
-    HEAVY_CHECKS,
-    check_bound,
+    catalog_cells,
     check_six_fold,
     clears_cover_threshold,
     count_solutions_N,
@@ -201,20 +201,15 @@ def _qualifying_orders(p: int, cfg: SweepConfig) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)  # _record_for asks for the same names once per record
+@lru_cache(maxsize=None)
 def _check_columns(name: str) -> tuple[str, ...]:
     return tuple(f"{name}:{suffix}" for suffix in CHECK_SUFFIXES)
 
 
-def _columns(check_names) -> list[str]:
+@lru_cache(maxsize=8)  # _record_for asks for the same columns once per record
+def _columns(check_names: tuple[str, ...]) -> tuple[str, ...]:
     """The columns of a records file: CSV_BASE_COLUMNS, then four per check."""
-    return [*CSV_BASE_COLUMNS, *(c for name in check_names for c in _check_columns(name))]
-
-
-@lru_cache(maxsize=8)
-def _empty_row(check_names: tuple[str, ...]) -> dict:
-    """The all-None row of these checks' columns, copied for each record."""
-    return dict.fromkeys(_columns(check_names))
+    return (*CSV_BASE_COLUMNS, *(c for name in check_names for c in _check_columns(name)))
 
 
 def _record_for(args) -> dict:
@@ -222,21 +217,13 @@ def _record_for(args) -> dict:
     p, d, cfg = args
     A = subgroup(p, d)
     ctx = SubgroupContext(A, allow_heavy=cfg.heavy_ops)
-    row = _empty_row(tuple(cfg.checks)).copy()
-    if d >= 3:  # the catalog's logs need |A| >= 3
-        for name in cfg.checks:
-            if name in HEAVY_CHECKS and not ctx.heavy_ok:
-                continue
-            chk = check_bound(name, A, ctx, hypothesis_constant=cfg.hypothesis_constant)
-            cells = (chk.lhs, chk.rhs_expr, chk.ratio, chk.hypothesis_ok)
-            row.update(zip(_check_columns(name), cells))
+    cells = catalog_cells(cfg.checks, ctx, cfg.hypothesis_constant)
     fixed = (  # in CSV_BASE_COLUMNS order; A_size is d
         p, d, d, ctx.twoA_size, check_six_fold(A), ctx.covering_index(cfg.kmax),
         ctx.energy, ctx.energy3, ctx.energy32, ctx.phi, ctx.ssc,
         ctx.sumset_ratio if ctx.heavy_ok else None,
     )
-    row.update(zip(CSV_BASE_COLUMNS, fixed, strict=True))
-    return row
+    return dict(zip(_columns(tuple(cfg.checks)), (*fixed, *cells), strict=True))
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
@@ -262,21 +249,21 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
 # emission
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
-
-
 def format_csv(rows: list[dict], check_names) -> str:
-    cols = _columns(check_names)
+    """The CSV text of the rows: an empty cell for None, true or false for a
+    bool, repr for an int or float (for these str and repr agree).
+
+    Each row is joined from map(repr, ...) of its cells, and the text is
+    fixed up by three str.replace calls: no Python call per cell.  That
+    needs the plain Python None, bool, int and float cells _record_for
+    builds; no column name and no int or float repr holds None, True or
+    False.
+    """
+    cols = _columns(tuple(check_names))
     lines = [",".join(cols)]
-    lines += [",".join(_fmt_cell(row[c]) for c in cols) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines += [",".join(map(repr, cells)) for cells in map(operator.itemgetter(*cols), rows)]
+    text = "\n".join(lines) + "\n"
+    return text.replace("None", "").replace("True", "true").replace("False", "false")
 
 
 def format_jsonl(rows: list[dict]) -> str:

@@ -117,13 +117,19 @@ class SubgroupContext:
     is d at 0 and l_j on the d shifts of coset j, so E_r = d^r + d sum_j l_j^r,
     exact in Python ints over the distinct l_j, each times its count.
     The float sums (E_{3/2}, ssc, threshold_moment) take each term once per
-    live quotient point and spread the terms to the live shifts in ascending
-    order (_spread_sum), so they add the floats of the O(p) sum over Z_p in
-    its order, and their bits do not change.  conv_aa, over Z_p, is spread
-    on first use only.  The catalog (verifier.check_bound) reads this class
-    as it is, with lnd for its logs.  heavy_ok says whether the heavy
-    sumset_ratio may run: always up to HEAVY_LIMIT, above it only with
-    allow_heavy.
+    live quotient point and gather the terms to the live shifts in ascending
+    order, so each is one np.sum over the floats of the O(p) sum over Z_p in
+    its order, and their bits do not change.  E_{3/2} and ssc gather through
+    one order of the shift-live z, made once (_shift_order): coset_index
+    when every point is live, a sort of the live layout columns when they
+    are few, and none when it would be about p long (A.spread's blocked
+    gather then runs per sum, so no such index is kept).  threshold_moment
+    spreads its own set M through A.spread.  conv_aa, over Z_p, is spread
+    on first use only.  The catalog reads this class as it is, with lnd for
+    its logs: verifier.check_bound one check at a time,
+    verifier.catalog_cells a sweep record's checks in one pass.  heavy_ok
+    says whether the heavy sumset_ratio may run: always up to HEAVY_LIMIT,
+    above it only with allow_heavy.
     """
 
     def __init__(self, A: Subgroup, *, allow_heavy: bool = False):
@@ -209,18 +215,28 @@ class SubgroupContext:
     def energy3(self) -> int:
         return self._moment(3)
 
-    def _spread_sum(self, terms: np.ndarray, live: np.ndarray) -> float:
-        """Sum over the z in Z_p whose point is live, in ascending z, of the
-        term at that point; terms holds one per live point (Subgroup.spread)."""
-        return float(np.sum(self.A.spread(terms, live)))
+    @cached_property
+    def _shift_order(self) -> np.ndarray | None:
+        """A.live_order of the shift-live points (|A ∩ (A + s)| > 0): the
+        one ascending-z order of the shift-live z that the float sums gather
+        through.  It is coset_index, which A keeps anyway, when every point
+        is live, and None when it would be about as long as Z_p, so no new
+        index that long is kept; nor is the mask, which is m + 1 long."""
+        return self.A.live_order(self.shifts.at > 0)
+
+    def _shift_sum(self, terms: np.ndarray) -> float:
+        """Sum in ascending z, over the z whose point is shift-live, of the
+        term at z's point; terms holds one per such point, in their order."""
+        order = self._shift_order
+        vals = terms[order] if order is not None else self.A.spread(terms, self.shifts.at > 0)
+        return float(np.sum(vals))
 
     @cached_property
     def energy32(self) -> float:
         at = self.shifts.at
-        live = at > 0
-        t = at[live].astype(np.float64)
+        t = at[at > 0].astype(np.float64)
         t **= 1.5
-        return self._spread_sum(t, live)
+        return self._shift_sum(t)
 
     @cached_property
     def phi(self) -> float:
@@ -238,7 +254,7 @@ class SubgroupContext:
         num = at[live].astype(np.float64)
         num *= num
         num /= denom
-        return self._spread_sum(num, live)
+        return self._shift_sum(num)
 
     def threshold_moment(self, k: float, r: float) -> tuple[float, int]:
         """(sum over z in M of (A * A)(z)^r in ascending z, |M|), where
@@ -252,7 +268,7 @@ class SubgroupContext:
         live[0] = False
         t = at[live].astype(np.float64)
         t **= r
-        return self._spread_sum(t, live), self.d * int(np.count_nonzero(live))
+        return float(np.sum(self.A.spread(t, live))), self.d * int(np.count_nonzero(live))
 
     @cached_property
     def sumset_ratio(self) -> float:

@@ -261,30 +261,46 @@ class Subgroup:
         c.flags.writeable = False
         return c
 
+    def live_order(self, live: np.ndarray) -> np.ndarray | None:
+        """The place among the live points of the point of each z whose
+        point is live, in ascending z, for a bool live over the points; so
+        vals[order] spreads vals, one value per live point, to those z.
+
+        coset_index itself when every point is live.  When the z are few,
+        n of them with n log2 n below p, they are sorted out of the live
+        columns of the layout, with no array over Z_p and no coset_index.
+        Otherwise None: the n-long order would be about as long as Z_p, and
+        spread gathers through coset_index a block at a time instead.
+        """
+        if live.all():
+            return self.coset_index
+        cols = live[1:].nonzero()[0]
+        zero = int(live[0])
+        n = zero + self.d * len(cols)
+        if n * n.bit_length() >= self.p:
+            return None
+        order = np.argsort(self.layout[:, cols], axis=None)
+        order %= max(1, len(cols))  # the column's place among the live ones
+        order += zero
+        return np.concatenate(([0], order)) if zero else order
+
     def spread(self, vals: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
         """Values over Z_p from values at the points, in ascending z: the
         value of the point of z's coset (of 0 at z = 0) at each z.
 
         vals holds one value per point, or, given a bool live over the
         points, one per live point, in their order; then only the z whose
-        point is live are read.  When those are few, n of them with n log2 n
-        below p, they are sorted out of the live columns of the layout, with
-        no array over Z_p and no coset_index; otherwise they are gathered
-        through coset_index, _SPREAD_BLOCK entries of it at a time.
+        point is live are read, through live_order, or, when that is None,
+        through coset_index a block at a time.
         """
-        if live is None or live.all():
+        if live is None:
             return vals[self.coset_index]
-        cols = live[1:].nonzero()[0]
-        zero = int(live[0])
-        n = zero + self.d * len(cols)
-        if n * n.bit_length() < self.p:
-            order = np.argsort(self.layout[:, cols], axis=None)
-            order %= max(1, len(cols))  # the column's place among the live ones
-            order += zero
-            return vals[np.concatenate(([0], order)) if zero else order]
+        order = self.live_order(live)
+        if order is not None:
+            return vals[order]
         at_points = np.zeros(len(live), dtype=vals.dtype)
         at_points[live] = vals
-        out = np.empty(n, dtype=vals.dtype)
+        out = np.empty(int(live[0]) + self.d * int(np.count_nonzero(live[1:])), dtype=vals.dtype)
         k = 0
         for i in range(0, self.p, _SPREAD_BLOCK):
             block = self.coset_index[i : i + _SPREAD_BLOCK]

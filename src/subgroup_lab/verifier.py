@@ -230,6 +230,16 @@ HEAVY_CHECKS = frozenset({"ssc_lemma3"})
 _INVERTED = frozenset({"sumset_growth"})
 
 
+def _cells(name: str, ctx: SubgroupContext, c: float) -> tuple:
+    """(lhs, rhs, ratio, hyp) of one check on ctx at the constant c, unchecked."""
+    lhs, rhs, hyp = _CATALOG[name](ctx, c)
+    if name in _INVERTED:
+        ratio = rhs / lhs if lhs > 0 else math.inf
+    else:
+        ratio = lhs / rhs
+    return float(lhs), float(rhs), float(ratio), bool(hyp)
+
+
 def check_bound(
     name: str,
     A: Subgroup,
@@ -254,12 +264,24 @@ def check_bound(
         context = SubgroupContext(A)
     elif context.A is not A and context.A != A:
         raise ValueError(f"context is for {context.A!r}, not {A!r}")
-    lhs, rhs, hyp = _CATALOG[name](context, float(hypothesis_constant))
-    if name in _INVERTED:
-        ratio = rhs / lhs if lhs > 0 else float("inf")
-    else:
-        ratio = lhs / rhs
-    return BoundCheck(name, context.p, context.d, float(lhs), float(rhs), float(ratio), bool(hyp))
+    return BoundCheck(name, context.p, context.d, *_cells(name, context, float(hypothesis_constant)))
+
+
+def catalog_cells(names, ctx: SubgroupContext, hypothesis_constant: float = 1.0) -> list:
+    """The cells lhs, rhs, ratio, hyp of each named check in turn, one flat
+    list, each as check_bound gives them; all None for every check when
+    |A| < 3, and for a HEAVY_CHECKS one when ctx.heavy_ok is false.
+
+    A sweep record's one pass over the catalog, unchecked: the names and
+    the constant are the ones SweepConfig.validate has checked.
+    """
+    c = float(hypothesis_constant)
+    cells = [None] * (4 * len(names))
+    if ctx.d >= 3:
+        for i, name in enumerate(names):
+            if ctx.heavy_ok or name not in HEAVY_CHECKS:
+                cells[4 * i : 4 * i + 4] = _cells(name, ctx, c)
+    return cells
 
 
 def covering_index(S: ZpSet, kmax: int):

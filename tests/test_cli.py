@@ -32,8 +32,9 @@ from subgroup_lab.cli import (
     verify_all,
     write_svg_scatter,
 )
+from subgroup_lab.energetics import HEAVY_LIMIT, SubgroupContext
 from subgroup_lab.numtheory import divisors, subgroup
-from subgroup_lab.verifier import ALL_CHECKS
+from subgroup_lab.verifier import ALL_CHECKS, check_bound
 from subgroup_lab.zpsets import ZpSet
 
 from oracles import is_prime_slow
@@ -203,14 +204,14 @@ class TestOneSchema:
         rows = run_sweep(SweepConfig(p_max=101)) + run_sweep(
             SweepConfig(p_min=4099, p_max=4099, max_size=6)
         )
-        plain = (int, float, bool, str, type(None))
+        plain = (int, float, bool, type(None))  # what format_csv renders by repr
         columns = format_csv([], ALL_CHECKS).rstrip("\n").split(",")
         for row in rows:
             assert list(row) == columns, (row["p"], row["d"])
             for key, v in row.items():
                 assert type(v) in plain, (row["p"], row["d"], key, type(v))
-        # every row starts from a copy of one all-None template, which the
-        # earlier rows' ssc_lemma3 cells must not have reached
+        # the earlier rows filled their ssc_lemma3 cells; above the heavy
+        # limit the catalog pass leaves them None
         assert [rows[-1][c] for c in cli._check_columns("ssc_lemma3")] == [None] * 4
 
 
@@ -286,6 +287,42 @@ class TestRunSweep:
         assert built == [subgroup(13, d)]
         assert (None in _check_cells(row, ALL_CHECKS)) == (d < 3)
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_catalog_pass_equals_check_bound(self, c):
+        # every record of sweep --pmax 300: the row's check cells are what
+        # check_bound gives on a fresh context at the same constant
+        rows = run_sweep(SweepConfig(p_max=300, hypothesis_constant=c))
+        assert len(rows) == 514
+        for row in rows:
+            p, d = row["p"], row["d"]
+            got = _check_cells(row, ALL_CHECKS)
+            if d < 3:
+                assert got == [None] * 4 * len(ALL_CHECKS), (p, d)
+                continue
+            A = subgroup(p, d)
+            ctx = SubgroupContext(A)
+            want = [
+                v
+                for name in ALL_CHECKS
+                for v in check_bound(name, A, ctx, hypothesis_constant=c)[3:]
+            ]
+            assert got == want, (p, d, c)
+
+    @pytest.mark.parametrize("heavy", [False, True])
+    def test_catalog_pass_above_heavy_limit(self, heavy):
+        # p = 4099 > HEAVY_LIMIT: ssc_lemma3 is left empty unless --heavy
+        assert 4099 > HEAVY_LIMIT
+        cfg = SweepConfig(p_min=4099, p_max=4099, min_size=6, max_size=6, heavy_ops=heavy)
+        (row,) = run_sweep(cfg)
+        A = subgroup(4099, 6)
+        ctx = SubgroupContext(A, allow_heavy=heavy)
+        for name in ALL_CHECKS:
+            got = _check_cells(row, [name])
+            if name == "ssc_lemma3" and not heavy:
+                assert got == [None] * 4
+            else:
+                assert got == list(check_bound(name, A, ctx)[3:]), name
+
     def test_check_selection(self):
         cfg = SweepConfig(p_min=7, p_max=7, checks=("hk_energy",))
         row = run_sweep(cfg)[2]
@@ -324,6 +361,26 @@ class TestFormatting:
             "e3:ratio",
             "e3:hyp",
         ]
+
+    def test_cells_of_every_kind_render_by_the_per_cell_rule(self):
+        def per_cell(v) -> str:  # the rule format_csv applied cell by cell
+            if v is None:
+                return ""
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            if isinstance(v, int):
+                return str(v)
+            return repr(float(v))
+
+        kinds = [None, True, False, 0, -7, 2**70, 0.0, -0.0, 1e16, 1.5e-7, math.inf, -math.inf, math.nan]
+        checks = ["hk_energy", "e3"]
+        cols = [*CSV_BASE_COLUMNS, *(f"{n}:{x}" for n in checks for x in ("lhs", "rhs", "ratio", "hyp"))]
+        # each kind in each column, and every kind in each row
+        rows = [{c: kinds[(i + j) % len(kinds)] for j, c in enumerate(cols)} for i in range(len(kinds))]
+        want = [",".join(cols), *(",".join(per_cell(row[c]) for c in cols) for row in rows)]
+        assert format_csv(rows, checks) == "\n".join(want) + "\n"
+        assert format_csv(rows[:1], tuple(checks)) == "\n".join(want[:2]) + "\n"
+        assert format_csv([], checks) == want[0] + "\n"
 
     def test_golden_row_7_3(self):
         recs = run_sweep(SweepConfig(p_min=7, p_max=7, checks=("hk_energy",)))

@@ -9,8 +9,19 @@ heavy cells left empty above p = 4096) as JSONL, the others as CSV.
 
 The float columns (E32, phi, the ratio sums and every check's lhs, rhs and
 ratio) depend on numpy's summation order (np.sum and np.add.reduce add
-pairwise) and on the platform's libm (log, exp, pow, cos).  A numpy or libm
-that rounds differently may change their last bits without any fault in the
+pairwise) and on the platform's libm (log, exp, pow, cos).  They also depend
+on the SIMD kernels numpy dispatches to on the CPU at hand: E32 raises its
+terms to the power 1.5 with numpy's vector power, and its X86_V4 (AVX-512)
+kernel rounds differently from libm's pow (x ** 1.5 differs for 297 of the
+integers x from 1 to 5000; for none with those kernels off).  The hashes were captured on
+a host with AVX-512, so on one without it, or with
+
+    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"
+
+every configuration fails at its first prime whose E32 differs, from
+pmax300 on.  Each failure message names the SIMD features numpy found, so a
+host mismatch can be told from a regression.  A numpy, libm or CPU that
+rounds differently may change the last bits without any fault in the
 package; only then re-capture a configuration: delete its entry from
 golden_records.json and run
 
@@ -26,6 +37,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from subgroup_lab.cli import main
@@ -44,6 +56,17 @@ CONFIGS = {
         ("jsonl",),
     ),
 }
+
+
+def _simd() -> str:
+    """numpy's version and the SIMD dispatch targets it found on this CPU
+    (numpy.show_runtime prints the same)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return f"numpy {np.__version__}, SIMD dispatch found: {' '.join(found) or 'none'}"
 
 
 def _sha(data: bytes) -> str:
@@ -85,12 +108,11 @@ def test_sweep_output_is_byte_identical(name, fmt, tmp_path, capsys):
         want = json.load(fh)[f"{name}.{fmt}"]
     got = sweep_hashes(CONFIGS[name][0], fmt, str(tmp_path))
     capsys.readouterr()
-    assert list(got["primes"]) == list(want["primes"]), "the swept primes differ"
+    assert list(got["primes"]) == list(want["primes"]), f"the swept primes differ ({_simd()})"
     for p, digest in want["primes"].items():
-        assert got["primes"][p] == digest, f"records of p={p} differ"
-    assert got["records"] == want["records"], "records file differs outside the rows"
-    assert got["summary"] == want["summary"], "summary differs"
-
+        assert got["primes"][p] == digest, f"records of p={p} differ ({_simd()})"
+    assert got["records"] == want["records"], f"records file differs outside the rows ({_simd()})"
+    assert got["summary"] == want["summary"], f"summary differs ({_simd()})"
 
 if __name__ == "__main__":
     import tempfile

@@ -22,9 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subgroup_lab.cli as cli
 import subgroup_lab.spectral as spectral
+from subgroup_lab.cli import SweepConfig, primes_between
 from subgroup_lab.energetics import SubgroupContext, shift_sizes
 from subgroup_lab.numtheory import (
+    _SPREAD_BLOCK,
     Subgroup,
     coset_reps,
     divisors,
@@ -214,31 +217,32 @@ def test_quotient_reads_match_sums_over_zp_near_1e5(d):
 
 def test_spread_matches_a_coset_scan():
     # both routes of Subgroup.spread, the sort of a few live layout columns
-    # and the gather through coset_index, against a coset map built from
-    # brute_cosets
+    # and the gather through coset_index (in several blocks at p = 16411),
+    # against a coset map built from brute_cosets
     rng = np.random.default_rng(6)
     routes = set()
-    for p in (q for q in PRIMES_2000 if q <= 400):
-        for d in divisors(p - 1):
-            A, m = subgroup(p, d), (p - 1) // d
-            els, _ = brute_cosets(p, d)
-            pts = A.points.tolist()
-            assert pts[0] == 0 and len(pts) == m + 1
-            c = [0] * p
-            for i, pt in enumerate(pts[1:], start=1):
-                for a in els:
-                    c[pt * a % p] = i
-            assert sorted(c[1:]) == sorted(list(range(1, m + 1)) * d), (p, d)
-            assert A.coset_index.tolist() == c
-            vals = rng.random(m + 1)
-            some = rng.random(m + 1) < 0.5
-            for live in (None, np.ones(m + 1, bool), np.zeros(m + 1, bool), np.eye(1, m + 1, 0, bool)[0], np.eye(1, m + 1, 1, bool)[0], some):
-                want = [vals[c[z]] for z in range(p) if live is None or live[c[z]]]
-                given = vals if live is None else vals[live]  # one value per live point
-                assert A.spread(given, live).tolist() == want, (p, d)
-                if live is not None:
-                    n = int(live[0]) + d * int(np.count_nonzero(live[1:]))
-                    routes.add(n * n.bit_length() < p)
+    cases = [(p, d) for p in PRIMES_2000 if p <= 400 for d in divisors(p - 1)]
+    assert 16411 > _SPREAD_BLOCK and is_prime(16411)
+    for p, d in cases + [(16411, 3), (16411, 30)]:
+        A, m = subgroup(p, d), (p - 1) // d
+        els, _ = brute_cosets(p, d)
+        pts = A.points.tolist()
+        assert pts[0] == 0 and len(pts) == m + 1
+        c = [0] * p
+        for i, pt in enumerate(pts[1:], start=1):
+            for a in els:
+                c[pt * a % p] = i
+        assert sorted(c[1:]) == sorted(list(range(1, m + 1)) * d), (p, d)
+        assert A.coset_index.tolist() == c
+        vals = rng.random(m + 1)
+        some = rng.random(m + 1) < 0.5
+        for live in (None, np.ones(m + 1, bool), np.zeros(m + 1, bool), np.eye(1, m + 1, 0, bool)[0], np.eye(1, m + 1, 1, bool)[0], some):
+            want = [vals[c[z]] for z in range(p) if live is None or live[c[z]]]
+            given = vals if live is None else vals[live]  # one value per live point
+            assert A.spread(given, live).tolist() == want, (p, d)
+            if live is not None:
+                n = int(live[0]) + d * int(np.count_nonzero(live[1:]))
+                routes.add(n * n.bit_length() < p)
     assert routes == {True, False}
 
 
@@ -258,6 +262,46 @@ def test_float_sums_hold_no_counts_over_zp():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * p, peak
+
+
+def _shift_order_route(A: Subgroup) -> str:
+    """Which order a context keeps for A's shift-live points."""
+    order = SubgroupContext(A)._shift_order
+    if order is None:
+        return "blocks"  # about as long as Z_p: not kept, gathered in blocks
+    if order is A.coset_index:
+        return "coset_index"  # every point live: the index A keeps anyway
+    assert len(order) * len(order).bit_length() < A.p, (A.p, A.d)
+    return "sorted"
+
+
+def test_one_shift_order_per_record(monkeypatch):
+    # a sweep record's energy32 and ssc sums take their z from one ascending
+    # order of the shift-live points: Subgroup.live_order makes it once per
+    # record, and makes none where it would be about as long as Z_p
+    real, orders = Subgroup.live_order, []
+
+    def counted(self, live):
+        order = real(self, live)
+        if order is not None:
+            orders.append(live.copy())
+        return order
+
+    monkeypatch.setattr(Subgroup, "live_order", counted)
+    cfg = SweepConfig()
+    cases = [(p, d) for p in primes_between(3, 300) for d in divisors(p - 1)]
+    routes = {}
+    for p, d in cases + [(95287, 6), (95287, 15881)]:
+        A = subgroup(p, d)
+        shift_live = SubgroupContext(A).shifts.at > 0
+        orders.clear()
+        cli._record_for((p, d, cfg))
+        made = sum(np.array_equal(live, shift_live) for live in orders)
+        route = _shift_order_route(A)
+        assert made == int(route != "blocks"), (p, d, route)
+        routes.setdefault(route, []).append((p, d))
+    assert set(routes) == {"blocks", "coset_index", "sorted"}
+    assert (95287, 15881) in routes["coset_index"] and (95287, 6) in routes["sorted"]
 
 
 def test_phi_matches_direct_evaluation():

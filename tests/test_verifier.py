@@ -183,6 +183,20 @@ class TestCatalogShape:
                 with pytest.raises(TypeError, match=knob):
                     check_bound("l3_moment", A, context, **{knob: 3.0})
 
+    def test_catalog_cells_equal_check_bound(self):
+        # the sweep's one pass per record: the cells of check_bound, flat and
+        # in the order of the names; None for |A| < 3 and for a heavy check
+        # behind a shut gate
+        A = subgroup(61, 12)
+        ctx = SubgroupContext(A)
+        names = ("e3", "hk_energy", "ssc_lemma3")
+        want = [v for name in names for v in check_bound(name, A, ctx, hypothesis_constant=2.0)[3:]]
+        assert verifier.catalog_cells(names, ctx, 2.0) == want
+        assert verifier.catalog_cells(names, SubgroupContext(subgroup(61, 2))) == [None] * 12
+        heavy = SubgroupContext(subgroup(4099, 6))
+        cells = verifier.catalog_cells(names, heavy)
+        assert cells[8:] == [None] * 4 and None not in cells[:8]
+
     def test_check_bound_builds_no_context_beside_a_given_one(self, monkeypatch):
         A = subgroup(61, 12)
         ctx = SubgroupContext(A)
