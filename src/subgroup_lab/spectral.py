@@ -29,6 +29,10 @@ exact_counts.  The FFT tier of exact_counts, on two indicators, is the
 package's one caller of the convolution.
 
 Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
+A subgroup's exponential-sum maximum (phi_subgroup) is one exact sum per
+coset, or, where the cost model prices it cheaper, a certified complex64
+screen of every coset followed by exact sums at the few cosets where the
+maximum can be; both give the same bits.
 """
 
 from __future__ import annotations
@@ -36,12 +40,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .numtheory import validate_modulus
+from .numtheory import power_table, validate_modulus
 
 if TYPE_CHECKING:
     from .zpsets import ZpSet
@@ -207,6 +210,27 @@ def cyclic_convolution_exact(u, v, p: int) -> np.ndarray:
 CONV_COST_PER_N = 24
 CONV_COST_PER_CALL = 8192
 SCATTER_COST = 3
+# phi_subgroup prices its screen in the same units (2.57 ns each, measured
+# by gather_counts at p = 100003 on the same host).  An exact unit root
+# costs PHI_ROOT_COST: building the table took 7.8-11.4 per residue at
+# p = 2003 to 1000003, a direct evaluation about 7 beyond its phase.  The
+# exact pass costs PHI_PHASE_COST per phase read from the table and
+# PHI_ROW_COST per coset (row) summed: 3.0-3.7 per phase at d >= 42, and
+# 8.6-11.6, 5.3-9.2 and 4.0-4.5 at d = 2, 6 and 14.  The screen costs
+# PHI_SCREEN_BUILD_COST per residue to build its table (1.5-1.9 at
+# p >= 10007, 4.1 at 2003), PHI_SCREEN_SUM_COST per residue to sum the
+# columns (0.4-1.0 at p >= 100003; 1.0-2.3 at 2003, where the call's fixed
+# cost shows) and PHI_SCREEN_PER_CALL for the call's fixed cost, fitted on
+# phi over every subgroup of the primes in windows from [300, 400] to
+# [100000, 100100], taken in sweep order: at 8192 each window's phi time was
+# within 4% of the better of never and always screening (2048: 21% above
+# never at [500, 700]; 16384: 15% above always at [4000, 4100]).
+PHI_ROOT_COST = 8
+PHI_PHASE_COST = 3
+PHI_ROW_COST = 12
+PHI_SCREEN_BUILD_COST = 2
+PHI_SCREEN_SUM_COST = 1
+PHI_SCREEN_PER_CALL = 8192
 _GATHER_BLOCK = 1 << 18
 
 
@@ -413,41 +437,175 @@ def dft_magnitudes(S: ZpSet) -> Spectrum:
     return Spectrum(p=S.p, mags=mags, phi=float(mags[lam]), argmax=lam)
 
 
-_PHASE_BLOCK = 1 << 14  # phases per gather of unit roots in phi_subgroup
+_PHASE_BLOCK = 1 << 12  # phases (or table entries) per block in phi_subgroup
 
 
-@lru_cache(maxsize=1)
-def _unit_roots(p: int) -> np.ndarray:
-    """e_p(t) = exp(2 pi i t / p) for t in Z_p, by the same ufuncs on the same
-    values as a direct evaluation at phase t, so a gather from it is
-    bit-identical; each step runs in place in the one complex table.
+class _LastPrime:
+    """A per-prime table, kept for the last prime asked for only.
 
-    Only the last prime's table is kept (16 bytes per residue): a sweep
-    takes the primes in ascending order, so one table serves all the d of
-    a prime, and none outlives the next prime."""
-    roots = np.arange(p, dtype=np.complex128)
-    roots *= 2j * np.pi
-    roots /= p
-    np.exp(roots, out=roots)
-    roots.flags.writeable = False
-    return roots
-
-
-def phi_subgroup(A) -> tuple[float, int]:
-    """Exponential-sum maximum of a subgroup via one evaluation per coset.
-
-    The subgroup sum at lambda depends only on the coset of lambda, so p-1
-    frequencies collapse to (p-1)/d representative evaluations, gathered from
-    a per-prime table of unit roots for _PHASE_BLOCK phases (or one row of d)
-    at a time; each row is summed whole, so the bits do not depend on the block.
+    A sweep takes the primes in ascending order, so one table serves all the
+    d of a prime and none outlives the next prime.  The old table is let go
+    before the new one is built.
     """
-    p, reps, el = A.p, A.reps, A.elements
-    roots = _unit_roots(p)
+
+    def __init__(self, build) -> None:
+        self.build = build
+        self.__doc__ = build.__doc__
+        self.slot: tuple = (None, None)
+
+    def __call__(self, p: int) -> np.ndarray:
+        q, table = self.slot
+        if q != p:
+            self.slot = (None, None)
+            table = self.build(p)
+            table.flags.writeable = False
+            self.slot = (p, table)
+        return table
+
+    def holds(self, p: int) -> bool:
+        return self.slot[0] == p
+
+    def cache_clear(self) -> None:
+        self.slot = (None, None)
+
+
+def _exp_phases(z: np.ndarray, p: int) -> np.ndarray:
+    """e_p(t) = exp(2 pi i t / p) in place, for a complex128 array of phases t.
+
+    Every exact unit root (the table, a direct evaluation at some phases,
+    the screen's two short tables) comes from these ufuncs on these values,
+    so a root has the same bits on every route.
+    """
+    z *= 2j * np.pi
+    z /= p
+    return np.exp(z, out=z)
+
+
+@_LastPrime
+def _unit_roots(p: int) -> np.ndarray:
+    """e_p(t) for t in Z_p, built in place: 16 bytes per residue."""
+    return _exp_phases(np.arange(p, dtype=np.complex128), p)
+
+
+@_LastPrime
+def _screen_roots(p: int) -> np.ndarray:
+    """e_p(P[t]) in complex64, P = power_table(p): 8 bytes per residue.
+
+    Column j of its reshape(d, m) is the coset g^j A, as in Subgroup.layout.
+    Each entry is e_p(aB) e_p(b) for P[t] = aB + b, B = 2^s >= sqrt(p), from
+    two exact tables about sqrt(p) long; the complex128 products are rounded
+    into the table _PHASE_BLOCK entries at a time.
+    """
+    P = power_table(p)
+    s = (p.bit_length() + 1) // 2
+    high = _exp_phases(np.arange(0, p, 1 << s, dtype=np.complex128), p)
+    low = _exp_phases(np.arange(1 << s, dtype=np.complex128), p)
+    out = np.empty(p - 1, dtype=np.complex64)
+    for i in range(0, p - 1, _PHASE_BLOCK):
+        z = P[i : i + _PHASE_BLOCK]
+        block = high[z >> s]
+        block *= low[z & ((1 << s) - 1)]
+        out[i : i + _PHASE_BLOCK] = block
+    return out
+
+
+def _screen_error(d: int) -> float:
+    """delta(d): bounds |screened - exact| for a coset magnitude (phi_subgroup)."""
+    return d * 2.0**-20 + d * (d + 64) * 2.0**-50
+
+
+def _screened_mags(p: int, d: int) -> np.ndarray:
+    """|sum of column j of the screen table| for each coset j, summed in
+    float64: by numpy's reduction down rows at least as wide as they are
+    many, else along the rows of transposed blocks (a reduction down rows
+    of a few columns pays numpy's per-row cost d times)."""
+    m = (p - 1) // d
+    rows = _screen_roots(p).view(np.float32).reshape(d, 2 * m)
+    if m >= d:
+        sums = rows.sum(axis=0, dtype=np.float64)
+    else:
+        sums = np.zeros(2 * m)
+        step = max(1, _PHASE_BLOCK // m)
+        for i in range(0, d, step):
+            sums += np.ascontiguousarray(rows[i : i + step].T, dtype=np.float64).sum(axis=1)
+    return np.abs(sums.view(np.complex128))
+
+
+def _candidates(A) -> np.ndarray:
+    """The reps, ascending, of the cosets whose screened magnitude is at
+    least its maximum less 2 delta(d): each coset where phi can be."""
+    mags = _screened_mags(A.p, A.d)
+    cols = np.flatnonzero(mags >= mags.max() - 2 * _screen_error(A.d))
+    return np.sort(A.layout[:, cols].min(axis=0))
+
+
+def _screen_pays(p: int, d: int) -> bool:
+    """Whether the screen and an exact pass over two cosets (one and its
+    conjugate) are priced below the exact pass over all m, given which
+    tables are built (cost model above).  Never at d = 1: there every coset
+    sum has modulus 1, so every coset would be a candidate."""
+    if d == 1:
+        return False
+    m = (p - 1) // d
+    per_row = PHI_ROW_COST + d * (PHI_PHASE_COST + (0 if _unit_roots.holds(p) else PHI_ROOT_COST))
+    build = 0 if _screen_roots.holds(p) else PHI_SCREEN_BUILD_COST * p
+    return PHI_SCREEN_PER_CALL + PHI_SCREEN_SUM_COST * p + build + 2 * per_row < m * per_row
+
+
+def _exact_max(A, reps: np.ndarray) -> tuple[float, int]:
+    """The largest |sum_{y in A} e_p(r y)| over reps (ascending) and its r,
+    the first on a tie.  The phases r y mod p are taken _PHASE_BLOCK (or one
+    row of d) at a time; their roots are read from the table when it is the
+    current prime's or the reps cover Z_p*, else evaluated directly.  Each
+    row is summed whole, so the bits depend on neither the block nor the
+    source of the roots."""
+    p, el = A.p, A.elements
+    table = _unit_roots.holds(p) or len(reps) * len(el) == p - 1
+    roots = _unit_roots(p) if table else None
     mags = np.empty(len(reps))
     step = max(1, _PHASE_BLOCK // len(el))
     for i in range(0, len(reps), step):
         phases = reps[i : i + step, None] * el
         phases %= p
-        np.abs(roots[phases].sum(axis=1), out=mags[i : i + step])
+        z = roots[phases] if table else _exp_phases(phases.astype(np.complex128), p)
+        np.abs(z.sum(axis=1), out=mags[i : i + step])
     i = int(np.argmax(mags))
     return float(mags[i]), int(reps[i])
+
+
+def phi_subgroup(A) -> tuple[float, int]:
+    """max over lambda != 0 of |sum_{y in A} e_p(lambda y)|, and the coset
+    rep where it is reached (the least, on a tie).
+
+    The sum depends only on the coset of lambda, so p - 1 frequencies
+    collapse to m = (p - 1)/d coset sums, each evaluated exactly at the
+    coset's least element.  Where _screen_pays, a cheap screen first
+    approximates every coset's magnitude S_j from _screen_roots, and only
+    the cosets with S_j >= max S - 2 delta(d) (_candidates) are evaluated
+    exactly; the result is the same bits as the exact pass over every coset.
+
+    delta(d) = d 2^-20 + d (d + 64) 2^-50 bounds |S_j - E_j|, E_j the exact
+    pass's value, with u = 2^-53 and V_j the true magnitude:
+    - An exact root is within 25u of e_p(t): the phase 2 pi t/p is off by
+      at most 3u of 2 pi (three roundings), and np.exp is taken to return
+      cos and sin within 4 ulp each (as Percival's bound takes pocketfft's
+      twiddles to be accurate).  A sum of d complex terms in any order is
+      off by at most sqrt(2) gamma_{d-1} times the sum of their moduli,
+      gamma_{d-1} <= 1.01 (d - 1) u, and abs (hypot) by 2u relative.  So
+      |E_j - V_j| <= 32du + 1.43 d^2 u + 2.03du.
+    - A screen entry is the complex128 product of two such roots (within
+      67u of the true root), rounded to complex64 (2^-24 relative per
+      part), so within 2^-23 of e_p(P[t]).  The d entries of a column are
+      summed in float64 in any order and abs is taken, so |S_j - V_j| <=
+      d 2^-23 + 1.45 d^2 u + 2.03du.
+    - Together |S_j - E_j| <= d 2^-23 + 2.9 d^2 u + 37du < delta(d)/2.7;
+      the slack covers the rounding of max S - 2 delta (at most ud).
+    Then for any exact maximum j* and every k, S_j* >= E_j* - delta >=
+    E_k - delta >= S_k - 2 delta, so every coset where the exact maximum is
+    reached is a candidate, and the exact pass, run over the candidates in
+    ascending rep order, returns the same largest value and least rep as one
+    over all m.  Over every subgroup with p < 2000 and at p = 95287, 100003
+    and 1000003, the largest |S_j - E_j| seen was 0.036 delta(d).
+    """
+    reps = _candidates(A) if _screen_pays(A.p, A.d) else A.reps
+    return _exact_max(A, reps)

@@ -2,9 +2,9 @@
 
 Everything here is written in the most naive style available (python sets,
 explicit loops, cmath) so the library's vectorized and transform-based code
-is checked against arithmetic that cannot share its bugs.  The one numpy
-routine, naive_dft_magnitudes, is a direct O(p |S|) sum, fast enough for the
-primes past the cmath loops' reach.
+is checked against arithmetic that cannot share its bugs.  The numpy
+routines, naive_dft_magnitudes and direct_phi, are direct O(p |S|) sums,
+fast enough for the primes past the cmath loops' reach.
 """
 
 import cmath
@@ -87,6 +87,16 @@ def brute_phi(xs, p):
         z = sum(cmath.exp(2j * cmath.pi * lam * x / p) for x in xs)
         best = max(best, abs(z))
     return best
+
+
+def direct_phi(A):
+    """((phi, rep), mags): one direct np.exp sum at each coset rep of the
+    subgroup A, rows summed whole, then the first largest magnitude.  Every
+    route of phi_subgroup (table, direct roots, screen) must give these bits."""
+    phases = (A.reps[:, None] * A.elements[None, :]) % A.p
+    mags = np.abs(np.exp(2j * np.pi * phases / A.p).sum(axis=1))
+    i = int(np.argmax(mags))
+    return (float(mags[i]), int(A.reps[i])), mags
 
 
 def brute_dft_mags(xs, p):

@@ -1,11 +1,12 @@
-"""Route forcing for the tests: pin spectral.exact_counts to one tier, and
-count the per-subgroup contexts a call builds.
+"""Route forcing for the tests: pin spectral.exact_counts to one tier, turn
+phi_subgroup's screen on or off, and count the per-subgroup contexts a call
+builds.
 
 exact_counts and the batched spectral.exact_supports price their tiers from
 spectral's cost constants, so setting them to 0 or +-inf leaves exactly one
-tier the cheapest.  Tests force a route only through force_tier, so that a
-change of the prices cannot silently move a test onto a route it does not
-name.
+tier the cheapest; phi_subgroup prices its screen the same way.  Tests force
+a route only through these helpers, so that a change of the prices cannot
+silently move a test onto a route it does not name.
 """
 
 import math
@@ -27,6 +28,12 @@ def force_tier(mp, tier: str, block: int | None = None) -> None:
     mp.setattr(spectral, "CONV_COST_PER_N", -math.inf if tier == "fft" else math.inf)
     if block is not None:
         mp.setattr(spectral, "_GATHER_BLOCK", block)
+
+
+def force_phi_screen(mp, on: bool) -> None:
+    """Make phi_subgroup screen every subgroup with d > 1 (on) or none (off),
+    by pricing the screen's fixed cost at -inf or +inf."""
+    mp.setattr(spectral, "PHI_SCREEN_PER_CALL", -math.inf if on else math.inf)
 
 
 def count_contexts(mp) -> list:

@@ -998,6 +998,17 @@ class TestVerifyAll:
         assert verify_all(13, echo=lines.append) == 1
         assert any(ln.startswith("FAIL phi") for ln in lines)
 
+    def test_detects_phi_off_by_one_bit_past_dense_spectra(self, monkeypatch):
+        # above p = 521 coset-profile compares phi and its rep with the
+        # direct sums at every coset rep, bit for bit
+        A = subgroup(1009, 7)
+        assert cli._verify_coset_profile(A, None) == (1, None)
+        phi, rep = spectral.phi_subgroup(A)
+        for wrong in ((math.nextafter(phi, 0.0), rep), (phi, int(A.reps[A.reps != rep][0]))):
+            monkeypatch.setattr(cli, "phi_subgroup", lambda A, wrong=wrong: wrong)
+            cases, failure = cli._verify_coset_profile(A, None)
+            assert cases == 1 and failure.startswith("phi p=1009 d=7: "), failure
+
 
 class TestEnumerationOracle:
     def test_matches_convolve_counts(self):

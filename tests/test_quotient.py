@@ -47,8 +47,8 @@ from subgroup_lab.zpsets import (
     sumset,
 )
 
-from oracles import brute_cosets, brute_shift_profile, brute_sumset, brute_sumset_ratio
-from routes import TIERS, force_tier
+from oracles import brute_cosets, brute_shift_profile, brute_sumset, brute_sumset_ratio, direct_phi
+from routes import TIERS, force_phi_screen, force_tier
 
 PRIMES_2000 = [p for p in range(3, 2000) if is_prime(p)]
 PRIMES_3000 = [p for p in range(3, 3000) if is_prime(p)]
@@ -304,14 +304,16 @@ def test_one_shift_order_per_record(monkeypatch):
     assert (95287, 15881) in routes["coset_index"] and (95287, 6) in routes["sorted"]
 
 
-def test_phi_matches_direct_evaluation():
-    # the unit-root table must reproduce the direct exponentials bit for bit
-    for A in subgroups_upto_2000():
-        reps = A.reps
-        phases = (reps[:, None] * A.elements[None, :]) % A.p
-        mags = np.abs(np.exp(2j * np.pi * phases / A.p).sum(axis=1))
-        i = int(np.argmax(mags))
-        assert phi_subgroup(A) == (float(mags[i]), int(reps[i])), (A.p, A.d)
+def test_phi_matches_direct_evaluation(monkeypatch):
+    # phi must reproduce the direct exponentials bit for bit on the priced
+    # route, then with the screen forced on every subgroup with d > 1
+    subgroups = list(subgroups_upto_2000())
+    want = [direct_phi(A)[0] for A in subgroups]
+    for forced in (False, True):
+        if forced:
+            force_phi_screen(monkeypatch, True)
+        for A, w in zip(subgroups, want):
+            assert phi_subgroup(A) == w, (A.p, A.d, forced)
 
 
 def test_sumset_ratio_matches_ordered_sumset_sum():

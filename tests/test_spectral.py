@@ -1,4 +1,8 @@
+import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import shift_sizes
-from subgroup_lab.numtheory import MODULUS_LIMIT, is_prime, subgroup
+from subgroup_lab.numtheory import MODULUS_LIMIT, divisors, is_prime, subgroup
 from subgroup_lab.spectral import (
     Spectrum,
     convolve_counts,
@@ -17,8 +21,15 @@ from subgroup_lab.spectral import (
 )
 from subgroup_lab.zpsets import ZpSet, invariant_set, sumset
 
-from oracles import brute_convolution, brute_dft_mags, brute_phi, naive_cyclic_convolution, naive_dft_magnitudes
-from routes import force_tier
+from oracles import (
+    brute_convolution,
+    brute_dft_mags,
+    brute_phi,
+    direct_phi,
+    naive_cyclic_convolution,
+    naive_dft_magnitudes,
+)
+from routes import force_phi_screen, force_tier
 
 PRIMES = (3, 5, 7, 13, 31, 101)
 
@@ -463,53 +474,189 @@ class TestPhiSubgroup:
                 # the reported frequency attains the max
                 assert abs(spec.mags[rep] - fast) <= 1e-9 * max(fast, 1.0)
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    @pytest.mark.parametrize("block", [1, 7, 1 << 12, 1 << 14])
     def test_blocks_match_direct_evaluation(self, monkeypatch, block):
-        # a block of one row, of rows that do not divide m, and the default
-        # (several blocks at p = 95287): each row is summed whole, so the
-        # bits equal one direct m x d evaluation
+        # a block of one row, of rows that do not divide m, the default and
+        # 2^14 (several blocks at p = 95287): each row is summed whole, so
+        # the bits equal one direct m x d evaluation, screened or not
         monkeypatch.setattr(spectral, "_PHASE_BLOCK", block)
         for p, d in ((101, 4), (101, 20), (2003, 7), (95287, 6), (95287, 15881)):
             A = subgroup(p, d)
-            phases = (A.reps[:, None] * A.elements[None, :]) % p
-            mags = np.abs(np.exp(2j * np.pi * phases / p).sum(axis=1))
-            i = int(np.argmax(mags))
-            assert phi_subgroup(A) == (float(mags[i]), int(A.reps[i])), (p, d, block)
+            spectral._screen_roots.cache_clear()
+            assert phi_subgroup(A) == direct_phi(A)[0], (p, d, block)
 
     def test_peak_beyond_the_roots_table(self):
-        # p = 95287, d = 6: the table is built in place, and phi gathers
-        # _PHASE_BLOCK phases at a time, so beyond the finished table the
-        # peak is the m magnitudes and one block (0.37 of a p-long complex
-        # array).  The int64 arange and two complex temporaries of the old
-        # table took 1.50 such arrays beyond it, and one m x d phase matrix
-        # with its complex gather 1.67.
+        # p = 95287, d = 6.  Each table is built a block at a time: beyond
+        # the finished table the exact one (16 bytes per residue) peaks
+        # under 1/8 of a p-long complex array, and the screen's (8 bytes per
+        # residue) too.  The screened phi then builds no exact table, and
+        # beyond the screen's it peaks under half such an array (the m
+        # screened magnitudes and one block).
         p, d = 95287, 6
         A = subgroup(p, d)
         A.reps  # cached on A, outside the trace
         complex_p = 16 * p
-        spectral._unit_roots.cache_clear()
-        tracemalloc.start()
-        try:
-            roots = spectral._unit_roots(p)
-            table_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            phi_subgroup(A)
-            phi_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table_peak - roots.nbytes < complex_p // 8, table_peak
-        assert phi_peak - roots.nbytes < complex_p // 2, phi_peak
+        peaks = {}
+        for name in ("_unit_roots", "_screen_roots"):
+            spectral._unit_roots.cache_clear()
+            spectral._screen_roots.cache_clear()
+            tracemalloc.start()
+            try:
+                table = getattr(spectral, name)(p)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - table.nbytes
+                tracemalloc.reset_peak()
+                if name == "_screen_roots":
+                    phi_subgroup(A)
+                    peaks["phi"] = tracemalloc.get_traced_memory()[1] - table.nbytes
+            finally:
+                tracemalloc.stop()
+        assert spectral._screen_roots(p).nbytes == 8 * (p - 1)
+        assert not spectral._unit_roots.holds(p)
+        assert peaks["_unit_roots"] < complex_p // 8, peaks
+        assert peaks["_screen_roots"] < complex_p // 8, peaks
+        assert peaks["phi"] < complex_p // 2, peaks
 
-    def test_roots_table_kept_for_one_prime_only(self):
-        spectral._unit_roots.cache_clear()
-        phi_subgroup(subgroup(101, 10))
-        phi_subgroup(subgroup(101, 20))
-        phi_subgroup(subgroup(103, 6))
-        info = spectral._unit_roots.cache_info()
-        assert (info.misses, info.currsize) == (2, 1), info
+    def test_roots_table_kept_for_one_prime_only(self, monkeypatch):
+        # each table is built once per prime, and only the last prime's is
+        # kept: by the priced route at p = 101, 103 (no screen) and with the
+        # screen forced
+        builds = {}
+        for name in ("_unit_roots", "_screen_roots"):
+            cache = getattr(spectral, name)
+            cache.cache_clear()
+
+            def counted(p, build=cache.build, name=name):
+                builds[name] = builds.get(name, 0) + 1
+                return build(p)
+
+            monkeypatch.setattr(cache, "build", counted)
+        for forced in (False, True):
+            if forced:
+                force_phi_screen(monkeypatch, True)
+            for p, d in ((101, 10), (101, 20), (103, 6)):
+                phi_subgroup(subgroup(p, d))
+        for cache in (spectral._unit_roots, spectral._screen_roots):
+            assert cache.holds(103) and not cache.holds(101)
+        # one build per prime of each table: the exact one on the priced
+        # route, the screen's with it forced, where the exact pass evaluates
+        # its candidates directly at 101 and reads the kept table at 103
+        assert builds == {"_unit_roots": 2, "_screen_roots": 2}, builds
 
     def test_gauss_sum_order_two(self):
         # quadratic residues: |2 phi + 1| should be sqrt(p) for p = 1 mod 4
         p = 13
         phi, _ = phi_subgroup(subgroup(p, (p - 1) // 2))
         assert abs((2 * phi + 1) ** 2 - p) <= 1e-6 or abs((2 * phi - 1) ** 2 - p) <= 1e-6
+
+
+WINDOW_PRIMES = [p for p in range(100000, 100301) if is_prime(p)]
+LARGE_PRIME = 1000003  # p - 1 = 2 * 3 * 166667
+
+
+def window_sample(n: int = 24) -> list:
+    """A fixed sample of the default window's records (p in [100000, 100300])."""
+    cases = [(p, d) for p in WINDOW_PRIMES for d in divisors(p - 1)]
+    return random.Random(26).sample(cases, n)
+
+
+_SIMD_SCRIPT = """
+import math
+import subgroup_lab.spectral as spectral
+from subgroup_lab.numtheory import divisors, is_prime, subgroup
+from oracles import direct_phi
+
+spectral.PHI_SCREEN_PER_CALL = -math.inf  # the screen on every d > 1
+cases = [(p, d) for p in range(3, 600) if is_prime(p) for d in divisors(p - 1)]
+cases += [(95287, d) for d in (2, 6, 15881)] + [(100003, d) for d in (2, 3, 21, 2381)]
+for p, d in cases:
+    A = subgroup(p, d)
+    assert spectral.phi_subgroup(A) == direct_phi(A)[0], (p, d)
+print(len(cases))
+"""
+
+
+class TestScreenedPhi:
+    """The screen picks the candidate cosets and the exact pass runs on them
+    alone; the result must be the bits of a direct evaluation at every coset
+    rep (oracles.direct_phi)."""
+
+    def test_window_and_large_prime_match_direct(self, monkeypatch):
+        force_phi_screen(monkeypatch, True)
+        for p, d in window_sample() + [(LARGE_PRIME, d) for d in divisors(LARGE_PRIME - 1)]:
+            A = subgroup(p, d)
+            assert phi_subgroup(A) == direct_phi(A)[0], (p, d)
+
+    def test_edge_cases(self, monkeypatch):
+        force_phi_screen(monkeypatch, True)
+        # d = 1 is never screened (every coset sum has modulus 1); m = 1
+        # has one coset
+        assert not spectral._screen_pays(100003, 1)
+        for p in (101, 100003):
+            for d in (1, p - 1):
+                A = subgroup(p, d)
+                assert phi_subgroup(A) == direct_phi(A)[0], (p, d)
+        # d = 2: |2 cos(2 pi r / p)| has dozens of cosets within 2 delta of the top
+        A = subgroup(100003, 2)
+        assert len(spectral._candidates(A)) >= 24
+        assert phi_subgroup(A) == direct_phi(A)[0]
+        # odd d: -1 is not in A, and the coset of -r carries the conjugate
+        # sum, of the same modulus, so both are candidates
+        for p, d in ((2003, 7), (100003, 3), (95287, 15881)):
+            A = subgroup(p, d)
+            (phi, rep), _ = direct_phi(A)
+            conj = int(((p - rep) * A.elements % p).min())
+            cand = spectral._candidates(A).tolist()
+            assert rep in cand and conj in cand and rep != conj, (p, d)
+            assert phi_subgroup(A) == (phi, rep), (p, d)
+
+    def test_inflated_delta_and_each_exact_source(self, monkeypatch):
+        # the candidates' roots evaluated directly or read from the table,
+        # and every coset a candidate: the same (phi, rep)
+        force_phi_screen(monkeypatch, True)
+        for p, d in ((2003, 7), (95287, 6), (95287, 15881), (100003, 2), (100003, 21)):
+            A = subgroup(p, d)
+            cand = spectral._candidates(A)
+            assert len(cand) < len(A.reps), (p, d)
+            spectral._unit_roots.cache_clear()
+            direct = spectral._exact_max(A, cand)
+            assert not spectral._unit_roots.holds(p)
+            spectral._unit_roots(p)
+            table = spectral._exact_max(A, cand)
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral, "_screen_error", lambda d: math.inf)
+                assert np.array_equal(spectral._candidates(A), A.reps)
+                inflated = phi_subgroup(A)
+            assert direct == table == inflated == direct_phi(A)[0], (p, d)
+
+    def test_screen_error_is_below_half_delta(self, capsys):
+        # |S_j - E_j| / delta(d) over every coset of every subgroup with
+        # d > 1 and p < 2000, of the window sample and at p = 1000003
+        cases = [(p, d) for p in range(3, 2000) if is_prime(p) for d in divisors(p - 1)]
+        cases += window_sample() + [(LARGE_PRIME, d) for d in divisors(LARGE_PRIME - 1)]
+        worst = (0.0, None)
+        for p, d in cases:
+            if d == 1:
+                continue
+            A = subgroup(p, d)
+            _, exact = direct_phi(A)  # by ascending rep
+            screened = spectral._screened_mags(p, d)  # by layout column
+            by_rep = screened[np.argsort(A.layout.min(axis=0))]
+            worst = max(worst, (float(np.abs(by_rep - exact).max()) / spectral._screen_error(d), (p, d)))
+        with capsys.disabled():
+            print(f"\nlargest |screen - exact| / delta(d): {worst[0]:.4f} at (p, d) = {worst[1]}")
+        assert worst[0] < 0.5, worst
+
+    @pytest.mark.parametrize(
+        "disabled", ["AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"]
+    )
+    def test_bits_hold_with_simd_kernels_off(self, disabled):
+        # both sides run in one child under the same dispatch, so this holds
+        # on any CPU; names the CPU lacks are ignored with an ImportWarning
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join((os.path.join(here, os.pardir, "src"), here))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _SIMD_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert int(done.stdout.split()[-1]) == 1055
