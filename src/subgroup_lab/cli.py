@@ -312,7 +312,7 @@ def summary_text(rows: list[dict], check_names) -> str:
 
 def write_svg_scatter(path: str, points, title: str, fit=None) -> None:
     """Self-contained log-log scatter plot, no plotting dependency."""
-    pts = [(math.log(x), math.log(y)) for x, y in points if x > 0 and y > 0]
+    pts = [(math.log(x), math.log(y)) for x, y in points if 0 < x < math.inf and 0 < y < math.inf]
     w, h, m = 640, 480, 50
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '

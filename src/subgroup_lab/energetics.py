@@ -38,6 +38,10 @@ from .zpsets import ZpSet, first_cover
 # stay off moduli above this unless explicitly forced.
 HEAVY_LIMIT = 4096
 
+# SubgroupContext.l3_moment's threshold k and moment order r.
+L3_THRESHOLD = 2.0
+L3_ORDER = 2.0
+
 
 class InvarianceViolation(ValueError):
     """A count profile expected to be constant on cosets is not."""
@@ -115,15 +119,17 @@ class SubgroupContext:
     |A ∩ (A + s)| is shifts, which is aa itself for even d (-1 in A, so
     -A = A).  2A, its size, E and E3 are read off the quotient: the profile
     is d at 0 and l_j on the d shifts of coset j, so E_r = d^r + d sum_j l_j^r,
-    exact in Python ints over the distinct l_j, each times its count.
-    The float sums (E_{3/2}, ssc, threshold_moment) take each term once per
+    exact in Python ints over profile_mult (each distinct l_j > 0 and its
+    count), the one profile multiset, which li_decay reads too; rep_profile
+    orders the profile by coset rep for sumset_ratio and coset_profile alone.
+    The float sums (E_{3/2}, ssc, l3_moment) take each term once per
     live quotient point and gather the terms to the live shifts in ascending
     order, so each is one np.sum over the floats of the O(p) sum over Z_p in
     its order, and their bits do not change.  E_{3/2} and ssc gather through
     one order of the shift-live z, made once (_shift_order): coset_index
     when every point is live, a sort of the live layout columns when they
     are few, and none when it would be about p long (A.spread's blocked
-    gather then runs per sum, so no such index is kept).  threshold_moment
+    gather then runs per sum, so no such index is kept).  l3_moment
     spreads its own set M through A.spread.  conv_aa, over Z_p, is spread
     on first use only.  The catalog reads this class as it is, with lnd for
     its logs: verifier.check_bound one check at a time,
@@ -197,14 +203,14 @@ class SubgroupContext:
         return at[self.A.coset_index[reps]] if full is None else full[reps]
 
     @cached_property
-    def _profile_mult(self) -> tuple[list, list]:
-        """(values l, counts k): k cosets have profile value l; E and E3 share it."""
+    def profile_mult(self) -> tuple[list, list]:
+        """(values l > 0 ascending, counts k): k cosets have profile value l."""
         mult = np.bincount(self.shifts.at[1:])
-        ls = np.flatnonzero(mult)
+        ls = np.flatnonzero(mult[1:]) + 1
         return ls.tolist(), mult[ls].tolist()
 
     def _moment(self, r: int) -> int:
-        ls, ks = self._profile_mult
+        ls, ks = self.profile_mult
         return self.d**r + self.d * sum(l**r * k for l, k in zip(ls, ks))
 
     @cached_property
@@ -256,18 +262,16 @@ class SubgroupContext:
         num /= denom
         return self._shift_sum(num)
 
-    def threshold_moment(self, k: float, r: float) -> tuple[float, int]:
-        """(sum over z in M of (A * A)(z)^r in ascending z, |M|), where
-        M = threshold_invariant_set(conv_aa, A, k).
-
-        M is read off aa at the points, with no check that A * A is constant
-        on cosets: it is, by construction.
-        """
+    @cached_property
+    def l3_moment(self) -> tuple[float, int]:
+        """(sum over z in M of (A * A)(z)^L3_ORDER in ascending z, |M|), M =
+        threshold_invariant_set(conv_aa, A, L3_THRESHOLD) read off aa at the
+        points, unchecked: A * A is constant on cosets by construction."""
         at = self.aa.at
-        live = at.astype(np.float64) >= k
+        live = at.astype(np.float64) >= L3_THRESHOLD
         live[0] = False
         t = at[live].astype(np.float64)
-        t **= r
+        t **= L3_ORDER
         return float(np.sum(self.A.spread(t, live))), self.d * int(np.count_nonzero(live))
 
     @cached_property

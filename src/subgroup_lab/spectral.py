@@ -23,7 +23,7 @@ subgroup A (zpsets) are counted at A.points, 0 and one point per coset, and
 zp_counts spreads the m + 1 values to Z_p (numtheory.Subgroup.spread) only
 when no tier made them there.  exact_supports takes the supports of
 X * Y_k for a block of sets Y_k at once (verify's containment family, one
-call per block of shifts); it prices each row with the same helper, shares
+call per block of shifts); it prices each row as exact_counts would, shares
 one gather among the rows it would gather and hands the others to
 exact_counts.  The FFT tier of exact_counts, on two indicators, is the
 package's one caller of the convolution.
@@ -238,12 +238,6 @@ def _conv_cost(p: int) -> int:
     return CONV_COST_PER_CALL + CONV_COST_PER_N * (1 << (2 * p - 2).bit_length())
 
 
-def _gather_and_conv_costs(n_y, points: int, p: int) -> tuple:
-    """Prices of a gather reading n_y members of Y at `points` points each and
-    of one exact convolution; n_y may be an array of sizes, one per set Y."""
-    return n_y * points, _conv_cost(p)
-
-
 def _rotations(x_bits: np.ndarray) -> np.ndarray:
     """The (p + 1, p) view whose row k is doubled[k : k + p] of the doubled
     indicator, so row p - y is X + y: rows[p - y][z] = x_bits[z - y]."""
@@ -320,19 +314,21 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, points=None, out=None):
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
     X is given by its indicator and Y by its distinct members, residues in
-    [0, p).  The tiers are priced in the cost model's units: pair_counts at
-    SCATTER_COST |X| |Y|, and, by _gather_and_conv_costs, which exact_supports
-    shares, gather_counts at |Y| per point read and one exact convolution at
-    _conv_cost(p); the pairs run only when strictly cheapest, the gather when
-    no dearer than the convolution.
+    [0, p).  The tiers are priced in the cost model's units, as exact_supports
+    prices its rows too: pair_counts at SCATTER_COST |X| |Y|, gather_counts
+    at |Y| per point read and one exact convolution at _conv_cost(p); the
+    pairs run only when strictly cheapest, the gather when no dearer than
+    the convolution.
     Given points (such as a subgroup's quotient points, numtheory.Subgroup),
     the gather reads only there, and the result is a PointCounts, so that a
     caller may keep the counts over Z_p that the pairs or the convolution made.
-    A bool out, with no points, receives count > 0 over Z_p and rules out
-    the pairs, whose int64 counts span Z_p.
+    A bool out receives count > 0 over Z_p and rules out the pairs, whose
+    int64 counts span Z_p; points and out together raise ValueError.
     """
+    if points is not None and out is not None:
+        raise ValueError("exact_counts takes points or a bool out, not both")
     p = len(x_bits)
-    gather, conv = _gather_and_conv_costs(len(y), p if points is None else len(points), p)
+    gather, conv = len(y) * (p if points is None else len(points)), _conv_cost(p)
     if out is None and SCATTER_COST * int(np.count_nonzero(x_bits)) * len(y) < min(gather, conv):
         counts = pair_counts(np.flatnonzero(x_bits), y, p)
     elif gather > conv:
@@ -366,7 +362,7 @@ def exact_supports(x_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     full = sizes + np.count_nonzero(x_bits) > p
     out[full] = True
     live = (sizes > 0) & ~full
-    gather, conv = _gather_and_conv_costs(sizes, p, p)
+    gather, conv = sizes * p, _conv_cost(p)
     for j in np.flatnonzero(live & (gather > conv)).tolist():
         exact_counts(x_bits, np.flatnonzero(rows[j]), out=out[j])
     g = np.flatnonzero(live & (gather <= conv))

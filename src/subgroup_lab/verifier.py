@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energetics import SubgroupContext
+from .energetics import L3_ORDER, L3_THRESHOLD, SubgroupContext
 from .numtheory import Subgroup, subgroup
 from .zpsets import ZpSet, first_cover, multiset_count, sumset
 
@@ -54,11 +54,6 @@ class FitResult:
     intercept: float
     n_points: int
     residual: float
-
-
-# The l3_moment check's threshold k and moment order r.
-L3_THRESHOLD = 2.0
-L3_ORDER = 2.0
 
 
 # hypothesis-range comparators with the constant c
@@ -182,7 +177,7 @@ def _chk_sv_convolution(ctx: SubgroupContext, c: float):
 
 def _chk_l3_moment(ctx: SubgroupContext, c: float):
     r, k = L3_ORDER, L3_THRESHOLD
-    lhs, m_card = ctx.threshold_moment(k, r)
+    lhs, m_card = ctx.l3_moment
     s1 = s2 = float(ctx.d)
     base = s1**2 * s2**2 / ctx.d
     rhs = base * k ** (r - 3)
@@ -196,8 +191,7 @@ def _chk_l3_moment(ctx: SubgroupContext, c: float):
 def _chk_li_decay(ctx: SubgroupContext, c: float):
     # the nonzero coset profile values l_i by decreasing size
     best = 0.0
-    live = np.sort(ctx.rep_profile[ctx.rep_profile > 0])[::-1]
-    for i, l in enumerate(live.tolist(), start=1):
+    for i, l in enumerate(np.repeat(*ctx.profile_mult)[::-1].tolist(), start=1):
         best = max(best, l * i ** (2 / 3))
     rhs = ctx.twoA_size ** (2 / 3) * ctx.d ** (-1 / 3) * math.sqrt(ctx.lnd)
     return best, rhs, _ll(c, ctx.d, math.sqrt(ctx.p))
@@ -344,11 +338,11 @@ def exponent_fit(points, *, envelope: bool = False) -> FitResult:
 
     With envelope=True only the maximal y per dyadic x bucket is kept, which
     estimates the growth rate of the upper envelope rather than the bulk.
-    Points with nonpositive x or y are dropped.
+    Points with nonpositive or non-finite x or y are dropped.
     """
     xs, ys = [], []
     for x, y in points:
-        if x > 0 and y > 0:
+        if 0 < x < math.inf and 0 < y < math.inf:
             xs.append(float(x))
             ys.append(float(y))
     if envelope:

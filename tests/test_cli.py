@@ -265,12 +265,24 @@ class TestRunSweep:
         keys = [(r["p"], r["d"]) for r in recs]
         assert keys == sorted(keys)
 
-    def test_threads_do_not_change_output(self):
-        cfg1 = SweepConfig(p_min=3, p_max=61, threads=1)
-        cfg4 = SweepConfig(p_min=3, p_max=61, threads=4)
-        csv1 = format_csv(run_sweep(cfg1), list(cfg1.checks))
-        csv4 = format_csv(run_sweep(cfg4), list(cfg4.checks))
-        assert csv1 == csv4
+    def test_threads_do_not_change_output(self, monkeypatch):
+        # in [20000, 20100] phi screens some records and takes the unscreened
+        # pass on others, while the worker threads share phi's per-prime
+        # tables; the spy sees both routes run
+        real, routes = spectral._screen_pays, set()
+
+        def spy(p, d):
+            pays = real(p, d)
+            routes.add(pays)
+            return pays
+
+        monkeypatch.setattr(spectral, "_screen_pays", spy)
+        for lo, hi, threads in ((3, 61, 4), (20000, 20100, 2)):
+            cfg1 = SweepConfig(p_min=lo, p_max=hi, threads=1)
+            cfgn = SweepConfig(p_min=lo, p_max=hi, threads=threads)
+            csv1 = format_csv(run_sweep(cfg1), list(cfg1.checks))
+            assert csv1 == format_csv(run_sweep(cfgn), list(cfgn.checks)), (lo, hi)
+        assert routes == {False, True}
 
     def test_small_orders_skip_checks(self):
         rows = run_sweep(SweepConfig(p_min=7, p_max=7))
@@ -760,22 +772,29 @@ class TestMain:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_report_reads_empty_and_infinite_check_cells(self, tmp_path, capsys, fmt):
-        # sumset_growth writes inf for an empty lhs; skipped checks leave empty cells
+        # sumset_growth writes inf for an empty lhs; skipped checks leave empty
+        # cells; an infinite lhs is left out of the fit and the plot, not nan
         records = tmp_path / "r.txt"
         assert main(["sweep", "--pmax", "13", "--format", fmt, "--out", str(records)]) == 0
         lines = records.read_text().splitlines()
         if fmt == "csv":
             cells = lines[-1].split(",")
-            cells[lines[0].split(",").index("sumset_growth:ratio")] = "inf"
+            for column in ("sumset_growth:ratio", "hk_energy:lhs"):
+                cells[lines[0].split(",").index(column)] = "inf"
             lines[-1] = ",".join(cells)
         else:
             row = json.loads(lines[-1])
-            row["sumset_growth:ratio"] = float("inf")
+            row["sumset_growth:ratio"] = row["hk_energy:lhs"] = float("inf")
             lines[-1] = json.dumps(row)
         records.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(["report", str(records)]) == 0
-        assert "check sumset_growth: n=" in capsys.readouterr().out
+        plots = tmp_path / "plots"
+        assert main(["report", str(records), "--svg-dir", str(plots)]) == 0
+        summary = capsys.readouterr().out
+        assert "check sumset_growth: n=" in summary and "nan" not in summary
+        assert "check hk_energy: n=9 " in summary
+        svg = (plots / "hk_energy.svg").read_text()
+        assert "nan" not in svg and svg.count("<circle") == 8
 
     @pytest.mark.parametrize("name", ["../escaped", "nested/name", "hk_energyx"])
     def test_report_rejects_unknown_check_names(self, tmp_path, capsys, name):

@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgroup_lab.cli as cli
+import subgroup_lab.numtheory as numtheory
 import subgroup_lab.spectral as spectral
 from subgroup_lab.cli import SweepConfig, primes_between
-from subgroup_lab.energetics import SubgroupContext, shift_sizes
+from subgroup_lab.energetics import HEAVY_LIMIT, L3_ORDER, L3_THRESHOLD, SubgroupContext, shift_sizes
 from subgroup_lab.numtheory import (
     _SPREAD_BLOCK,
     Subgroup,
@@ -37,7 +38,7 @@ from subgroup_lab.numtheory import (
     subgroup,
 )
 from subgroup_lab.spectral import convolve_counts, cyclic_convolution_exact, phi_subgroup
-from subgroup_lab.verifier import check_bound, check_six_fold
+from subgroup_lab.verifier import _chk_li_decay, check_bound, check_six_fold
 from subgroup_lab.zpsets import (
     ZpSet,
     dilate,
@@ -141,9 +142,6 @@ def test_counts_and_profiles_match_convolution():
                 assert np.array_equal(shift_sizes(ctx.two_a), two_a_profile), (A.p, A.d, tier)
 
 
-L3_KNOBS = ((1.0, 1.5), (3.0, 3.0))  # (threshold k, order r) beside the defaults
-
-
 def reference_record(A: Subgroup) -> dict:
     """The quotient-read quantities of a record by plain formulas over Z_p on
     A.indicator, which carries no subgroup; each float is the O(p) sum over
@@ -157,41 +155,53 @@ def reference_record(A: Subgroup) -> dict:
     num = prof[live].astype(np.float64)
     num *= num
     num /= shift_sizes(ZpSet(p, conv > 0))[live]
-    moments = {}
-    for k, r in ((2.0, 2.0),) + L3_KNOBS:
-        M = conv.astype(np.float64) >= k
-        M[0] = False
-        vals = conv[M].astype(np.float64)
-        vals **= r
-        moments[k, r] = (float(np.sum(vals)), int(np.count_nonzero(M)))
+    M = conv.astype(np.float64) >= L3_THRESHOLD
+    M[0] = False
+    l3 = conv[M].astype(np.float64)
+    l3 **= L3_ORDER
+    rep_prof = prof[A.reps]
     return {
         "twoA_size": int(np.count_nonzero(conv)),
-        "rep_profile": prof[A.reps].tolist(),
+        "rep_profile": rep_prof.tolist(),
+        "profile_mult": tuple(x.tolist() for x in np.unique(rep_prof[rep_prof > 0], return_counts=True)),
+        "li_decay": li_decay_by_reps(rep_prof),
         "E": sum(x * x for x in prof.tolist()),
         "E3": sum(x**3 for x in prof.tolist()),
         "E32": float(np.sum(e32)),
         "ssc": float(np.sum(num)),
-        "moments": moments,
+        "l3_moment": (float(np.sum(l3)), int(np.count_nonzero(M))),
         "sv_convolution": float(conv[A.elements].sum()),
     }
 
 
+def li_decay_by_reps(rep_profile: np.ndarray) -> float:
+    """The li_decay lhs from the rep profile: its nonzero values sorted by
+    decreasing size, where the catalog reads SubgroupContext.profile_mult."""
+    best = 0.0
+    for i, l in enumerate(np.sort(rep_profile[rep_profile > 0])[::-1].tolist(), start=1):
+        best = max(best, l * i ** (2 / 3))
+    return best
+
+
 def context_record(A: Subgroup) -> dict:
-    """The same quantities from a fresh context; the l3_moment and
-    sv_convolution lhs come from their catalog checks when d >= 3."""
+    """The same quantities from a fresh context; the li_decay lhs comes from
+    its catalog check, and the l3_moment and sv_convolution lhs from theirs
+    when d >= 3."""
     ctx = SubgroupContext(A)
     got = {
         "twoA_size": ctx.twoA_size,
         "rep_profile": ctx.rep_profile.tolist(),
+        "profile_mult": ctx.profile_mult,
+        "li_decay": _chk_li_decay(ctx, 1.0)[0],
         "E": ctx.energy,
         "E3": ctx.energy3,
         "E32": ctx.energy32,
         "ssc": ctx.ssc,
-        "moments": {(k, r): ctx.threshold_moment(k, r) for k, r in ((2.0, 2.0),) + L3_KNOBS},
+        "l3_moment": ctx.l3_moment,
         "sv_convolution": float(ctx.d * int(ctx.aa.at[1])),
     }
     if A.d >= 3:
-        got["moments"][2.0, 2.0] = (check_bound("l3_moment", A, ctx).lhs, got["moments"][2.0, 2.0][1])
+        got["l3_moment"] = (check_bound("l3_moment", A, ctx).lhs, ctx.l3_moment[1])
         got["sv_convolution"] = check_bound("sv_convolution", A, ctx).lhs
     return got
 
@@ -213,6 +223,19 @@ def test_quotient_reads_match_sums_over_zp_near_1e5(d):
     # gather at m + 1 = 7 points
     A = subgroup(95287, d)
     assert context_record(A) == reference_record(A)
+
+
+@pytest.mark.parametrize("p, d, reps_built", [(95287, 6, 0), (95287, 15881, 0), (293, 4, 1), (293, 73, 1)])
+def test_a_record_builds_coset_reps_only_for_their_readers(monkeypatch, p, d, reps_built):
+    # the record pair: phi screens and the heavy ratio sum is off, so no
+    # reader of a rep runs; at p <= HEAVY_LIMIT the ratio sum reads the reps,
+    # and phi's unscreened pass shares them through A.reps
+    real, calls = numtheory.coset_reps, []
+    monkeypatch.setattr(numtheory, "coset_reps", lambda A: calls.append(A) or real(A))
+    assert spectral._screen_pays(p, d) == (p > HEAVY_LIMIT)
+    row = cli._record_for((p, d, SweepConfig(p_min=p, p_max=p)))
+    assert (row["sumset_ratio"] is None) == (p > HEAVY_LIMIT)
+    assert len(calls) == reps_built, (p, d)
 
 
 def test_spread_matches_a_coset_scan():

@@ -29,7 +29,7 @@ from oracles import (
     naive_cyclic_convolution,
     naive_dft_magnitudes,
 )
-from routes import force_phi_screen, force_tier
+from routes import TIERS, force_phi_screen, force_tier
 
 PRIMES = (3, 5, 7, 13, 31, 101)
 
@@ -272,6 +272,24 @@ class TestGatherCounts:
         assert not spectral.gather_counts(x_bits, y, out=out).any()
 
 
+class TestExactCounts:
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_points_beside_out_raise(self, monkeypatch, tier):
+        # no tier can honour both, so the pair is refused before any count;
+        # each alone works on every tier
+        force_tier(monkeypatch, tier)
+        A = subgroup(97, 4)
+        x_bits, y, pts = A.indicator.bits, A.elements, A.points
+        out = np.zeros(97, dtype=bool)
+        with pytest.raises(ValueError, match="points or a bool out"):
+            spectral.exact_counts(x_bits, y, pts, out=out)
+        assert not out.any()
+        want = brute_convolution(y.tolist(), y.tolist(), 97)
+        assert spectral.exact_counts(x_bits, y, pts).at.tolist() == [want[z] for z in pts.tolist()]
+        assert spectral.exact_counts(x_bits, y, out=out) is out
+        assert out.tolist() == [w > 0 for w in want]
+
+
 @st.composite
 def support_batches(draw):
     """X and a bool matrix of rows Y_k over a small Z_p, with a route: None
@@ -325,7 +343,7 @@ class TestExactSupports:
         A = subgroup(p, d)
         x_bits = A.indicator.bits
         rows = np.array([np.roll(x_bits, t) for t in range(spectral._GATHER_BLOCK // p)])
-        gather, conv = spectral._gather_and_conv_costs(d, p, p)
+        gather, conv = d * p, spectral._conv_cost(p)
         assert gather <= spectral._GATHER_BLOCK and gather <= conv
         tracemalloc.start()
         try:

@@ -275,6 +275,12 @@ class TestGoldenValues73:
         assert r.lhs == 12.0
         assert r.rhs_expr == pytest.approx(27 / 2)
 
+    def test_l3_moment_empty_threshold_set(self):
+        # (sum over M of (A * A)^2, |M|), M = {z != 0 : (A * A)(z) >= 2}: for
+        # A = {1} the one nonzero count is 1 at z = 2, so M and the sum are empty
+        assert SubgroupContext(subgroup(7, 1)).l3_moment == (0.0, 0)
+        assert SubgroupContext(subgroup(7, 3)).l3_moment == (12.0, 3)
+
     def test_li_decay(self):
         # both cosets have l = 1: max over i of l_i i^(2/3) is 2^(2/3)
         r = check_bound("li_decay", subgroup(7, 3))
@@ -341,11 +347,6 @@ class TestHypothesisKnobs:
         ctx = SubgroupContext(subgroup(101, 4))
         assert r.rhs_expr == pytest.approx(101**0.125 * ctx.energy**0.25)
         assert not r.hypothesis_ok
-
-    def test_l3_threshold_knob(self):
-        # the l3_moment lhs at threshold k = 3 in place of the check's 2:
-        # no coset reaches count 3, so the restricted moment is empty
-        assert SubgroupContext(subgroup(7, 3)).threshold_moment(3.0, 2.0) == (0.0, 0)
 
 
 class TestCovering:
@@ -620,10 +621,15 @@ class TestExponentFit:
         assert fit.n_points <= 9
 
     def test_drops_nonpositive(self):
+        # and non-finite points, with or without the envelope
+        inf, nan = math.inf, math.nan
         pts = [(0, 5.0), (-3, 2.0), (4, 0.0), (2, 4.0), (8, 64.0)]
-        fit = exponent_fit(pts)
-        assert fit.n_points == 2
-        assert fit.slope == pytest.approx(2.0, abs=1e-9)
+        pts += [(16, inf), (inf, 3.0), (-inf, 3.0), (32, -inf), (nan, 2.0), (64, nan)]
+        for envelope in (False, True):
+            fit = exponent_fit(pts, envelope=envelope)
+            assert fit.n_points == 2
+            assert fit.slope == pytest.approx(2.0, abs=1e-9)
+            assert math.isfinite(fit.intercept) and math.isfinite(fit.residual)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
