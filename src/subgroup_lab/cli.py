@@ -21,7 +21,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .verifier import (
     exponent_fit,
     positivity_condition,
 )
-from .zpsets import ZpSet, fold_sumset
+from .zpsets import ZpSet, fold_sumset, sumset
 
 CSV_BASE_COLUMNS = (
     "p",
@@ -520,8 +520,29 @@ def _enumeration_convolution(X: ZpSet, Y: ZpSet) -> np.ndarray:
     return np.diff(np.searchsorted(sums, np.arange(X.p + 1)))
 
 
-def _verify_convolution(A, rng):
+class _Shared:
+    """One subgroup A of a verify walk and the Z_p-route values that several
+    families read (verify_all), each built by the first family to read it."""
+
+    def __init__(self, p: int, d: int):
+        self.p, self.d = p, d
+
+    @cached_property
+    def A(self):
+        return subgroup(self.p, self.d)
+
+    @cached_property
+    def prof(self) -> np.ndarray:
+        return shift_sizes(self.A.indicator)
+
+    @cached_property
+    def two(self) -> ZpSet:
+        return fold_sumset(self.A.indicator, 2)
+
+
+def _verify_convolution(h, rng):
     """A * Y for a random set Y, against pair enumeration."""
+    A = h.A
     X, Y = A.indicator, _rand_set(A.p, rng)
     got = convolve_counts(X, Y)
     want = _enumeration_convolution(X, Y)
@@ -531,12 +552,12 @@ def _verify_convolution(A, rng):
     return 1, None
 
 
-def _verify_energy(A, rng):
+def _verify_energy(h, rng):
     """E(A) from pair counts, the shift profile, all rotations and the spectrum."""
+    A, prof = h.A, h.prof
     aset, p = A.indicator, A.p
     counts = convolve_counts(aset, aset)
     e_conv = int(np.dot(counts, counts))
-    prof = shift_sizes(aset)
     e_prof = int(np.dot(prof, prof))
     rotations = np.lib.stride_tricks.sliding_window_view(np.tile(aset.bits, 2)[:-1], p)
     rolled = (aset.bits & rotations).sum(axis=1)  # row k: np.roll by -k, each shift once
@@ -549,7 +570,7 @@ def _verify_energy(A, rng):
     return 1, None
 
 
-def _verify_containment(A, rng):
+def _verify_containment(h, rng):
     """A + A_s inside (2A)_s: every shift for p <= 200, else 0 and the coset reps.
 
     The rows A_s and (2A)_s are cut from rotation views of A and 2A, at most
@@ -557,8 +578,8 @@ def _verify_containment(A, rng):
     take one exact_supports call, and the first failing one in ascending
     shift order is reported.
     """
+    A, two = h.A, h.two
     p, aset = A.p, A.indicator
-    two = fold_sumset(aset, 2)
     shifts = np.arange(p) if p <= 200 else np.concatenate(([0], A.reps))
     # row -s % p of a rotation view is the set + s
     a_rot, two_rot = (spectral._rotations(S.bits) for S in (aset, two))
@@ -577,14 +598,14 @@ def _verify_containment(A, rng):
     return cases, None
 
 
-def _verify_coset_profile(A, rng):
+def _verify_coset_profile(h, rng):
     """The shift profile is constant on cosets; phi equals the dense
     spectrum's up to p = 521, and above it, with its rep, bit for bit the
     largest of the direct np.exp sums at every coset rep (no screen, no table).
     """
+    A, prof = h.A, h.prof
     p, reps = A.p, A.reps
     phases = (reps[:, None] * A.elements) % p  # one row per coset
-    prof = shift_sizes(A.indicator)
     vals = prof[phases]
     broken = np.flatnonzero((vals != prof[reps][:, None]).any(axis=1))
     if broken.size:
@@ -602,7 +623,7 @@ def _verify_coset_profile(A, rng):
     return 1, None
 
 
-def _verify_spectral_identity(A, rng):
+def _verify_spectral_identity(h, rng):
     """|A| |Â(lam)|^2 equals sum_s |A_s| Re Â(lam s), Â(t) = sum_{y in A} e_p(t y).
 
     Both sides read one table of Â: Â(0) = |A|, and Â is constant on the
@@ -610,8 +631,9 @@ def _verify_spectral_identity(A, rng):
     spread over its coset (not through phi_subgroup's unit roots).  The identity
     holds for every dilate of Â, so a direct sum of Â(1) pins the orientation.
     """
+    A = h.A
     p, d = A.p, A.d
-    prof = shift_sizes(A.indicator).astype(np.float64)
+    prof = h.prof.astype(np.float64)
     lams = np.arange(1, p) if p <= 101 else np.arange(1, p, max(1, p // 32))
     sums = np.exp(2j * np.pi * ((A.points[1:, None] * A.elements) % p) / p).sum(axis=1)
     hat = A.spread(np.concatenate(([d], sums)))
@@ -627,14 +649,18 @@ def _verify_spectral_identity(A, rng):
     return lams.size, None
 
 
-def _verify_coverage(A, rng):
+def _verify_coverage(h, rng):
     """Six-fold check vs 6A built in full; positivity forces solutions and coverage.
 
     The reference builds all six folds without the multiset bound that
-    check_six_fold reads; for d >= 2 a cover at some k <= 6 carries to 6A.
+    check_six_fold reads, 2A + A + A + A + A as fold_sumset chains them;
+    for d >= 2 a cover at some k <= 6 carries to 6A.
     """
+    A, six_a = h.A, h.two
     p, d = A.p, A.d
-    six, full = check_six_fold(A), fold_sumset(A.indicator, 6).covers_nonzero()
+    for _ in range(4):
+        six_a = sumset(six_a, A.indicator)
+    six, full = check_six_fold(A), six_a.covers_nonzero()
     if six != full:
         return 1, f"coverage-agreement p={p} d={d}: six={six} 6A covers={full}"
     if p <= 2000 and positivity_condition(A):
@@ -646,8 +672,9 @@ def _verify_coverage(A, rng):
     return 1, None
 
 
-# Each family checks one subgroup against an independent route and returns
-# (cases, failure message or None).  Entries: (name, largest prime, family).
+# Each family checks one subgroup (a _Shared) against an independent route
+# and returns (cases, failure message or None).  Entries: (name, largest
+# prime, family).
 _FAMILIES = (
     ("convolution", 1024, _verify_convolution),
     ("energy-definitions", 1024, _verify_energy),
@@ -661,25 +688,47 @@ _FAMILIES = (
 def verify_all(p_max: int, *, echo=print) -> int:
     """Run the property suite over p <= p_max; 0 iff no violation.
 
-    Runs each family over every subgroup of Z_p* with p up to the family's cap,
-    echoing "ok <family> (N cases)" and writing "<family>: <seconds> s" to
-    stderr, and stops at the first "FAIL ...".  Inside the families, dense
-    spectra stop at p = 521 (phi is checked against direct sums above it)
-    and solution counts at 2000.
-    rng = random.Random(911 * p) draws the convolution family's random sets.
+    Walks the primes once.  At each prime it makes one _Shared per subgroup
+    of Z_p*, so the subgroup, its shift profile (read by energy-definitions,
+    coset-profile and spectral-identity) and 2A (read by containment and
+    coverage) are built once, and runs the families in order over them, each
+    up to its cap with a fresh rng = random.Random(911 * p), which draws the
+    convolution family's random sets.  Only one prime's subgroups are alive
+    at a time.  After the walk it echoes "ok <family> (N cases)" and writes
+    "<family>: <seconds> s" to stderr per family, the seconds counting every
+    shared value the family is the first to read.  On a failure it reports
+    the families before the failing one, then the first "FAIL ..." in
+    (family, p, d) order: a family that fails stops with the families after
+    it, and the families before it finish the walk, since one of them may
+    still fail at a later prime.  A family that raises still raises, possibly
+    at a prime before an earlier family's failure.  Inside the families,
+    dense spectra stop at p = 521 (phi is checked against direct sums above
+    it) and solution counts at 2000.
     """
-    for name, cap, family in _FAMILIES:
-        cases, start = 0, time.perf_counter()
-        for p in primes_between(3, min(p_max, cap)):
-            rng = random.Random(911 * p)
-            for d in divisors(p - 1):
-                n, failure = family(subgroup(p, d), rng)
-                if failure:
-                    echo(f"FAIL {failure}")
-                    return 1
-                cases += n
-        echo(f"ok {name} ({cases} cases)")
-        print(f"{name}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+    cases, seconds = [0] * len(_FAMILIES), [0.0] * len(_FAMILIES)
+    failure, stop = None, len(_FAMILIES)  # families from stop on are done
+    for p in primes_between(3, p_max):
+        live = [i for i in range(stop) if p <= _FAMILIES[i][1]]
+        if not live:
+            break
+        shared = [_Shared(p, d) for d in divisors(p - 1)]
+        for i in live:
+            family, rng, start = _FAMILIES[i][2], random.Random(911 * p), time.perf_counter()
+            for h in shared:
+                n, msg = family(h, rng)
+                if msg:
+                    failure, stop = msg, i
+                    break
+                cases[i] += n
+            seconds[i] += time.perf_counter() - start
+            if stop == i:
+                break
+    for (name, _, _), n, t in zip(_FAMILIES[:stop], cases, seconds):
+        echo(f"ok {name} ({n} cases)")
+        print(f"{name}: {t:.2f} s", file=sys.stderr)
+    if failure:
+        echo(f"FAIL {failure}")
+        return 1
     return 0
 
 

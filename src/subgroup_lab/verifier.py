@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energetics import L3_ORDER, L3_THRESHOLD, SubgroupContext
-from .numtheory import Subgroup, subgroup
+from .numtheory import Subgroup
 from .zpsets import ZpSet, first_cover, multiset_count, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
@@ -305,9 +305,10 @@ def clears_cover_threshold(p: int, d: int) -> bool:
 
 
 @lru_cache(maxsize=2)
-def _context(p: int, d: int) -> SubgroupContext:
-    """The one context per (p, d) that positivity and the solution counts share."""
-    return SubgroupContext(subgroup(p, d))
+def _context(A: Subgroup) -> SubgroupContext:
+    """The one context per subgroup that positivity and the solution counts
+    share, built on the caller's A (a Subgroup hashes as its (p, d))."""
+    return SubgroupContext(A)
 
 
 def count_solutions_N(A: Subgroup, a: int) -> int:
@@ -322,14 +323,14 @@ def count_solutions_N(A: Subgroup, a: int) -> int:
     a = a % A.p
     if a == 0:
         raise ValueError("the dilation parameter a must be nonzero mod p")
-    ctx = _context(A.p, A.d)
+    ctx = _context(A)
     terms = ctx.conv_2a2a * ctx.conv_aa[(a - np.arange(A.p)) % A.p]
     return A.d * sum(np.add.reduceat(terms, np.arange(0, A.p, 1 << 11)).tolist())
 
 
 def positivity_condition(A: Subgroup) -> bool:
     """True iff |2A| |A|^3 > p * phi^3, which forces N > 0 for every a != 0."""
-    ctx = _context(A.p, A.d)
+    ctx = _context(A)
     return ctx.twoA_size * A.d**3 > A.p * ctx.phi**3
 
 

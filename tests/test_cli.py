@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 import subgroup_lab.cli as cli
+import subgroup_lab.energetics as energetics
+import subgroup_lab.numtheory as numtheory
 import subgroup_lab.spectral as spectral
+import subgroup_lab.verifier as verifier
 from subgroup_lab.cli import (
     CSV_BASE_COLUMNS,
     SweepConfig,
@@ -873,6 +877,76 @@ class TestVerifyAll:
         assert [ln.split(":")[0] for ln in lines] == names
         assert all(re.fullmatch(r"[a-z-]+: \d+\.\d\d s", ln) for ln in lines), lines
 
+    def test_first_failure_in_family_order(self, monkeypatch, capsys):
+        # coverage fails at p = 3 and convolution only at p = 11: the walk
+        # meets coverage's failure first, but convolution's comes first in
+        # (family, p, d) order; the lines were captured when verify ran
+        # family by family (dbe7e37)
+        real_six, real_conv = cli.check_six_fold, cli.convolve_counts
+
+        def conv_off_at_11(X, Y):
+            out = real_conv(X, Y).copy()
+            out[0] += X.p == 11
+            return out
+
+        monkeypatch.setattr(cli, "check_six_fold", lambda A: A.p != 3 and real_six(A))
+        monkeypatch.setattr(cli, "convolve_counts", conv_off_at_11)
+        lines = []
+        assert verify_all(13, echo=lines.append) == 1
+        assert lines == ["FAIL convolution p=11 d=1 z=0: 2 != 1"]
+        assert capsys.readouterr().err == ""
+
+    def test_each_family_runs_to_its_own_cap(self, monkeypatch):
+        # case counts captured when verify ran family by family (dbe7e37)
+        caps = (5, 7, 11, 5, 7, 11)
+        monkeypatch.setattr(cli, "_FAMILIES", tuple((n, cap, f) for (n, _, f), cap in zip(cli._FAMILIES, caps)))
+        lines = []
+        assert verify_all(13, echo=lines.append) == 0
+        assert lines == [
+            "ok convolution (5 cases)",
+            "ok energy-definitions (9 cases)",
+            "ok containment (57 cases)",
+            "ok coset-profile (5 cases)",
+            "ok spectral-identity (40 cases)",
+            "ok coverage (13 cases)",
+        ]
+
+    def test_walk_builds_each_subgroup_once(self, monkeypatch):
+        # 159 subgroups of the 24 primes to 100: each subgroup, its shift
+        # profile and its context once, each power table once
+        calls = {"subgroup": 0, "shift_sizes": 0}
+        for module, name in ((numtheory, "subgroup"), (energetics, "shift_sizes")):
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        contexts = count_contexts(monkeypatch)
+        verifier._context.cache_clear()
+        numtheory.power_table.cache_clear()
+        assert verify_all(100, echo=lambda line: None) == 0
+        assert calls == {"subgroup": 159, "shift_sizes": 159}
+        assert numtheory.power_table.cache_info().misses == 24
+        assert len(contexts) == 159
+
+    def test_convolution_draws_the_same_random_sets(self, monkeypatch):
+        # every set _rand_set draws in verify_all(100), in draw order: a walk
+        # that seeds or shares Random(911 * p) otherwise changes no ok line;
+        # the hash was captured when verify ran family by family (dbe7e37)
+        digest, real = hashlib.sha256(), cli._rand_set
+
+        def hashed(p, rng):
+            S = real(p, rng)
+            digest.update(S.members().astype("<i8").tobytes() + b"|")
+            return S
+
+        monkeypatch.setattr(cli, "_rand_set", hashed)
+        assert verify_all(100, echo=lambda line: None) == 0
+        assert digest.hexdigest() == "f879a1d8500d44210ec55195b423b2325478e722867094e740b3b583de83f49a"
+
     @staticmethod
     def _last_line(p_max):
         lines = []
@@ -921,20 +995,20 @@ class TestVerifyAll:
     def test_containment_reports_first_failing_shift(self, monkeypatch, p, d, n, want):
         # the empty A_s are skipped and the live ones taken in ascending order
         self._full_on_row(monkeypatch, n)
-        assert cli._verify_containment(subgroup(p, d), random.Random(0)) == want
+        assert cli._verify_containment(cli._Shared(p, d), random.Random(0)) == want
 
     @pytest.mark.parametrize("d, cases", [(30, 8), (42, 6), (210, 2)])
     def test_containment_rep_path_cases(self, d, cases):
-        assert cli._verify_containment(subgroup(211, d), random.Random(0)) == (cases, None)
+        assert cli._verify_containment(cli._Shared(211, d), random.Random(0)) == (cases, None)
 
     def test_containment_rows_are_blocked(self):
         # 5,004 shifts (0 and the coset reps); one unblocked bool matrix of
         # A_s rows would take 50 MB
-        A = subgroup(10007, 2)
-        A.indicator, A.reps  # built before tracing
+        h = cli._Shared(10007, 2)
+        h.A.indicator, h.A.reps  # built before tracing
         tracemalloc.start()
         try:
-            got = cli._verify_containment(A, random.Random(0))
+            got = cli._verify_containment(h, random.Random(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -952,7 +1026,7 @@ class TestVerifyAll:
         # profile first and fails first
         real = cli.shift_sizes
         monkeypatch.setattr(cli, "shift_sizes", lambda S: 1.01 * real(S))
-        cases, failure = cli._verify_spectral_identity(subgroup(13, 3), random.Random(0))
+        cases, failure = cli._verify_spectral_identity(cli._Shared(13, 3), random.Random(0))
         assert (cases, failure.split(":")[0]) == (0, "spectral-identity p=13 d=3 lam=1")
 
     def test_detects_dilated_spectral_table(self, monkeypatch):
@@ -976,7 +1050,7 @@ class TestVerifyAll:
         total = 0
         for p in primes_between(3, 1024):
             for d in divisors(p - 1):
-                cases, failure = cli._verify_spectral_identity(subgroup(p, d), random.Random(0))
+                cases, failure = cli._verify_spectral_identity(cli._Shared(p, d), random.Random(0))
                 assert failure is None, failure
                 total += cases
         assert total == 66304
@@ -1020,12 +1094,13 @@ class TestVerifyAll:
     def test_detects_phi_off_by_one_bit_past_dense_spectra(self, monkeypatch):
         # above p = 521 coset-profile compares phi and its rep with the
         # direct sums at every coset rep, bit for bit
-        A = subgroup(1009, 7)
-        assert cli._verify_coset_profile(A, None) == (1, None)
+        h = cli._Shared(1009, 7)
+        A = h.A
+        assert cli._verify_coset_profile(h, None) == (1, None)
         phi, rep = spectral.phi_subgroup(A)
         for wrong in ((math.nextafter(phi, 0.0), rep), (phi, int(A.reps[A.reps != rep][0]))):
             monkeypatch.setattr(cli, "phi_subgroup", lambda A, wrong=wrong: wrong)
-            cases, failure = cli._verify_coset_profile(A, None)
+            cases, failure = cli._verify_coset_profile(h, None)
             assert cases == 1 and failure.startswith("phi p=1009 d=7: "), failure
 
 
