@@ -38,7 +38,6 @@ from .energetics import (
     coset_profile,
     energy_moment,
     invariant_convolution_sum,
-    restricted_moment,
     shift_sizes,
     ssc_ratio_sum,
     sumset_ratio_sum,

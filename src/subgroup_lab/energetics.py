@@ -327,15 +327,6 @@ def coset_profile(A: Subgroup) -> tuple:
     return tuple(zip(reps[order].tolist(), l[order].tolist()))
 
 
-def restricted_moment(counts: np.ndarray, M: ZpSet, r: float) -> float:
-    """Sum over z in M of counts(z)^r."""
-    if len(counts) != M.p:
-        raise ValueError(f"modulus mismatch: {len(counts)} vs {M.p}")
-    vals = counts[M.members()].astype(np.float64)
-    vals **= r  # in place, by the ufunc that ** picks (square at 2, sqrt at 0.5)
-    return float(np.sum(vals))
-
-
 def invariant_convolution_sum(S1: ZpSet, S2: ZpSet, S3: ZpSet) -> int:
     """Sum over z in S3 of (S1 * S2)(z), exact, for three sets that carry one subgroup."""
     if S1.sym is None or not (S1.sym == S2.sym == S3.sym):

@@ -223,13 +223,13 @@ class Subgroup:
         bits[self.elements] = True
         return ZpSet._wrap(self.p, bits)
 
-    @property
+    @cached_property
     def layout(self) -> np.ndarray:
         """The coset quotient: power_table(p).reshape(d, m), a read-only view.
 
         Column j is the coset g^j A, so row 0 holds one point of each coset.
-        Rebuilt on each access (O(1)), so a Subgroup never pins a power table
-        that power_table's cache has let go.
+        subgroup() takes it on return, so A holds its table for as long as
+        A lives, whichever prime power_table keeps.
         """
         return power_table(self.p).reshape(self.d, -1)
 
@@ -245,7 +245,7 @@ class Subgroup:
         A count that is constant on the cosets is held as its m + 1 values
         here, m = (p - 1)/d; spread puts them back on Z_p.
         """
-        pts = np.concatenate(([0], power_table(self.p)[: (self.p - 1) // self.d]))
+        pts = np.concatenate(([0], self.layout[0]))
         pts.flags.writeable = False
         return pts
 
@@ -310,7 +310,38 @@ class Subgroup:
         return out
 
 
-@lru_cache(maxsize=4)
+class _LastPrime:
+    """A per-prime table, kept for the last key asked for only.
+
+    build(key, *args) makes the table, read-only where it is an array.  The
+    old table is let go before the new one is built.  A sweep takes the
+    primes in ascending order, so one table serves all the d of a prime and
+    none outlives the next prime.  Its users: power_table here, spectral's
+    _unit_roots and _screen_roots, and verifier's _context, whose key is a
+    subgroup.
+    """
+
+    def __init__(self, build) -> None:
+        self.build = build
+        self.__doc__ = build.__doc__
+        self.slot: tuple = (None, None)
+
+    def __call__(self, key, *args):
+        held, table = self.slot
+        if held != key:
+            self.slot = (None, None)
+            table = self.build(key, *args)
+            self.slot = (key, table)
+        return table
+
+    def holds(self, key) -> bool:
+        return self.slot[0] == key
+
+    def cache_clear(self) -> None:
+        self.slot = (None, None)
+
+
+@_LastPrime
 def power_table(p: int) -> np.ndarray:
     """P[t] = g^t mod p for 0 <= t < p - 1, g the smallest primitive root.
 
@@ -340,7 +371,9 @@ def subgroup(p: int, d: int) -> Subgroup:
         raise ValueError(f"order {d} does not divide p - 1 = {p - 1}")
     m = (p - 1) // d
     elements = np.sort(power_table(p)[::m])
-    return Subgroup(p=p, d=d, gen=pow(primitive_root(p), m, p), elements=elements)
+    A = Subgroup(p=p, d=d, gen=pow(primitive_root(p), m, p), elements=elements)
+    A.layout  # taken now: power_table's cache may move to another prime
+    return A
 
 
 def coset_reps(A: Subgroup) -> np.ndarray:

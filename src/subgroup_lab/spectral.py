@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .numtheory import power_table, validate_modulus
+from .numtheory import _LastPrime, validate_modulus
 
 if TYPE_CHECKING:
     from .zpsets import ZpSet
@@ -436,35 +436,6 @@ def dft_magnitudes(S: ZpSet) -> Spectrum:
 _PHASE_BLOCK = 1 << 12  # phases (or table entries) per block in phi_subgroup
 
 
-class _LastPrime:
-    """A per-prime table, kept for the last prime asked for only.
-
-    A sweep takes the primes in ascending order, so one table serves all the
-    d of a prime and none outlives the next prime.  The old table is let go
-    before the new one is built.
-    """
-
-    def __init__(self, build) -> None:
-        self.build = build
-        self.__doc__ = build.__doc__
-        self.slot: tuple = (None, None)
-
-    def __call__(self, p: int) -> np.ndarray:
-        q, table = self.slot
-        if q != p:
-            self.slot = (None, None)
-            table = self.build(p)
-            table.flags.writeable = False
-            self.slot = (p, table)
-        return table
-
-    def holds(self, p: int) -> bool:
-        return self.slot[0] == p
-
-    def cache_clear(self) -> None:
-        self.slot = (None, None)
-
-
 def _exp_phases(z: np.ndarray, p: int) -> np.ndarray:
     """e_p(t) = exp(2 pi i t / p) in place, for a complex128 array of phases t.
 
@@ -480,19 +451,21 @@ def _exp_phases(z: np.ndarray, p: int) -> np.ndarray:
 @_LastPrime
 def _unit_roots(p: int) -> np.ndarray:
     """e_p(t) for t in Z_p, built in place: 16 bytes per residue."""
-    return _exp_phases(np.arange(p, dtype=np.complex128), p)
+    roots = _exp_phases(np.arange(p, dtype=np.complex128), p)
+    roots.flags.writeable = False
+    return roots
 
 
 @_LastPrime
-def _screen_roots(p: int) -> np.ndarray:
-    """e_p(P[t]) in complex64, P = power_table(p): 8 bytes per residue.
+def _screen_roots(p: int, P: np.ndarray) -> np.ndarray:
+    """e_p(P[t]) in complex64, P the power table (a subgroup's layout,
+    flattened): 8 bytes per residue.
 
     Column j of its reshape(d, m) is the coset g^j A, as in Subgroup.layout.
     Each entry is e_p(aB) e_p(b) for P[t] = aB + b, B = 2^s >= sqrt(p), from
     two exact tables about sqrt(p) long; the complex128 products are rounded
     into the table _PHASE_BLOCK entries at a time.
     """
-    P = power_table(p)
     s = (p.bit_length() + 1) // 2
     high = _exp_phases(np.arange(0, p, 1 << s, dtype=np.complex128), p)
     low = _exp_phases(np.arange(1 << s, dtype=np.complex128), p)
@@ -502,6 +475,7 @@ def _screen_roots(p: int) -> np.ndarray:
         block = high[z >> s]
         block *= low[z & ((1 << s) - 1)]
         out[i : i + _PHASE_BLOCK] = block
+    out.flags.writeable = False
     return out
 
 
@@ -510,13 +484,14 @@ def _screen_error(d: int) -> float:
     return d * 2.0**-20 + d * (d + 64) * 2.0**-50
 
 
-def _screened_mags(p: int, d: int) -> np.ndarray:
-    """|sum of column j of the screen table| for each coset j, summed in
-    float64: by numpy's reduction down rows at least as wide as they are
+def _screened_mags(A) -> np.ndarray:
+    """|sum of column j of the screen table| for each coset j of A, summed
+    in float64: by numpy's reduction down rows at least as wide as they are
     many, else along the rows of transposed blocks (a reduction down rows
     of a few columns pays numpy's per-row cost d times)."""
+    p, d = A.p, A.d
     m = (p - 1) // d
-    rows = _screen_roots(p).view(np.float32).reshape(d, 2 * m)
+    rows = _screen_roots(p, A.layout.ravel()).view(np.float32).reshape(d, 2 * m)
     if m >= d:
         sums = rows.sum(axis=0, dtype=np.float64)
     else:
@@ -530,7 +505,7 @@ def _screened_mags(p: int, d: int) -> np.ndarray:
 def _candidates(A) -> np.ndarray:
     """The reps, ascending, of the cosets whose screened magnitude is at
     least its maximum less 2 delta(d): each coset where phi can be."""
-    mags = _screened_mags(A.p, A.d)
+    mags = _screened_mags(A)
     cols = np.flatnonzero(mags >= mags.max() - 2 * _screen_error(A.d))
     return np.sort(A.layout[:, cols].min(axis=0))
 

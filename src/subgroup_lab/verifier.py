@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .energetics import L3_ORDER, L3_THRESHOLD, SubgroupContext
-from .numtheory import Subgroup
+from .numtheory import Subgroup, _LastPrime
 from .zpsets import ZpSet, first_cover, multiset_count, sumset
 
 # Exponent from the six-fold covering criterion: subgroups with
@@ -304,10 +303,11 @@ def clears_cover_threshold(p: int, d: int) -> bool:
     return d**COVER_THRESHOLD_DEN >= p**COVER_THRESHOLD_NUM
 
 
-@lru_cache(maxsize=2)
+@_LastPrime
 def _context(A: Subgroup) -> SubgroupContext:
     """The one context per subgroup that positivity and the solution counts
-    share, built on the caller's A (a Subgroup hashes as its (p, d))."""
+    share, built on the caller's A and kept for the last subgroup asked for
+    (a Subgroup compares as its (p, d))."""
     return SubgroupContext(A)
 
 

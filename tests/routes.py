@@ -1,6 +1,6 @@
 """Route forcing for the tests: pin spectral.exact_counts to one tier, turn
-phi_subgroup's screen on or off, and count the per-subgroup contexts a call
-builds.
+phi_subgroup's screen on or off, and count the per-subgroup contexts and
+the per-prime tables a call builds.
 
 exact_counts and the batched spectral.exact_supports price their tiers from
 spectral's cost constants, so setting them to 0 or +-inf leaves exactly one
@@ -47,4 +47,19 @@ def count_contexts(mp) -> list:
         init(self, A, **kwargs)
 
     mp.setattr(SubgroupContext, "__init__", counting_init)
+    return built
+
+
+def count_builds(mp, cache) -> list:
+    """Empty a one-entry cache (numtheory._LastPrime) and record the key of
+    every build it makes from now on; returns the list they are appended to."""
+    built = []
+    build = cache.build
+
+    def counting_build(key, *args):
+        built.append(key)
+        return build(key, *args)
+
+    cache.cache_clear()
+    mp.setattr(cache, "build", counting_build)
     return built

@@ -42,7 +42,7 @@ from subgroup_lab.verifier import ALL_CHECKS, check_bound
 from subgroup_lab.zpsets import ZpSet
 
 from oracles import is_prime_slow
-from routes import TIERS, count_contexts, force_tier
+from routes import TIERS, count_builds, count_contexts, force_tier
 
 
 def _check_cells(row, names):
@@ -287,6 +287,16 @@ class TestRunSweep:
             csv1 = format_csv(run_sweep(cfg1), list(cfg1.checks))
             assert csv1 == format_csv(run_sweep(cfgn), list(cfgn.checks)), (lo, hi)
         assert routes == {False, True}
+
+    def test_one_thread_builds_each_power_table_once(self, monkeypatch):
+        # the primes are taken in ascending order, so the one-entry cache
+        # builds each prime's table on its first record and holds one table
+        tables = count_builds(monkeypatch, numtheory.power_table)
+        rows = run_sweep(SweepConfig(p_min=1000, p_max=1100, threads=1))
+        primes = primes_between(1000, 1100)
+        assert sorted({r["p"] for r in rows}) == primes and len(primes) > 1
+        assert tables == primes
+        assert numtheory.power_table.holds(primes[-1]) and not numtheory.power_table.holds(primes[-2])
 
     def test_small_orders_skip_checks(self):
         rows = run_sweep(SweepConfig(p_min=7, p_max=7))
@@ -926,10 +936,10 @@ class TestVerifyAll:
             monkeypatch.setattr(cli, name, counted)
         contexts = count_contexts(monkeypatch)
         verifier._context.cache_clear()
-        numtheory.power_table.cache_clear()
+        tables = count_builds(monkeypatch, numtheory.power_table)
         assert verify_all(100, echo=lambda line: None) == 0
         assert calls == {"subgroup": 159, "shift_sizes": 159}
-        assert numtheory.power_table.cache_info().misses == 24
+        assert len(tables) == 24
         assert len(contexts) == 159
 
     def test_convolution_draws_the_same_random_sets(self, monkeypatch):

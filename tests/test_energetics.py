@@ -14,7 +14,6 @@ from subgroup_lab.energetics import (
     coset_profile,
     energy_moment,
     invariant_convolution_sum,
-    restricted_moment,
     shift_sizes,
     ssc_ratio_sum,
     sumset_ratio_sum,
@@ -338,33 +337,6 @@ class TestInvariantMachinery:
         for args in ((plain, plain, plain), (S1, plain, S1)):
             with pytest.raises(ValueError, match="carry one subgroup"):
                 invariant_convolution_sum(*args)
-
-    def test_restricted_moment_golden(self):
-        A = subgroup(7, 3)
-        S = invariant_set(A, (1, 3))
-        prof = convolve_counts(A.indicator, A.indicator)
-        # counts on 1..6 are [1,1,2,1,2,2]; squares sum to 15
-        assert restricted_moment(prof, S, 2.0) == 15.0
-
-    def test_restricted_moment_r1_is_total_mass(self):
-        A = subgroup(7, 3)
-        prof = convolve_counts(A.indicator, A.indicator)
-        everything = invariant_set(A, (1, 3), includes_zero=True)
-        assert restricted_moment(prof, everything, 1.0) == 9.0
-
-    def test_restricted_moment_zero_only(self):
-        # A * (-A) piles |A| pairs on z = 0; {0} alone picks up counts[0]^r
-        A = subgroup(7, 3)
-        neg = ZpSet.from_elements(7, [(-int(x)) % 7 for x in A.elements])
-        prof = convolve_counts(A.indicator, neg)
-        zero_only = invariant_set(A, (), includes_zero=True)
-        assert zero_only.members() == [0]
-        assert restricted_moment(prof, zero_only, 2.0) == 9.0
-
-    def test_restricted_moment_modulus_mismatch(self):
-        prof = convolve_counts(subgroup(7, 3).indicator, subgroup(7, 3).indicator)
-        with pytest.raises(ValueError):
-            restricted_moment(prof, invariant_set(subgroup(13, 4), (1,)), 2.0)
 
     def test_threshold_set_golden(self):
         A = subgroup(7, 3)

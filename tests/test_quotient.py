@@ -49,7 +49,7 @@ from subgroup_lab.zpsets import (
 )
 
 from oracles import brute_cosets, brute_shift_profile, brute_sumset, brute_sumset_ratio, direct_phi
-from routes import TIERS, force_phi_screen, force_tier
+from routes import TIERS, count_builds, force_phi_screen, force_tier
 
 PRIMES_2000 = [p for p in range(3, 2000) if is_prime(p)]
 PRIMES_3000 = [p for p in range(3, 3000) if is_prime(p)]
@@ -90,6 +90,21 @@ def test_subgroup_and_coset_reps_match_brute_scan():
         assert {frozenset(col) for col in A.layout.T.tolist()} == cosets, (A.p, A.d)
         assert np.shares_memory(A.layout, power_table(A.p)), (A.p, A.d)
         assert not (A.layout.flags.writeable or A.reps.flags.writeable), (A.p, A.d)
+
+
+def test_subgroup_holds_its_table_after_the_cache_moves(monkeypatch):
+    # power_table keeps the last prime only; a subgroup built before the
+    # cache moved on reads its own layout, and its quotient, with no build
+    held = [subgroup(p, d) for p, d in ((2003, 7), (2003, 286), (95287, 6))]
+    tables = count_builds(monkeypatch, power_table)
+    power_table(101)
+    got = [(A.layout, A.reps, A.points, A.coset_index) for A in held]
+    assert tables == [101]
+    for A, quotient in zip(held, got):
+        fresh = subgroup(A.p, A.d)
+        want = (fresh.layout, fresh.reps, fresh.points, fresh.coset_index)
+        assert all(np.array_equal(x, y) for x, y in zip(quotient, want, strict=True)), (A.p, A.d)
+    assert tables == [101, 2003, 95287]
 
 
 def test_chain_and_six_fold_match_fold_sumset():

@@ -29,7 +29,7 @@ from oracles import (
     naive_cyclic_convolution,
     naive_dft_magnitudes,
 )
-from routes import TIERS, force_phi_screen, force_tier
+from routes import TIERS, count_builds, force_phi_screen, force_tier
 
 PRIMES = (3, 5, 7, 13, 31, 101)
 
@@ -515,12 +515,13 @@ class TestPhiSubgroup:
         A.reps  # cached on A, outside the trace
         complex_p = 16 * p
         peaks = {}
-        for name in ("_unit_roots", "_screen_roots"):
+        calls = {"_unit_roots": (p,), "_screen_roots": (p, A.layout.ravel())}
+        for name, args in calls.items():
             spectral._unit_roots.cache_clear()
             spectral._screen_roots.cache_clear()
             tracemalloc.start()
             try:
-                table = getattr(spectral, name)(p)
+                table = getattr(spectral, name)(*args)
                 peaks[name] = tracemalloc.get_traced_memory()[1] - table.nbytes
                 tracemalloc.reset_peak()
                 if name == "_screen_roots":
@@ -528,7 +529,7 @@ class TestPhiSubgroup:
                     peaks["phi"] = tracemalloc.get_traced_memory()[1] - table.nbytes
             finally:
                 tracemalloc.stop()
-        assert spectral._screen_roots(p).nbytes == 8 * (p - 1)
+        assert spectral._screen_roots(p, A.layout.ravel()).nbytes == 8 * (p - 1)
         assert not spectral._unit_roots.holds(p)
         assert peaks["_unit_roots"] < complex_p // 8, peaks
         assert peaks["_screen_roots"] < complex_p // 8, peaks
@@ -538,16 +539,8 @@ class TestPhiSubgroup:
         # each table is built once per prime, and only the last prime's is
         # kept: by the priced route at p = 101, 103 (no screen) and with the
         # screen forced
-        builds = {}
-        for name in ("_unit_roots", "_screen_roots"):
-            cache = getattr(spectral, name)
-            cache.cache_clear()
-
-            def counted(p, build=cache.build, name=name):
-                builds[name] = builds.get(name, 0) + 1
-                return build(p)
-
-            monkeypatch.setattr(cache, "build", counted)
+        names = ("_unit_roots", "_screen_roots")
+        builds = {name: count_builds(monkeypatch, getattr(spectral, name)) for name in names}
         for forced in (False, True):
             if forced:
                 force_phi_screen(monkeypatch, True)
@@ -558,7 +551,7 @@ class TestPhiSubgroup:
         # one build per prime of each table: the exact one on the priced
         # route, the screen's with it forced, where the exact pass evaluates
         # its candidates directly at 101 and reads the kept table at 103
-        assert builds == {"_unit_roots": 2, "_screen_roots": 2}, builds
+        assert builds == {"_unit_roots": [101, 103], "_screen_roots": [101, 103]}, builds
 
     def test_gauss_sum_order_two(self):
         # quadratic residues: |2 phi + 1| should be sqrt(p) for p = 1 mod 4
@@ -657,7 +650,7 @@ class TestScreenedPhi:
                 continue
             A = subgroup(p, d)
             _, exact = direct_phi(A)  # by ascending rep
-            screened = spectral._screened_mags(p, d)  # by layout column
+            screened = spectral._screened_mags(A)  # by layout column
             by_rep = screened[np.argsort(A.layout.min(axis=0))]
             worst = max(worst, (float(np.abs(by_rep - exact).max()) / spectral._screen_error(d), (p, d)))
         with capsys.disabled():
