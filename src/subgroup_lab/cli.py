@@ -21,13 +21,13 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from . import energetics, numtheory, spectral
 from .energetics import SubgroupContext, shift_sizes
-from .numtheory import divisors, subgroup
+from .numtheory import cached_property, divisors, subgroup
 from .spectral import convolve_counts, dft_magnitudes, exact_supports, phi_subgroup
 from .verifier import (
     ALL_CHECKS,
@@ -573,24 +573,22 @@ def _verify_energy(h, rng):
 def _verify_containment(h, rng):
     """A + A_s inside (2A)_s: every shift for p <= 200, else 0 and the coset reps.
 
-    The rows A_s and (2A)_s are cut from rotation views of A and 2A, at most
+    The rows A_s and (2A)_s are cut from the rotations of A and 2A, at most
     spectral._GATHER_BLOCK elements at a time; the nonempty A_s of a block
-    take one exact_supports call, and the first failing one in ascending
-    shift order is reported.
+    take one exact_supports call, which reads A's rotations too, and the
+    first failing one in ascending shift order is reported.
     """
     A, two = h.A, h.two
     p, aset = A.p, A.indicator
     shifts = np.arange(p) if p <= 200 else np.concatenate(([0], A.reps))
-    # row -s % p of a rotation view is the set + s
-    a_rot, two_rot = (spectral._rotations(S.bits) for S in (aset, two))
     step, cases = max(1, spectral._GATHER_BLOCK // p), 0
     for i in range(0, len(shifts), step):
         s = shifts[i : i + step]
-        a_s = aset.bits & a_rot[-s % p]
+        a_s = aset.bits & aset.rotations[-s % p]
         live = a_s.any(axis=1)
         s = s[live]
-        outside = ~(two.bits & two_rot[-s % p])  # Z_p minus (2A)_s
-        bad = (exact_supports(aset.bits, a_s[live]) & outside).any(axis=1)
+        outside = ~(two.bits & two.rotations[-s % p])  # Z_p minus (2A)_s
+        bad = (exact_supports(aset, a_s[live]) & outside).any(axis=1)
         if bad.any():
             j = int(np.argmax(bad))
             return cases + j, f"containment p={p} d={A.d} s={s[j]}"

@@ -48,16 +48,15 @@ class InvarianceViolation(ValueError):
 
 
 def _shift_operands(X: ZpSet) -> tuple:
-    """(bits, y, base) with |X ∩ (X + s)| = (bits * y)(s) + base for every s.
+    """(C, y, base) with |X ∩ (X + s)| = (C * y)(s) + base for every s.
 
-    bits is X, y = -X and base 0 when 2|X| <= p.  Otherwise bits is the
-    complement C = Z_p minus X (which carries the same subgroup), y = -C and
+    C is X, y = -X and base 0 when 2|X| <= p.  Otherwise C is the
+    complement Z_p minus X, a set that carries X's subgroup, y = -C and
     base p - 2|C|: X ∩ (X + s) misses exactly C ∪ (C + s).
     """
     p = X.p
-    bits = X.bits if 2 * X.card <= p else ~X.bits
-    y = (-np.flatnonzero(bits)) % p
-    return bits, y, 0 if bits is X.bits else p - 2 * len(y)
+    C = X if 2 * X.card <= p else ZpSet._wrap(p, ~X.bits, X.sym)
+    return C, (-C.members()) % p, 0 if C is X else p - 2 * C.card
 
 
 def shift_sizes(X: ZpSet) -> np.ndarray:
@@ -67,8 +66,8 @@ def shift_sizes(X: ZpSet) -> np.ndarray:
     one (spectral.zp_counts), and from the complement when |X| > p/2
     (_shift_operands).
     """
-    bits, y, base = _shift_operands(X)
-    sizes = spectral.zp_counts(bits, y, X._sym_with())
+    C, y, base = _shift_operands(X)
+    sizes = spectral.zp_counts(C, y, X._sym_with())
     if base:
         sizes += base
     return sizes
@@ -76,8 +75,8 @@ def shift_sizes(X: ZpSet) -> np.ndarray:
 
 def _shift_sizes_at(X: ZpSet, points: np.ndarray) -> np.ndarray:
     """|X ∩ (X + s)| at each s in points, in their order (shift_sizes)."""
-    bits, y, base = _shift_operands(X)
-    return spectral.exact_counts(bits, y, points).at + base
+    C, y, base = _shift_operands(X)
+    return spectral.exact_counts(C, y, points).at + base
 
 
 def additive_energy(A: ZpSet, B: ZpSet) -> int:
@@ -152,7 +151,7 @@ class SubgroupContext:
     @cached_property
     def aa(self) -> spectral.PointCounts:
         """A * A at A.points, as spectral.exact_counts counts it there."""
-        return spectral.exact_counts(self.aset.bits, self.A.elements, self.A.points)
+        return spectral.exact_counts(self.aset, self.A.elements, self.A.points)
 
     @cached_property
     def shifts(self) -> spectral.PointCounts:
@@ -162,7 +161,7 @@ class SubgroupContext:
         """
         if self.d % 2 == 0:
             return self.aa
-        return spectral.exact_counts(self.aset.bits, -self.A.elements % self.p, self.A.points)
+        return spectral.exact_counts(self.aset, -self.A.elements % self.p, self.A.points)
 
     @cached_property
     def conv_aa(self) -> np.ndarray:
@@ -284,7 +283,7 @@ class SubgroupContext:
         # s = 0 term, then one term per coset, added in ascending rep order;
         # |A + A_r| is the support of A * A_r, A_r = A ∩ (A + r), or all of
         # Z_p, uncounted, when d + |A_r| > p (pigeonhole)
-        p, d, el, bits = self.p, self.d, self.A.elements, self.aset.bits
+        p, d, el, aset = self.p, self.d, self.A.elements, self.aset
         live = self.rep_profile > 0
         support = np.empty(p, dtype=bool)
         total = d * d / float(self.twoA_size)
@@ -292,7 +291,7 @@ class SubgroupContext:
             if d + li > p:
                 size = p
             else:
-                spectral.exact_counts(bits, el[bits[el - r]], out=support)
+                spectral.exact_counts(aset, el[aset.bits[el - r]], out=support)
                 size = np.count_nonzero(support)
             total += d * (li * li / float(size))
         return total

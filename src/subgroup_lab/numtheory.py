@@ -8,6 +8,7 @@ prime" anywhere downstream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -165,10 +166,17 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
+def _integer(value, name: str) -> int:
+    """An integer (numpy's too) or an integral float such as 7.0 as an int; never truncates."""
+    if isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @lru_cache(maxsize=65536)
 def validate_modulus(p: int) -> int:
-    """Check that p is an odd prime in the supported range and return it."""
-    p = int(p)
+    """Check that p is an odd prime in the supported range and return it as an int."""
+    p = _integer(p, "modulus")
     if p < 3 or p > MODULUS_LIMIT:
         raise ValueError(f"modulus must be an odd prime in [3, {MODULUS_LIMIT}], got {p}")
     if not is_prime(p):
@@ -366,7 +374,7 @@ def power_table(p: int) -> np.ndarray:
 
 def subgroup(p: int, d: int) -> Subgroup:
     """Construct the order-d subgroup of Z_p*.  Requires d | p - 1."""
-    p = validate_modulus(p)
+    p, d = validate_modulus(p), _integer(d, "order")
     if d < 1 or (p - 1) % d != 0:
         raise ValueError(f"order {d} does not divide p - 1 = {p - 1}")
     m = (p - 1) // d

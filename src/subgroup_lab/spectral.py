@@ -14,19 +14,20 @@ Convolution of nonnegative integers is exact at every size, in two tiers:
    package's own counts.
 
 Every exact count X * Y of two sets in the package (shift profiles, A * A,
-sumsets, convolve_counts) goes through exact_counts, which prices a
-pair bincount, a gather and the exact convolution above, and runs the
-cheapest.  It counts over Z_p or at a given set of points, where the gather
-reads only those points and the pair and convolution tiers read their counts
-over Z_p, which they hand back too (PointCounts).  Two sets that carry one
-subgroup A (zpsets) are counted at A.points, 0 and one point per coset, and
-zp_counts spreads the m + 1 values to Z_p (numtheory.Subgroup.spread) only
-when no tier made them there.  exact_supports takes the supports of
-X * Y_k for a block of sets Y_k at once (verify's containment family, one
-call per block of shifts); it prices each row as exact_counts would, shares
-one gather among the rows it would gather and hands the others to
-exact_counts.  The FFT tier of exact_counts, on two indicators, is the
-package's one caller of the convolution.
+sumsets, convolve_counts) goes through exact_counts, which prices a pair
+bincount, a gather and the exact convolution above, and runs the cheapest.
+The count kernels take X as a zpsets.ZpSet and read its size, members, bits
+and rotations (built once per set).  exact_counts counts over Z_p or at given
+points, where the gather reads only those points and the pair and
+convolution tiers read their counts over Z_p, which they hand back too
+(PointCounts).  Two sets that carry one subgroup A (zpsets) are counted at
+A.points, 0 and one point per coset, and zp_counts spreads the m + 1 values
+to Z_p (numtheory.Subgroup.spread) only when no tier made them there.
+exact_supports takes the supports of X * Y_k for a block of sets Y_k at once
+(verify's containment family, one call per block of shifts); it prices each
+row as exact_counts would, ORs the rows it would gather over X.rotations and
+hands the others to exact_counts.  The FFT tier of exact_counts, on two
+indicators, is the package's one caller of the convolution.
 
 Dense spectra use numpy's FFT at the prime length p itself (O(p log p)).
 A subgroup's exponential-sum maximum (phi_subgroup) is one exact sum per
@@ -238,30 +239,20 @@ def _conv_cost(p: int) -> int:
     return CONV_COST_PER_CALL + CONV_COST_PER_N * (1 << (2 * p - 2).bit_length())
 
 
-def _rotations(x_bits: np.ndarray) -> np.ndarray:
-    """The (p + 1, p) view whose row k is doubled[k : k + p] of the doubled
-    indicator, so row p - y is X + y: rows[p - y][z] = x_bits[z - y]."""
-    p = len(x_bits)
-    doubled = np.concatenate((x_bits, x_bits))
-    s = doubled.itemsize
-    return np.ndarray((p + 1, p), doubled.dtype, buffer=doubled, strides=(s, s))
-
-
-def gather_counts(x_bits: np.ndarray, y: np.ndarray, points=None, out=None) -> np.ndarray:
+def gather_counts(X: ZpSet, y: np.ndarray, points=None, out=None) -> np.ndarray:
     """#{y in Y : z - y in X} at each z in points (default: every z in Z_p):
     int64, or > 0 into a bool out.
 
-    X is given by its indicator and Y by its members, residues in [0, p).
-    Over Z_p the counts are the sum of the rotations of X by each y, copied
-    as rows of the doubled indicator, _GATHER_BLOCK // p at a time.  At
-    points they are read there, in row blocks of at most _GATHER_BLOCK
-    elements (or one |Y|), and returned in the order of points.
+    Y is given by its members, residues in [0, p).  Over Z_p the counts are
+    the sum of the rows X + y of X.rotations, _GATHER_BLOCK // p at a time.
+    At points they are read off X.bits there, in row blocks of at most
+    _GATHER_BLOCK elements (or one |Y|), and returned in the order of points.
     """
     if points is None:
-        p = len(x_bits)
+        p = X.p
         if out is None:
             out = np.empty(p, dtype=np.int64)
-        rows = _rotations(x_bits)
+        rows = X.rotations
         step = max(1, _GATHER_BLOCK // p)
         np.add.reduce(rows[p - y[:step]], axis=0, dtype=out.dtype, out=out)
         for i in range(step, len(y), step):
@@ -272,7 +263,7 @@ def gather_counts(x_bits: np.ndarray, y: np.ndarray, points=None, out=None) -> n
     step = max(1, _GATHER_BLOCK // max(1, len(y)))
     for i in range(0, len(points), step):
         # z - y lies in (-p, p); a negative index wraps
-        np.add.reduce(x_bits[points[i : i + step, None] - y], axis=1, dtype=out.dtype, out=out[i : i + step])
+        np.add.reduce(X.bits[points[i : i + step, None] - y], axis=1, dtype=out.dtype, out=out[i : i + step])
     return out
 
 
@@ -310,15 +301,14 @@ class PointCounts(NamedTuple):
         return A.spread(self.at) if self.full is None else self.full
 
 
-def exact_counts(x_bits: np.ndarray, y: np.ndarray, points=None, out=None):
+def exact_counts(X: ZpSet, y: np.ndarray, points=None, out=None):
     """(X * Y)(z) = #{y in Y : z - y in X} for every z in Z_p, exact int64.
 
-    X is given by its indicator and Y by its distinct members, residues in
-    [0, p).  The tiers are priced in the cost model's units, as exact_supports
-    prices its rows too: pair_counts at SCATTER_COST |X| |Y|, gather_counts
-    at |Y| per point read and one exact convolution at _conv_cost(p); the
-    pairs run only when strictly cheapest, the gather when no dearer than
-    the convolution.
+    Y is given by its distinct members, residues in [0, p).  The tiers are
+    priced in the cost model's units, as exact_supports prices its rows
+    too: pair_counts at SCATTER_COST |X| |Y|, gather_counts at |Y| per point
+    read and one exact convolution at _conv_cost(p); the pairs run only when
+    strictly cheapest, the gather when no dearer than the convolution.
     Given points (such as a subgroup's quotient points, numtheory.Subgroup),
     the gather reads only there, and the result is a PointCounts, so that a
     caller may keep the counts over Z_p that the pairs or the convolution made.
@@ -327,46 +317,44 @@ def exact_counts(x_bits: np.ndarray, y: np.ndarray, points=None, out=None):
     """
     if points is not None and out is not None:
         raise ValueError("exact_counts takes points or a bool out, not both")
-    p = len(x_bits)
+    p = X.p
     gather, conv = len(y) * (p if points is None else len(points)), _conv_cost(p)
-    if out is None and SCATTER_COST * int(np.count_nonzero(x_bits)) * len(y) < min(gather, conv):
-        counts = pair_counts(np.flatnonzero(x_bits), y, p)
+    if out is None and SCATTER_COST * X.card * len(y) < min(gather, conv):
+        counts = pair_counts(X.members(), y, p)
     elif gather > conv:
         y_bits = np.zeros(p, dtype=bool)
         y_bits[y] = True
-        counts = cyclic_convolution_exact(x_bits, y_bits, p)
+        counts = cyclic_convolution_exact(X.bits, y_bits, p)
         if out is not None:
             return np.greater(counts, 0, out=out)
     elif points is None:
-        return gather_counts(x_bits, y, out=out)
+        return gather_counts(X, y, out=out)
     else:
-        return PointCounts(gather_counts(x_bits, y, points), None)
+        return PointCounts(gather_counts(X, y, points), None)
     return counts if points is None else PointCounts(counts[points], counts)
 
 
-def exact_supports(x_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def exact_supports(X: ZpSet, rows: np.ndarray) -> np.ndarray:
     """Row k of the (k, p) bool result is (X * Y_k) > 0, the sumset X + Y_k.
 
-    X is given by its indicator and each Y_k by row k of a bool matrix.  A
-    row with |X| + |Y_k| > p is all of Z_p (pigeonhole).  The others are
-    priced as in exact_counts: the rows it would gather share one rotation
-    view of X and are OR-reduced over their rows of it, in steps of whole
-    rows that read at most _GATHER_BLOCK elements (or one row's |Y_k| p);
-    each row priced above the convolution is one exact_counts call.
+    Each Y_k is row k of a bool matrix.  A row with |X| + |Y_k| > p is all
+    of Z_p (pigeonhole).  The others are priced as in exact_counts: the rows
+    it would gather are OR-reduced over their rows of X.rotations, in steps
+    of whole rows that read at most _GATHER_BLOCK elements (or one row's
+    |Y_k| p); each row priced above the convolution is one exact_counts call.
     """
     k, p = rows.shape
-    if len(x_bits) != p:
-        raise ValueError("rows must have the length of x_bits")
+    if X.p != p:
+        raise ValueError(f"rows must have the length of X's modulus {X.p}")
     out = np.zeros((k, p), dtype=bool)
     sizes = np.count_nonzero(rows, axis=1)
-    full = sizes + np.count_nonzero(x_bits) > p
+    full = sizes + X.card > p
     out[full] = True
     live = (sizes > 0) & ~full
     gather, conv = sizes * p, _conv_cost(p)
     for j in np.flatnonzero(live & (gather > conv)).tolist():
-        exact_counts(x_bits, np.flatnonzero(rows[j]), out=out[j])
+        exact_counts(X, np.flatnonzero(rows[j]), out=out[j])
     g = np.flatnonzero(live & (gather <= conv))
-    rot = _rotations(x_bits)
     read = np.cumsum(gather[g])  # elements gathered through each row
     i = 0
     while i < g.size:
@@ -375,18 +363,18 @@ def exact_supports(x_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
         step = g[i:j]
         n = sizes[step]
         y = np.nonzero(rows[step])[1]  # members, row after row
-        out[step] = np.logical_or.reduceat(rot[p - y], np.cumsum(n) - n, axis=0)
+        out[step] = np.logical_or.reduceat(X.rotations[p - y], np.cumsum(n) - n, axis=0)
         i = j
     return out
 
 
-def zp_counts(x_bits: np.ndarray, y: np.ndarray, A=None) -> np.ndarray:
+def zp_counts(X: ZpSet, y: np.ndarray, A=None) -> np.ndarray:
     """exact_counts over Z_p.  Two sets that carry the subgroup A (zpsets)
     are counted at A.points and spread by A.spread, unless the tier counted
     all of Z_p itself."""
     if A is None:
-        return exact_counts(x_bits, y)
-    return exact_counts(x_bits, y, A.points).over_zp(A)
+        return exact_counts(X, y)
+    return exact_counts(X, y, A.points).over_zp(A)
 
 
 def convolve_counts(X: ZpSet, Y: ZpSet) -> np.ndarray:
@@ -397,7 +385,7 @@ def convolve_counts(X: ZpSet, Y: ZpSet) -> np.ndarray:
     """
     if X.p != Y.p:
         raise ValueError(f"modulus mismatch: {X.p} vs {Y.p}")
-    counts = zp_counts(X.bits, Y.members(), X._sym_with(Y))
+    counts = zp_counts(X, Y.members(), X._sym_with(Y))
     counts.flags.writeable = False
     return counts
 

@@ -3,8 +3,10 @@
 A ZpSet is an immutable boolean indicator vector of length p.  ZpSet(p, bits)
 validates p, the length and that every entry is 0 or 1, and copies bits; the
 sets this package builds from arrays it has just made are wrapped read-only
-without a copy.  A sumset is all of Z_p when |X| + |Y| > p (pigeonhole), else
-the support of the counts of spectral.exact_counts, which picks the route.
+without a copy.  A set builds its rotations (ZpSet.rotations) once; they
+serve translate, shift_intersect and spectral's count kernels, which take the
+set.  A sumset is all of Z_p when |X| + |Y| > p (pigeonhole), else the
+support of the counts of spectral.exact_counts, which picks the route.
 
 A set may carry its subgroup, sym: a Subgroup A whose dilations fix the set's
 nonzero part.  Only the package sets it, where the invariance holds by
@@ -31,7 +33,7 @@ from .spectral import all_integral, exact_counts
 class ZpSet:
     """Immutable subset of Z_p backed by a dense boolean vector."""
 
-    __slots__ = ("p", "bits", "card", "sym")
+    __slots__ = ("p", "bits", "card", "sym", "_rot")
 
     def __init__(self, p: int, bits: np.ndarray):
         self.p = validate_modulus(p)
@@ -44,7 +46,7 @@ class ZpSet:
         arr.flags.writeable = False
         self.bits = arr
         self.card = int(np.count_nonzero(arr))
-        self.sym = None
+        self.sym = self._rot = None
 
     @classmethod
     def _wrap(cls, p: int, bits: np.ndarray, sym: Subgroup | None = None) -> "ZpSet":
@@ -56,8 +58,18 @@ class ZpSet:
         """
         s = object.__new__(cls)
         bits.flags.writeable = False
-        s.p, s.bits, s.card, s.sym = p, bits, int(np.count_nonzero(bits)), sym
+        s.p, s.bits, s.card, s.sym, s._rot = p, bits, int(np.count_nonzero(bits)), sym, None
         return s
+
+    @property
+    def rotations(self) -> np.ndarray:
+        """The read-only (p + 1, p) strided view of the doubled indicator whose
+        row -z % p is the set + z; built on first use and kept (2p bytes)."""
+        if self._rot is None:
+            doubled = np.concatenate((self.bits, self.bits))
+            self._rot = np.ndarray((self.p + 1, self.p), bool, buffer=doubled, strides=(1, 1))
+            self._rot.flags.writeable = False
+        return self._rot
 
     def _sym_with(self, other: "ZpSet | None" = None) -> Subgroup | None:
         """The subgroup A if this set and other (default: this set) carry it, else None.
@@ -146,15 +158,9 @@ def _require_same_modulus(X: ZpSet, Y: ZpSet) -> int:
     return X.p
 
 
-def _rolled(bits: np.ndarray, z: int) -> np.ndarray:
-    """np.roll(bits, z) as one concatenation of two slices, a fifth of its cost."""
-    k = bits.size - z % bits.size
-    return np.concatenate((bits[k:], bits[:k]))
-
-
 def translate(C: ZpSet, z: int) -> ZpSet:
-    """The shifted set C + z."""
-    return ZpSet._wrap(C.p, _rolled(C.bits, z))
+    """The shifted set C + z, a copy of a row of C.rotations."""
+    return ZpSet._wrap(C.p, C.rotations[-z % C.p].copy())
 
 
 def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
@@ -171,9 +177,9 @@ def sumset(X: ZpSet, Y: ZpSet) -> ZpSet:
     if small.card + big.card > p:  # X meets z - Y for every z
         return ZpSet._wrap(p, np.ones(p, dtype=bool), sym)
     if sym is None:
-        support = exact_counts(big.bits, small.members(), out=np.empty(p, dtype=bool))
+        support = exact_counts(big, small.members(), out=np.empty(p, dtype=bool))
     else:
-        at, full = exact_counts(big.bits, small.members(), sym.points)
+        at, full = exact_counts(big, small.members(), sym.points)
         support = sym.spread(at > 0) if full is None else full > 0
     return ZpSet._wrap(p, support, sym)
 
@@ -217,7 +223,7 @@ def first_cover(folds: list, kmax: int):
 
 def shift_intersect(C: ZpSet, z: int) -> ZpSet:
     """C intersected with its translate, C ∩ (C + z)."""
-    return ZpSet._wrap(C.p, C.bits & _rolled(C.bits, z))
+    return ZpSet._wrap(C.p, C.bits & C.rotations[-z % C.p])
 
 
 def dilate(X: ZpSet, a: int) -> ZpSet:

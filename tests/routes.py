@@ -1,6 +1,6 @@
 """Route forcing for the tests: pin spectral.exact_counts to one tier, turn
-phi_subgroup's screen on or off, and count the per-subgroup contexts and
-the per-prime tables a call builds.
+phi_subgroup's screen on or off, and count the per-subgroup contexts, the
+per-prime tables and the rotation views a call builds.
 
 exact_counts and the batched spectral.exact_supports price their tiers from
 spectral's cost constants, so setting them to 0 or +-inf leaves exactly one
@@ -13,6 +13,7 @@ import math
 
 import subgroup_lab.spectral as spectral
 from subgroup_lab.energetics import SubgroupContext
+from subgroup_lab.zpsets import ZpSet
 
 TIERS = ("pairs", "gather", "fft")
 
@@ -62,4 +63,19 @@ def count_builds(mp, cache) -> list:
 
     cache.cache_clear()
     mp.setattr(cache, "build", counting_build)
+    return built
+
+
+def count_views(mp) -> list:
+    """Record the set of every rotation view (ZpSet.rotations) built from
+    now on, once per build; returns the list they are appended to."""
+    built = []
+    view = ZpSet.rotations.fget
+
+    def counting_view(S):
+        if S._rot is None:
+            built.append(S)
+        return view(S)
+
+    mp.setattr(ZpSet, "rotations", property(counting_view))
     return built

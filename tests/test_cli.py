@@ -42,7 +42,7 @@ from subgroup_lab.verifier import ALL_CHECKS, check_bound
 from subgroup_lab.zpsets import ZpSet
 
 from oracles import is_prime_slow
-from routes import TIERS, count_builds, count_contexts, force_tier
+from routes import TIERS, count_builds, count_contexts, count_views, force_tier
 
 
 def _check_cells(row, names):
@@ -942,6 +942,24 @@ class TestVerifyAll:
         assert len(tables) == 24
         assert len(contexts) == 159
 
+    def test_containment_builds_one_view_per_set(self, monkeypatch):
+        # p = 101, every shift in blocks of 4: A and 2A each build one
+        # rotation view, which every block and every exact_supports call read
+        force_tier(monkeypatch, "gather", block=4 * 101)
+        supports = []
+        real = cli.exact_supports
+
+        def counting(X, rows):
+            supports.append(X)
+            return real(X, rows)
+
+        monkeypatch.setattr(cli, "exact_supports", counting)
+        views = count_views(monkeypatch)
+        h = cli._Shared(101, 20)
+        assert cli._verify_containment(h, random.Random(0))[1] is None
+        assert len(supports) == 26 and all(X is h.A.indicator for X in supports)
+        assert sorted(map(id, views)) == sorted(map(id, (h.A.indicator, h.two)))
+
     def test_convolution_draws_the_same_random_sets(self, monkeypatch):
         # every set _rand_set draws in verify_all(100), in draw order: a walk
         # that seeds or shares Random(911 * p) otherwise changes no ok line;
@@ -971,7 +989,7 @@ class TestVerifyAll:
     def test_detects_broken_containment(self, monkeypatch):
         # every sum A + A_s comes back translated by 1
         real = cli.exact_supports
-        monkeypatch.setattr(cli, "exact_supports", lambda x_bits, rows: np.roll(real(x_bits, rows), 1, axis=1))
+        monkeypatch.setattr(cli, "exact_supports", lambda X, rows: np.roll(real(X, rows), 1, axis=1))
         assert self._last_line(13).startswith("FAIL containment p=3")
 
     @staticmethod
@@ -980,8 +998,8 @@ class TestVerifyAll:
         calls, the sum of the n-th live shift."""
         real, done = cli.exact_supports, [0]  # rows returned so far
 
-        def corrupted(x_bits, rows):
-            out = real(x_bits, rows)
+        def corrupted(X, rows):
+            out = real(X, rows)
             if 0 <= n - 1 - done[0] < len(rows):
                 out[n - 1 - done[0]] = True
             done[0] += len(rows)

@@ -30,7 +30,7 @@ from oracles import (
     brute_ssc_ratio,
     brute_sumset_ratio,
 )
-from routes import TIERS, force_tier
+from routes import TIERS, count_views, force_tier
 
 
 def rand_set(p, rng, k):
@@ -298,6 +298,26 @@ class TestRatioSums:
             want = brute_sumset_ratio(list(map(int, A.elements)), p)
             got = sumset_ratio_sum(A)
             assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+    def test_sumset_ratio_builds_one_view_per_record(self, monkeypatch):
+        # every counted rep gathers A + A_r over Z_p from A's one view
+        force_tier(monkeypatch, "gather")
+        ctx = SubgroupContext(subgroup(211, 7))
+        ctx.rep_profile, ctx.twoA_size  # counted at the points, which reads no view
+        counted = []
+        real = spectral.exact_counts
+
+        def counting(X, y, points=None, out=None):
+            counted.append(X)
+            return real(X, y, points, out)
+
+        monkeypatch.setattr(spectral, "exact_counts", counting)
+        views = count_views(monkeypatch)
+        want = brute_sumset_ratio(ctx.A.elements.tolist(), 211)
+        assert abs(ctx.sumset_ratio - want) <= 1e-9 * want
+        assert len(counted) == np.count_nonzero(ctx.rep_profile) > 1
+        assert all(X is ctx.aset for X in counted)
+        assert len(views) == 1 and views[0] is ctx.aset
 
     def test_sumset_ratio_gate(self):
         A = subgroup(4099, 3)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from subgroup_lab.numtheory import (
     subgroup,
     validate_modulus,
 )
+
+from subgroup_lab.zpsets import ZpSet
 
 from oracles import brute_subgroup, is_prime_slow
 
@@ -127,6 +132,35 @@ class TestValidateModulus:
         for bad in (1, 2, 4, 9, 15, 0, -7):
             with pytest.raises(ValueError):
                 validate_modulus(bad)
+
+    def test_integral_values_are_taken_as_ints(self):
+        # lru_cache keys 7.0 and 7 as one, so both must mean p = 7
+        for p in (7, 7.0, np.int64(7), np.float64(7.0)):
+            got = validate_modulus(p)
+            assert got == 7 and type(got) is int
+        A = subgroup(np.int64(13), np.int64(4))
+        assert (A.p, A.d) == (13, 4) and type(A.p) is int and type(A.d) is int
+        assert A.elements.tolist() == [1, 5, 8, 12]
+
+    @pytest.mark.parametrize("bad", [7.9, 7.5, "7", math.inf, -math.inf, math.nan])
+    def test_non_integral_modulus_raises_naming_it(self, bad):
+        # never truncated to a nearby prime
+        msg = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=msg):
+            validate_modulus(bad)
+        with pytest.raises(ValueError, match=msg):
+            subgroup(bad, 3)
+        with pytest.raises(ValueError, match=msg):
+            primitive_root(bad)
+        with pytest.raises(ValueError, match=msg):
+            ZpSet(bad, np.zeros(7, dtype=bool))
+
+    def test_subgroup_order_follows_the_same_rule(self):
+        A = subgroup(13, 3.0)
+        assert A.d == 3 and type(A.d) is int and A.elements.tolist() == [1, 3, 9]
+        for bad in (2.5, "3", math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                subgroup(13, bad)
 
     def test_limit_is_two_to_the_25(self):
         # the largest prime below 2^25 ran a mid-range record in 3.3 GB; the

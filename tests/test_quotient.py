@@ -530,7 +530,7 @@ def test_pair_tier_memory_is_bounded_by_blocks():
     assert spectral.SCATTER_COST * X.card * len(y) < min((m + 1) * len(y), spectral._conv_cost(p))
     tracemalloc.start()
     try:
-        at, full = spectral.exact_counts(X.bits, y, A.points)
+        at, full = spectral.exact_counts(X, y, A.points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

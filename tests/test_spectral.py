@@ -257,19 +257,19 @@ class TestGatherCounts:
         assert want == spectral.pair_counts(X.members(), y, p).tolist()
         for pts in (None, A.points):
             at = np.arange(p) if pts is None else pts
-            got = spectral.gather_counts(X.bits, y, pts)
+            got = spectral.gather_counts(X, y, pts)
             assert got.dtype == np.int64
             assert got.tolist() == [want[z] for z in at.tolist()]
             out = np.empty(len(at), dtype=bool)
-            assert spectral.gather_counts(X.bits, y, pts, out) is out
+            assert spectral.gather_counts(X, y, pts, out) is out
             assert out.tolist() == [want[z] > 0 for z in at.tolist()]
 
     def test_empty_y_gives_zeros(self):
-        x_bits = ZpSet.from_elements(13, [1, 5]).bits
+        X = ZpSet.from_elements(13, [1, 5])
         y = np.empty(0, dtype=np.int64)
-        assert spectral.gather_counts(x_bits, y).tolist() == [0] * 13
+        assert spectral.gather_counts(X, y).tolist() == [0] * 13
         out = np.ones(13, dtype=bool)
-        assert not spectral.gather_counts(x_bits, y, out=out).any()
+        assert not spectral.gather_counts(X, y, out=out).any()
 
 
 class TestExactCounts:
@@ -279,20 +279,20 @@ class TestExactCounts:
         # each alone works on every tier
         force_tier(monkeypatch, tier)
         A = subgroup(97, 4)
-        x_bits, y, pts = A.indicator.bits, A.elements, A.points
+        X, y, pts = A.indicator, A.elements, A.points
         out = np.zeros(97, dtype=bool)
         with pytest.raises(ValueError, match="points or a bool out"):
-            spectral.exact_counts(x_bits, y, pts, out=out)
+            spectral.exact_counts(X, y, pts, out=out)
         assert not out.any()
         want = brute_convolution(y.tolist(), y.tolist(), 97)
-        assert spectral.exact_counts(x_bits, y, pts).at.tolist() == [want[z] for z in pts.tolist()]
-        assert spectral.exact_counts(x_bits, y, out=out) is out
+        assert spectral.exact_counts(X, y, pts).at.tolist() == [want[z] for z in pts.tolist()]
+        assert spectral.exact_counts(X, y, out=out) is out
         assert out.tolist() == [w > 0 for w in want]
 
 
 @st.composite
 def support_batches(draw):
-    """X and a bool matrix of rows Y_k over a small Z_p, with a route: None
+    """A set X and a bool matrix of rows Y_k over a small Z_p, with a route: None
     (priced), "fft" or "gather" with a block that may end between rows or
     fall below one row's |Y_k| p.  Row sizes mix empty rows, rows past the
     pigeonhole bound |X| + |Y_k| > p and anything in between."""
@@ -312,21 +312,20 @@ def support_batches(draw):
         row[rng.choice(p, n, replace=False)] = True
     tier = draw(st.sampled_from([None, "fft", "gather"]))
     block = draw(st.integers(1, 3 * p)) if tier == "gather" else None
-    return x_bits, rows, tier, block
+    return ZpSet(p, x_bits), rows, tier, block
 
 
 class TestExactSupports:
     @settings(max_examples=150, deadline=None)
     @given(support_batches())
     def test_rows_match_sumset(self, case):
-        x_bits, rows, tier, block = case
+        X, rows, tier, block = case
         k, p = rows.shape
         with pytest.MonkeyPatch.context() as mp:
             if tier is not None:
                 force_tier(mp, tier, block)
             convs = _count_calls(mp, "cyclic_convolution_exact")
-            got = spectral.exact_supports(x_bits, rows)
-        X = ZpSet(p, x_bits)
+            got = spectral.exact_supports(X, rows)
         want = np.array([sumset(X, ZpSet(p, row)).bits for row in rows]).reshape(k, p)
         assert got.dtype == bool and np.array_equal(got, want)
         sizes = rows.sum(axis=1)
@@ -341,24 +340,23 @@ class TestExactSupports:
         # elements, just under one block, and all of them 24 blocks (6 MB)
         p, d = 10009, 24
         A = subgroup(p, d)
-        x_bits = A.indicator.bits
-        rows = np.array([np.roll(x_bits, t) for t in range(spectral._GATHER_BLOCK // p)])
+        X = A.indicator
+        rows = np.array([np.roll(X.bits, t) for t in range(spectral._GATHER_BLOCK // p)])
         gather, conv = d * p, spectral._conv_cost(p)
         assert gather <= spectral._GATHER_BLOCK and gather <= conv
         tracemalloc.start()
         try:
-            got = spectral.exact_supports(x_bits, rows)
+            got = spectral.exact_supports(X, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(rows) * gather > 20 * spectral._GATHER_BLOCK
         assert peak < 3 * spectral._GATHER_BLOCK, peak
-        X = A.indicator
         assert all(np.array_equal(got[t], sumset(X, ZpSet(p, rows[t])).bits) for t in (0, 7, len(rows) - 1))
 
     def test_rejects_rows_of_another_length(self):
         with pytest.raises(ValueError):
-            spectral.exact_supports(np.ones(7, dtype=bool), np.ones((2, 5), dtype=bool))
+            spectral.exact_supports(ZpSet.full(7), np.ones((2, 5), dtype=bool))
 
 
 class TestConvolveCounts:

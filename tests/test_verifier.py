@@ -537,10 +537,10 @@ class TestSolutionCounts:
         calls = []
         real = spectral.exact_counts
 
-        def counted(x_bits, y, points=None, out=None):
+        def counted(X, y, points=None, out=None):
             if points is not None:
                 calls.append((len(points), len(y)))
-            return real(x_bits, y, points, out)
+            return real(X, y, points, out)
 
         monkeypatch.setattr(spectral, "exact_counts", counted)
         verifier._context.cache_clear()

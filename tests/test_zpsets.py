@@ -227,7 +227,7 @@ class TestPointwiseOps:
             dilate(S, 14)
 
     def test_translate_and_shift_intersect_at_edge_shifts(self):
-        # the slice roll at s = 0, 1 and p - 1, and shifts given outside [0, p)
+        # rows 0, 1 and p - 1 of the rotations, and shifts given outside [0, p)
         rng = random.Random(8)
         for p in (3, 5, 101, 100003):
             for k in (0, 1, min(p - 1, 500)):
@@ -237,6 +237,19 @@ class TestPointwiseOps:
                     assert set(translate(S, s).members().tolist()) == brute_translate(els, s, p)
                     got = set(shift_intersect(S, s).members().tolist())
                     assert got == brute_shift_intersect(els, s, p), (p, k, s)
+
+    def test_translate_and_shift_intersect_at_any_integer_shift(self):
+        # the rotations are indexed by -z % p, so a shift below 0 or at p and
+        # beyond reads the row of its residue
+        rng = random.Random(10)
+        for p in PRIMES:
+            for _ in range(3):
+                els = rand_elements(p, rng)
+                S = ZpSet.from_elements(p, els)
+                for z in (-1, p, p + 2, -3 * p - 1):
+                    assert set(translate(S, z).members().tolist()) == brute_translate(els, z, p), (p, z)
+                    got = set(shift_intersect(S, z).members().tolist())
+                    assert got == brute_shift_intersect(els, z, p), (p, z)
 
     def test_shift_intersect_matches_oracle(self):
         rng = random.Random(3)
@@ -301,9 +314,9 @@ class TestSumset:
         for tier in TIERS:
             with pytest.MonkeyPatch.context() as mp:
                 force_tier(mp, tier, block=7)
-                assert exact_counts(X.bits, Y.members()).tolist() == counts, (p, tier)
+                assert exact_counts(X, Y.members()).tolist() == counts, (p, tier)
                 out = np.empty(p, dtype=bool)
-                assert exact_counts(X.bits, Y.members(), out=out) is out
+                assert exact_counts(X, Y.members(), out=out) is out
                 assert set(np.flatnonzero(out).tolist()) == want, (p, tier)
                 assert set(sumset(X, Y).members().tolist()) == want, (p, tier)
                 assert sumset(Y, X) == sumset(X, Y)
